@@ -39,6 +39,7 @@ from .orient import (
     build_kernel_perfect,
     digraph_to_dot,
     extend_d0_kp,
+    f_KP_witnesses,
     find_kernel,
     is_f_AT,
     is_f_KP,

@@ -1,7 +1,7 @@
 """Command line interface.
 
     kernelpaint suite <name> [--source enumerate:nN|file.g6] [--max-n N]
-                             [--seed S] [--jobs J] [--out report.jsonl]
+                             [--seed S] [--out report.jsonl]
                              [--format jsonl|summary] [--allow-large] [--timings]
     kernelpaint gen <family> [params...] [--g6|--dot]
     kernelpaint cert validate <file.json>
@@ -38,9 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="enumerate up to this order; above the suite "
                               "ceiling requires --allow-large")
     p_suite.add_argument("--seed", type=int, default=0)
-    p_suite.add_argument("--jobs", type=int, default=1,
-                         help="worker count (records are independent; this "
-                              "runner executes them sequentially)")
     p_suite.add_argument("--out", default=None, help="write the JSONL report here")
     p_suite.add_argument("--format", choices=("jsonl", "summary"), default="summary")
     p_suite.add_argument("--allow-large", action="store_true",
@@ -72,7 +69,6 @@ def _cmd_suite(args) -> int:
         source=args.source,
         max_n=args.max_n,
         seed=args.seed,
-        jobs=args.jobs,
         allow_large=args.allow_large,
         timings=args.timings,
     )

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
+from .bits import bits, lex_key
 from .errors import ConstructionError, SizeLimitError, UndefinedStatisticError
 
 __all__ = [
@@ -78,7 +79,7 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def neighbors(self, v: int) -> list[int]:
-        return _bits(self.adj[v])
+        return bits(self.adj[v])
 
     def vertices(self) -> range:
         return range(self.n)
@@ -143,7 +144,7 @@ class Graph:
         return comps
 
     def components(self) -> list[list[int]]:
-        return [_bits(m) for m in self.component_masks()]
+        return [bits(m) for m in self.component_masks()]
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.component_masks()) == 1
@@ -153,15 +154,6 @@ class Graph:
             if self.adj[u] & self.adj[v]:
                 return True
         return False
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +241,6 @@ def max_weight_independent_set(
     """
     full = g.full_mask() if within is None else within
     adj = g.adj
-    # Suffix weight bound in index order used by the search.
-    order = _bits(full)
     best_w = -1
     best_set = 0
 
@@ -266,7 +256,7 @@ def max_weight_independent_set(
         nonlocal best_w, best_set
         if not avail:
             if cur_w > best_w or (
-                cur_w == best_w and _lex_key(cur_set) < _lex_key(best_set)
+                cur_w == best_w and lex_key(cur_set) < lex_key(best_set)
             ):
                 best_w, best_set = cur_w, cur_set
             return
@@ -278,10 +268,6 @@ def max_weight_independent_set(
 
     dfs(full, 0, 0)
     return best_w, best_set
-
-
-def _lex_key(mask: int) -> tuple:
-    return tuple(_bits(mask))
 
 
 def independence_number(g: Graph, within: Optional[int] = None) -> int:
@@ -462,7 +448,7 @@ def _refine(n: int, adj: Sequence[int]) -> list[int]:
     """Stable vertex coloring: iterated (color, sorted neighbor colors) keys."""
     colors = [0] * n
     ncells = 1
-    nbrs = [_bits(a) for a in adj]
+    nbrs = [bits(a) for a in adj]
     while True:
         keys = [
             (colors[v], tuple(sorted(colors[u] for u in nbrs[v]))) for v in range(n)
@@ -572,7 +558,7 @@ def _extend_level(prev: list[Graph], n: int, triangle_free: bool) -> list[Graph]
         base_adj = parent.adj
         for nb in range(1 << (n - 1)):
             if triangle_free and any(
-                base_adj[u] & nb for u in _bits(nb)
+                base_adj[u] & nb for u in bits(nb)
             ):
                 continue
             adj = [a | ((nb >> v & 1) << (n - 1)) for v, a in enumerate(base_adj)]
@@ -582,7 +568,7 @@ def _extend_level(prev: list[Graph], n: int, triangle_free: bool) -> list[Graph]
                 continue
             seen.add(key)
             new = n - 1
-            edges = list(parent.edges) + [(v, new) for v in _bits(nb)]
+            edges = list(parent.edges) + [(v, new) for v in bits(nb)]
             out.append(Graph(n, edges))
     return out
 

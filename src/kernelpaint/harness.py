@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
+from .bits import mask_of
 from .errors import FormatError, HypothesisNotMetError, SizeLimitError
 from .graph6 import encode_graph6, read_graph6_file
 from .graphs import (
@@ -33,8 +34,8 @@ from .graphs import (
     make_named,
 )
 from .orient import (
-    Digraph,
     extend_d0_kp,
+    f_KP_witnesses,
     is_f_AT,
     is_f_KP,
     is_kernel_perfect,
@@ -130,8 +131,12 @@ def _rec(g: Optional[Graph], verdict: str, **detail) -> dict:
 
 
 def _per_graph(corpus, fn) -> Iterator[dict]:
-    """Run a per-graph check, demoting size-limit violations to skip records."""
+    """Run a per-graph check, demoting the empty graph and size-limit
+    violations to skip records."""
     for g in corpus:
+        if g.n == 0:
+            yield _rec(g, "skip", reason="empty graph")
+            continue
         try:
             yield from fn(g)
         except SizeLimitError as exc:
@@ -170,9 +175,7 @@ def validate_certificate(cert, g: Graph, f) -> tuple[bool, str]:
     if cert.digraph.vertex_set != frozenset(h):
         return False, "digraph vertex set differs from h_vertices"
     hset = frozenset(h)
-    hmask = 0
-    for v in h:
-        hmask |= 1 << v
+    hmask = mask_of(h)
     induced_edges = {e for e in g.edges if e[0] in hset and e[1] in hset}
     if not induced_edges <= cert.digraph.underlying_edges():
         return False, "some edge of G[H] carries no arc"
@@ -370,9 +373,7 @@ def _constructive_kp_route(g: Graph) -> Optional[str]:
     witness = cert.digraph
     covered = set(cert.h_vertices)
     while True:
-        cmask = 0
-        for v in covered:
-            cmask |= 1 << v
+        cmask = mask_of(covered)
         if not is_kernel_perfect(witness):
             return "witness is not kernel-perfect"
         for v in covered:
@@ -392,7 +393,7 @@ def _kp_fixed_pair() -> Iterator[dict]:
     yield _rec(g, "pass" if not strict else "fail",
                phase="fixed-pair-strict", strict_witness_exists=bool(strict))
     doubled_edge = (0, 1)  # the edge lying in both triangles
-    witnesses = list(_all_kp_supergraph_witnesses(g))
+    witnesses = list(f_KP_witnesses(g, g.degrees))
     ok = bool(witnesses) and all(
         set(w.doubled_pairs()) == {doubled_edge} and w.underlying_edges() == g.edges
         for w in witnesses
@@ -400,27 +401,6 @@ def _kp_fixed_pair() -> Iterator[dict]:
     yield _rec(g, "pass" if ok else "fail",
                phase="fixed-pair-supergraph", witnesses=len(witnesses),
                all_double_two_triangle_edge=ok)
-
-
-def _all_kp_supergraph_witnesses(g: Graph) -> Iterator[Digraph]:
-    budget = [d - 1 for d in g.degrees]
-    pairs = list(itertools.combinations(range(g.n), 2))
-
-    def options(u, v):
-        if g.has_edge(u, v):
-            return [((u, v),), ((v, u),), ((u, v), (v, u))]
-        return [(), ((u, v),), ((v, u),), ((u, v), (v, u))]
-
-    for combo in itertools.product(*[options(u, v) for u, v in pairs]):
-        arcs = [a for opt in combo for a in opt]
-        out = [0] * g.n
-        for t, _ in arcs:
-            out[t] += 1
-        if any(out[v] > budget[v] for v in range(g.n)):
-            continue
-        d = Digraph(range(g.n), arcs)
-        if is_kernel_perfect(d):
-            yield d
 
 
 def _suite_mic_strength(corpus: list[Graph], seed: int) -> Iterator[dict]:
@@ -477,7 +457,7 @@ def _suite_gallai_count(corpus, seed: int) -> Iterator[dict]:
 
 def _suite_triangle_free_mic(corpus: list[Graph], seed: int) -> Iterator[dict]:
     def check(g: Graph):
-        if g.n == 0 or min(g.degrees) < 1:
+        if min(g.degrees) < 1:
             yield _rec(g, "skip", reason="vertex of degree 0")
             return
         if g.has_triangle():
@@ -577,7 +557,6 @@ def _suite_cut_lemma(corpus: list[Graph], seed: int) -> Iterator[dict]:
     pool = [g for g in corpus if 1 <= g.n <= 6]
     if not pool:
         return
-    solvers: dict[Graph, PaintabilitySolver] = {}
     for i in range(CUT_LEMMA_SAMPLES):
         g = pool[rng.randrange(len(pool))]
         f = [rng.randint(1, d + 1) for d in g.degrees]
@@ -649,10 +628,9 @@ def _resolve_corpus(spec: Optional[str], suite: _Suite, max_n: Optional[int],
 
 def _parse_enumerate(spec: str) -> int:
     body = spec.split(":", 1)[1]
-    digits = "".join(ch for ch in body if ch.isdigit())
-    if not digits:
-        raise ValueError(f"cannot parse corpus spec {spec!r}")
-    return int(digits)
+    if not (body[:1] == "n" and body[1:].isdigit()):
+        raise ValueError(f"cannot parse corpus spec {spec!r}; expected enumerate:n<digits>")
+    return int(body[1:])
 
 
 def run_suite(
@@ -660,7 +638,6 @@ def run_suite(
     source: Optional[str] = None,
     max_n: Optional[int] = None,
     seed: int = 0,
-    jobs: int = 1,
     allow_large: bool = False,
     timings: bool = False,
 ) -> SuiteReport:
@@ -668,16 +645,12 @@ def run_suite(
 
     ``source`` is ``enumerate:nK`` or a graph6 file path; by default each
     suite enumerates up to its own ceiling, and asking for a larger corpus
-    requires ``allow_large``.  ``jobs`` is validated and accepted for
-    interface stability; per-graph records are independent, but this runner
-    stays sequential so reports are deterministic on any machine.
+    requires ``allow_large``.
     """
     if name not in _SUITES:
         raise ValueError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
         )
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
     suite = _SUITES[name]
     corpus = _resolve_corpus(source, suite, max_n, allow_large)
     report = SuiteReport(suite=name, meta={"seed": seed, "source": source or "enumerate"})

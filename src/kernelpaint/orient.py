@@ -8,6 +8,11 @@ takes an independent set A, orients the edges touching A so that every vertex
 collects enough in-arcs, and doubles every edge not touching A; the result is
 kernel-perfect with out-degrees bounded by f(v) - 1, which is exactly what the
 painting strategy in :mod:`kernelpaint.verify` consumes.
+
+One exhaustive kernel search, ``_smallest_kernel``, serves both
+:func:`find_kernel` (on the whole digraph) and :func:`is_kernel_perfect` (on
+every vertex subset); the constructive ``find_kernel(d, a)`` path is the only
+other way kernels are found.
 """
 
 from __future__ import annotations
@@ -15,10 +20,11 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
+from .bits import bits, mask_of
 from .errors import SizeLimitError
-from .graphs import Graph, cut_size, _bits
+from .graphs import Graph, cut_size
 
 __all__ = [
     "ATCount",
@@ -32,6 +38,7 @@ __all__ = [
     "build_kernel_perfect",
     "digraph_to_dot",
     "extend_d0_kp",
+    "f_KP_witnesses",
     "find_kernel",
     "is_f_AT",
     "is_f_KP",
@@ -176,7 +183,7 @@ def orient_with_indegrees(g: Graph, demand: DegreeTable) -> OrientationResult:
 def _orient_masked(g: Graph, mask: int, dem: Mapping[int, int]) -> OrientationResult:
     """orient_with_indegrees restricted to the induced subgraph on a vertex mask,
     keeping original labels."""
-    verts = _bits(mask)
+    verts = bits(mask)
     edges = sorted(
         (u, v) for u, v in g.edges if mask >> u & 1 and mask >> v & 1
     )
@@ -294,31 +301,24 @@ def build_kernel_perfect(g: Graph, a: Iterable[int], f: DegreeTable) -> KernelPe
 
 
 def _check_kp_inputs(g: Graph, a_set: frozenset, ftab: Mapping[int, int], mask: int) -> None:
-    amask = _maskof(a_set)
+    amask = mask_of(a_set)
     for v in a_set:
         if not mask >> v & 1:
             raise ValueError(f"vertex {v} of A is outside the graph")
         if g.adj[v] & amask:
             raise ValueError("A must be independent")
-    for v in _bits(mask):
+    for v in bits(mask):
         if not 0 <= ftab[v] <= g.deg_in(v, mask) + 1:
             raise ValueError(
                 f"f({v}) = {ftab[v]} outside [0, d+1] = [0, {g.deg_in(v, mask) + 1}]"
             )
 
 
-def _maskof(vs: Iterable[int]) -> int:
-    m = 0
-    for v in vs:
-        m |= 1 << v
-    return m
-
-
 def _build_kp_masked(
     g: Graph, mask: int, a_set: frozenset, ftab: Mapping[int, int]
 ) -> KernelPerfectResult:
-    verts = _bits(mask)
-    amask = _maskof(a_set) & mask
+    verts = bits(mask)
+    amask = mask_of(a_set) & mask
     # Bipartite part: edges meeting A.  Demands are d(v) + 1 - f(v) in the
     # induced subgraph, clamped at 0.
     bip_edges = [
@@ -350,14 +350,16 @@ def _build_kp_masked(
 def find_kernel(d: Digraph, a: Optional[Iterable[int]] = None) -> Optional[frozenset[int]]:
     """A kernel of d, or None if none exists.
 
-    Without A: exhaustive search over independent sets, smallest bitmask
+    Without A: exhaustive search over vertex subsets, smallest bitmask
     first (deterministic).  With A: constructive mode for digraphs of the
     composite shape (A independent, every edge outside A doubled); repeatedly
     absorb a vertex of B that has no out-arc into the current A, then discard
     its closed neighborhood.
     """
     if a is None:
-        return _find_kernel_exhaustive(d)
+        verts, und, out = _arc_masks(d)
+        kernel = _smallest_kernel(und, out, (1 << len(verts)) - 1)
+        return None if kernel is None else frozenset(verts[i] for i in bits(kernel))
     a_set = frozenset(a) & d.vertex_set
     _check_composite_shape(d, a_set)
     out_nbrs = {v: set() for v in d.vertex_set}
@@ -395,30 +397,37 @@ def _check_composite_shape(d: Digraph, a_set: frozenset) -> None:
                 )
 
 
-def _find_kernel_exhaustive(d: Digraph) -> Optional[frozenset[int]]:
+def _arc_masks(d: Digraph) -> tuple[list[int], list[int], list[int]]:
+    """Sorted labels of d, with the underlying and out-neighbourhoods of each
+    vertex as bitmasks over positions in that list."""
     verts = sorted(d.vertex_set)
-    n = len(verts)
     idx = {v: i for i, v in enumerate(verts)}
-    und = [0] * n
-    outm = [0] * n
+    und = [0] * len(verts)
+    out = [0] * len(verts)
     for t, h in d.arcs:
         und[idx[t]] |= 1 << idx[h]
         und[idx[h]] |= 1 << idx[t]
-        outm[idx[t]] |= 1 << idx[h]
-    full = (1 << n) - 1
-    for mask in range(1 << n):
-        ok = True
-        for i in range(n):
-            if mask >> i & 1:
-                if und[i] & mask:
-                    ok = False
+        out[idx[t]] |= 1 << idx[h]
+    return verts, und, out
+
+
+def _smallest_kernel(und: Sequence[int], out: Sequence[int], sub: int) -> Optional[int]:
+    """The numerically smallest kernel mask of the subdigraph induced on sub,
+    or None when it has no kernel."""
+    members = bits(sub)
+    pick = 0
+    while True:
+        for i in members:
+            if pick >> i & 1:
+                if und[i] & pick:
                     break
-            elif not outm[i] & mask:
-                ok = False
+            elif not out[i] & pick:
                 break
-        if ok:
-            return frozenset(verts[i] for i in range(n) if mask >> i & 1)
-    return None
+        else:
+            return pick
+        if pick == sub:
+            return None
+        pick = (pick - sub) & sub
 
 
 @dataclass(frozen=True)
@@ -434,46 +443,10 @@ def is_kernel_perfect(d: Digraph) -> KernelPerfectCheck:
     """Exhaustively check that every induced subdigraph has a kernel (n <= 10)."""
     if d.n > KP_CHECK_CAP:
         raise SizeLimitError(f"kernel-perfection check capped at {KP_CHECK_CAP} vertices")
-    verts = sorted(d.vertex_set)
-    n = len(verts)
-    idx = {v: i for i, v in enumerate(verts)}
-    und = [0] * n
-    outmask = [0] * n
-    for t, h in d.arcs:
-        und[idx[t]] |= 1 << idx[h]
-        und[idx[h]] |= 1 << idx[t]
-        outmask[idx[t]] |= 1 << idx[h]
-
-    def has_kernel(sub: int) -> bool:
-        cand = []
-        s = sub
-        while s:
-            low = s & -s
-            cand.append(low.bit_length() - 1)
-            s ^= low
-        for pick in range(1 << len(cand)):
-            mask = 0
-            for j, i in enumerate(cand):
-                if pick >> j & 1:
-                    mask |= 1 << i
-            ok = True
-            for i in cand:
-                if mask >> i & 1:
-                    if und[i] & mask:
-                        ok = False
-                        break
-                elif not outmask[i] & mask:
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
-
-    for sub in range(1, 1 << n):
-        if not has_kernel(sub):
-            return KernelPerfectCheck(
-                False, frozenset(verts[i] for i in range(n) if sub >> i & 1)
-            )
+    verts, und, out = _arc_masks(d)
+    for sub in range(1, 1 << len(verts)):
+        if _smallest_kernel(und, out, sub) is None:
+            return KernelPerfectCheck(False, frozenset(verts[i] for i in bits(sub)))
     return KernelPerfectCheck(True, None)
 
 
@@ -632,18 +605,30 @@ class KPDecision:
 def is_f_KP(g: Graph, f: DegreeTable, allow_supergraph: bool = True) -> KPDecision:
     """Does g have a kernel-perfect oriented supergraph with d+(v) <= f(v)-1?
 
+    The witness, if any, is the first one :func:`f_KP_witnesses` yields.
+    """
+    witness = next(f_KP_witnesses(g, f, allow_supergraph), None)
+    return KPDecision(witness is not None, witness)
+
+
+def f_KP_witnesses(g: Graph, f: DegreeTable,
+                   allow_supergraph: bool = True) -> Iterator[Digraph]:
+    """Every kernel-perfect oriented supergraph of g with d+(v) <= f(v)-1.
+
     The supergraph keeps the vertex set; every edge of g must carry at least
     one arc and may carry both; with ``allow_supergraph`` non-edges may also
     gain one or two arcs (at most one arc per direction either way).  Setting
     ``allow_supergraph=False`` restricts to strict orientations of g itself:
-    single arcs on edges, nothing elsewhere.  Exhaustive, for n <= 5.
+    single arcs on edges, nothing elsewhere.  Vertex pairs are decided in
+    sorted order, so witnesses come out in a fixed order.  Exhaustive, for
+    n <= 5.
     """
     if g.n > KP_SEARCH_CAP:
         raise SizeLimitError(f"kernel-perfect search capped at n = {KP_SEARCH_CAP}")
     ftab = _table(f, range(g.n))
     budget = [ftab[v] - 1 for v in range(g.n)]
     if any(b < 0 for b in budget):
-        return KPDecision(False, None)
+        return
     pairs = sorted(itertools.combinations(range(g.n), 2))
     edges_after = [0] * (len(pairs) + 1)
     for i in range(len(pairs) - 1, -1, -1):
@@ -662,14 +647,16 @@ def is_f_KP(g: Graph, f: DegreeTable, allow_supergraph: bool = True) -> KPDecisi
             return [(), ((u, v),), ((v, u),), ((u, v), (v, u))]
         return [()]
 
-    def dfs(i: int) -> Optional[Digraph]:
+    def dfs(i: int) -> Iterator[Digraph]:
         if i == len(pairs):
             d = Digraph(range(g.n), arcs)
-            return d if is_kernel_perfect(d) else None
+            if is_kernel_perfect(d):
+                yield d
+            return
         # each remaining edge needs an out-arc from one of its endpoints
         slack = sum(budget[v] - out[v] for v in range(g.n))
         if slack < edges_after[i]:
-            return None
+            return
         u, v = pairs[i]
         for opt in options(u, v):
             if any(out[t] >= budget[t] for t, _ in opt):
@@ -677,17 +664,13 @@ def is_f_KP(g: Graph, f: DegreeTable, allow_supergraph: bool = True) -> KPDecisi
             for t, _ in opt:
                 out[t] += 1
             arcs.extend(opt)
-            got = dfs(i + 1)
+            yield from dfs(i + 1)
             if opt:
                 del arcs[-len(opt):]
             for t, _ in opt:
                 out[t] -= 1
-            if got is not None:
-                return got
-        return None
 
-    witness = dfs(0)
-    return KPDecision(witness is not None, witness)
+    yield from dfs(0)
 
 
 def extend_d0_kp(g: Graph, h_vertices: Iterable[int], h_witness: Digraph) -> Digraph:
@@ -705,7 +688,7 @@ def extend_d0_kp(g: Graph, h_vertices: Iterable[int], h_witness: Digraph) -> Dig
         raise ValueError("witness already spans the host graph; nothing to extend")
     if h_witness.vertex_set != h_set:
         raise ValueError("witness vertex set must equal h_vertices")
-    hmask = _maskof(h_set)
+    hmask = mask_of(h_set)
     for v in h_set:
         if not h_witness.out_degree(v) < g.deg_in(v, hmask):
             raise ValueError(

@@ -20,8 +20,9 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .bits import bits, lex_key, mask_of
 from .errors import HypothesisNotMetError, SizeLimitError
-from .graphs import Graph, cut_size, _bits
+from .graphs import Graph, cut_size
 from .orient import DegreeTable, Digraph, _build_kp_masked, _table
 from .structure import mic
 from .verify import PaintabilitySolver
@@ -93,7 +94,7 @@ def extract_reducible(
             raise ValueError(f"f({v}) = {ftab[v]} outside [0, d(v)+1]")
     a_set = frozenset(a) if a is not None else mic(g).witness
     for u in a_set:
-        if g.adj[u] & _maskof(a_set):
+        if g.adj[u] & mask_of(a_set):
             raise ValueError("A must be independent")
     need = sum(g.degrees[v] + 1 - ftab[v] for v in range(g.n))
     have = cut_size(g, a_set, range(g.n))
@@ -106,21 +107,21 @@ def extract_reducible(
     mask = g.full_mask()
     while True:
         assert mask, "peeling can never empty H"
-        h_a = frozenset(v for v in _bits(mask) if v in a_set)
-        f_h = {v: ftab[v] + g.deg_in(v, mask) - g.degrees[v] for v in _bits(mask)}
+        h_a = frozenset(v for v in bits(mask) if v in a_set)
+        f_h = {v: ftab[v] + g.deg_in(v, mask) - g.degrees[v] for v in bits(mask)}
         res = _build_kp_masked(g, mask, h_a, f_h)
         if res.ok:
-            return Certificate(tuple(_bits(mask)), res.digraph, f_h)
+            return Certificate(tuple(bits(mask)), res.digraph, f_h)
         x = res.violating_set
-        xmask = _maskof(x)
+        xmask = mask_of(x)
         assert xmask and xmask != mask, "violating set must be a proper nonempty subset"
         mask &= ~xmask
         _assert_counting_invariant(g, mask, a_set, ftab)
 
 
 def _assert_counting_invariant(g: Graph, mask: int, a_set, ftab) -> None:
-    verts = _bits(mask)
-    amask = _maskof(a_set) & mask
+    verts = bits(mask)
+    amask = mask_of(a_set) & mask
     h_a_edges = sum(
         1
         for u, v in g.edges
@@ -128,13 +129,6 @@ def _assert_counting_invariant(g: Graph, mask: int, a_set, ftab) -> None:
     )
     need = sum(g.degrees[v] + 1 - ftab[v] for v in verts)
     assert h_a_edges >= need, "peeling must preserve the counting inequality"
-
-
-def _maskof(vs) -> int:
-    m = 0
-    for v in vs:
-        m |= 1 << v
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +150,11 @@ def is_oc_reducible(g: Graph) -> Optional[tuple[tuple[int, ...], dict[int, int]]
         return None
     delta = min(g.degrees)
     solver = PaintabilitySolver(g)
-    masks = sorted(range(1, 1 << g.n), key=lambda m: (m.bit_count(), _lex(m)))
+    masks = sorted(range(1, 1 << g.n), key=lambda m: (m.bit_count(), lex_key(m)))
     for mask in masks:
         f_h = {}
         feasible = True
-        for v in _bits(mask):
+        for v in bits(mask):
             fv = delta + g.deg_in(v, mask) - g.degrees[v]
             if fv < 1:
                 feasible = False
@@ -169,12 +163,8 @@ def is_oc_reducible(g: Graph) -> Optional[tuple[tuple[int, ...], dict[int, int]]
         if not feasible:
             continue
         if solver.wins(mask, f_h):
-            return tuple(_bits(mask)), f_h
+            return tuple(bits(mask)), f_h
     return None
-
-
-def _lex(mask: int) -> tuple:
-    return tuple(_bits(mask))
 
 
 @dataclass(frozen=True)
@@ -219,7 +209,7 @@ def cut_lemma_check(g: Graph, f: DegreeTable, h_vertices: Iterable[int]) -> CutL
     f_H(v) = f(v) + d_H(v) - d_G(v), then G must be online f-choosable."""
     if g.n > CUT_LEMMA_CAP:
         raise SizeLimitError(f"cut-lemma check capped at n = {CUT_LEMMA_CAP}")
-    hmask = _maskof(h_vertices)
+    hmask = mask_of(h_vertices)
     if hmask & ~g.full_mask():
         raise ValueError("h_vertices outside the graph")
     ftab = _table(f, range(g.n))
@@ -227,7 +217,7 @@ def cut_lemma_check(g: Graph, f: DegreeTable, h_vertices: Iterable[int]) -> CutL
     rest = g.full_mask() & ~hmask
     rest_ok = solver.wins(rest, ftab)
     f_h = {
-        v: ftab[v] + g.deg_in(v, hmask) - g.degrees[v] for v in _bits(hmask)
+        v: ftab[v] + g.deg_in(v, hmask) - g.degrees[v] for v in bits(hmask)
     }
     part_ok = all(val >= 1 for val in f_h.values()) and solver.wins(hmask, f_h)
     if not (rest_ok and part_ok):

@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .bits import bits, mask_of
 from .errors import UndefinedStatisticError
 from .graphs import (
     Graph,
     block_decomposition,
     independence_number,
     max_weight_independent_set,
-    _bits,
 )
 
 __all__ = [
@@ -74,16 +74,9 @@ def _classify_block(g: Graph, block: frozenset[int]) -> str:
     if inside == k * (k - 1) // 2:
         return "clique"
     if k >= 3 and k % 2 == 1 and inside == k:
-        if all(g.deg_in(v, _mask(block)) == 2 for v in block):
+        if all(g.deg_in(v, mask_of(block)) == 2 for v in block):
             return "odd_cycle"
     return "other"
-
-
-def _mask(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 def _gallai_check(g: Graph) -> GallaiCheck:
@@ -332,7 +325,7 @@ def mic(g: Graph) -> MicResult:
     value, mask = max_weight_independent_set(g, g.degrees)
     if value <= 0:
         return MicResult(0, frozenset())
-    return MicResult(value, frozenset(_bits(mask)))
+    return MicResult(value, frozenset(bits(mask)))
 
 
 @dataclass(frozen=True)
@@ -350,7 +343,7 @@ def low_high_split(g: Graph) -> LowHighSplit:
     top = max(g.degrees)
     low = frozenset(v for v in range(g.n) if g.degrees[v] == delta)
     high = frozenset(v for v in range(g.n) if g.degrees[v] > delta)
-    hmask = _mask(high)
+    hmask = mask_of(high)
     high_edgeless = all(g.adj[v] & hmask == 0 for v in high)
     return LowHighSplit(high, low, high_edgeless, top == delta + 1)
 
@@ -402,7 +395,7 @@ def gallai_count_check(forest: Graph, k: int) -> GallaiCountCheck:
     # With max degree <= k-1 a K_k subgraph can only be a whole component.
     for comp in comps:
         if comp.bit_count() == k and all(
-            forest.deg_in(v, comp) == k - 1 for v in _bits(comp)
+            forest.deg_in(v, comp) == k - 1 for v in bits(comp)
         ):
             raise ValueError(f"forest contains K_{k}")
     lhs = Fraction(

@@ -17,8 +17,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
+from .bits import bits, lex_key, mask_of, submasks
 from .errors import SizeLimitError
-from .graphs import Graph, _bits
+from .graphs import Graph
 from .orient import Digraph, DegreeTable, _table, find_kernel
 
 __all__ = [
@@ -179,10 +180,10 @@ class PaintabilitySolver:
 
     def wins(self, vertices: Union[int, Iterable[int]], f: DegreeTable) -> bool:
         """Does Painter win the game on the induced subgraph with budgets f?"""
-        mask = vertices if isinstance(vertices, int) else _maskof(vertices)
+        mask = vertices if isinstance(vertices, int) else mask_of(vertices)
         if mask.bit_count() > ONLINE_VERTEX_CAP:
             raise SizeLimitError(f"online solver capped at {ONLINE_VERTEX_CAP} vertices")
-        ftab = _table(f, _bits(mask))
+        ftab = _table(f, bits(mask))
         if any(val > ONLINE_BUDGET_CAP for val in ftab.values()):
             raise SizeLimitError(f"online solver capped at budget {ONLINE_BUDGET_CAP}")
         budgets = tuple(
@@ -197,9 +198,9 @@ class PaintabilitySolver:
         if got is not None:
             return got
         adj = self.adj
-        members = _bits(smask)
+        members = bits(smask)
         sets = []
-        for pick in _submasks(smask):
+        for pick in submasks(smask):
             ok = True
             for v in members:
                 if pick >> v & 1:
@@ -246,7 +247,7 @@ class PaintabilitySolver:
             low = v & -v
             u = low.bit_length() - 1
             if budgets[u] == 1 and any(
-                budgets[w] == 1 for w in _bits(adj[u] & mask & -(low << 1))
+                budgets[w] == 1 for w in bits(adj[u] & mask & -(low << 1))
             ):
                 return False
             v ^= low
@@ -257,83 +258,51 @@ class PaintabilitySolver:
         got = self.memo.get(key)
         if got is not None:
             return got
-        # rounds strictly shrink the mask, so the recursion cannot revisit key
-        result = True
-        for smask in _submasks_desc(mask):
-            if smask == 0:
-                continue
-            if not self._painter_can_answer(mask, budgets, smask):
-                result = False
-                break
+        # rounds strictly shrink the mask, so the recursion cannot revisit key;
+        # the full set comes first: it is usually Lister's sharpest move, so
+        # losses surface fast
+        result = all(self._painter_can_answer(mask, budgets, smask)
+                     for smask in submasks(mask) if smask)
         self.memo[key] = result
         return result
 
     def _painter_can_answer(self, mask: int, budgets: tuple[int, ...], smask: int) -> bool:
-        for imask in self.maximal_independent_sets(smask):
-            nmask = mask & ~imask
-            nb = list(budgets)
-            dec = smask & ~imask
-            while dec:
-                low = dec & -dec
-                nb[low.bit_length() - 1] -= 1
-                dec ^= low
-            if self._solve(nmask, _restrict(tuple(nb), nmask)):
-                return True
-        return False
+        return any(self._solve(*_apply_round(mask, budgets, smask, imask))
+                   for imask in self.maximal_independent_sets(smask))
 
     # -- strategy extraction ----------------------------------------------
 
     def lister_winning_move(self, mask: int, budgets: tuple[int, ...]) -> Optional[int]:
         """Lex-smallest S that defeats every Painter answer, if one exists."""
-        for smask in sorted(_submasks(mask)):
+        for smask in sorted(submasks(mask)):
             if smask and not self._painter_can_answer(mask, budgets, smask):
                 return smask
         return None
 
     def painter_winning_move(self, mask: int, budgets: tuple[int, ...], smask: int) -> Optional[int]:
         """Lex-smallest independent I <= S whose successor state Painter wins."""
-        for imask in sorted(self.maximal_independent_sets(smask), key=_lexkey):
-            nmask = mask & ~imask
-            nb = list(budgets)
-            dec = smask & ~imask
-            while dec:
-                low = dec & -dec
-                nb[low.bit_length() - 1] -= 1
-                dec ^= low
-            if self._solve(nmask, _restrict(tuple(nb), nmask)):
+        for imask in sorted(self.maximal_independent_sets(smask), key=lex_key):
+            if self._solve(*_apply_round(mask, budgets, smask, imask)):
                 return imask
         return None
 
 
-def _maskof(vs: Iterable[int]) -> int:
-    m = 0
-    for v in vs:
-        m |= 1 << v
-    return m
-
-
-def _restrict(budgets: tuple[int, ...], mask: int) -> tuple[int, ...]:
+def _restrict(budgets: Sequence[int], mask: int) -> tuple[int, ...]:
     return tuple(b if mask >> v & 1 else 0 for v, b in enumerate(budgets))
 
 
-def _submasks(mask: int) -> list[int]:
-    out = []
-    sub = mask
-    while True:
-        out.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
-    return out
-
-
-def _submasks_desc(mask: int) -> list[int]:
-    # full set first: it is usually Lister's sharpest move, so losses surface fast
-    return _submasks(mask)
-
-
-def _lexkey(mask: int) -> tuple:
-    return tuple(_bits(mask))
+def _apply_round(mask: int, budgets: tuple[int, ...], smask: int,
+                 imask: int) -> tuple[int, tuple[int, ...]]:
+    """The state after Painter answers S with I: I leaves the game and every
+    vertex of S - I spends one token."""
+    nmask = mask & ~imask
+    nb = list(budgets)
+    dec = smask & ~imask
+    while dec:
+        low = dec & -dec
+        nb[low.bit_length() - 1] -= 1
+        dec ^= low
+    return nmask, _restrict(nb, nmask)
 
 
 def is_online_f_choosable(g: Graph, f: DegreeTable) -> bool:
@@ -375,7 +344,7 @@ ListerFn = Callable[[Graph, int, tuple[int, ...]], int]
 def greedy_painter(g: Graph, mask: int, budgets: tuple[int, ...], smask: int) -> int:
     """Maximal independent subset of S grown in ascending vertex order."""
     imask = 0
-    for v in _bits(smask):
+    for v in bits(smask):
         if not g.adj[v] & imask:
             imask |= 1 << v
     return imask
@@ -391,11 +360,11 @@ def make_kernel_painter(cert_digraph: Digraph) -> PainterFn:
     """
 
     def painter(g: Graph, mask: int, budgets: tuple[int, ...], smask: int) -> int:
-        sub = cert_digraph.induced(_bits(smask))
+        sub = cert_digraph.induced(bits(smask))
         kernel = find_kernel(sub)
         if kernel is None:
             raise ValueError("certificate digraph is not kernel-perfect on S")
-        return _maskof(kernel)
+        return mask_of(kernel)
 
     return painter
 
@@ -404,7 +373,7 @@ def optimal_painter(solver: PaintabilitySolver) -> PainterFn:
     def painter(g: Graph, mask: int, budgets: tuple[int, ...], smask: int) -> int:
         move = solver.painter_winning_move(mask, budgets, smask)
         if move is None:
-            move = min(solver.maximal_independent_sets(smask), key=_lexkey)
+            move = min(solver.maximal_independent_sets(smask), key=lex_key)
         return move
 
     return painter
@@ -424,17 +393,17 @@ def random_lister(seed: int) -> ListerFn:
     rng = _random.Random(seed)
 
     def lister(g: Graph, mask: int, budgets: tuple[int, ...]) -> int:
-        vs = _bits(mask)
+        vs = bits(mask)
         pick = [v for v in vs if rng.random() < 0.5]
         if not pick:
             pick = [rng.choice(vs)]
-        return _maskof(pick)
+        return mask_of(pick)
 
     return lister
 
 
 def scripted_lister(moves: Sequence[Iterable[int]]) -> ListerFn:
-    queue = [(_maskof(m)) for m in moves]
+    queue = [(mask_of(m)) for m in moves]
     it = iter(queue)
 
     def lister(g: Graph, mask: int, budgets: tuple[int, ...]) -> int:
@@ -494,7 +463,7 @@ def play_paint_game(
 
     rounds: list[GameRound] = []
     while mask:
-        if any(budgets[v] < 1 for v in _bits(mask)):
+        if any(budgets[v] < 1 for v in bits(mask)):
             return GameOutcome("lister", tuple(rounds))
         smask = lister_fn(g, mask, budgets)
         if smask == 0 or smask & ~mask:
@@ -509,24 +478,16 @@ def play_paint_game(
 def _check_painter_move(g: Graph, smask: int, imask: int) -> None:
     if imask & ~smask:
         raise ValueError("painter's set must be a subset of S")
-    for v in _bits(imask):
+    for v in bits(imask):
         if g.adj[v] & imask:
             raise ValueError("painter's set must be independent")
 
 
-def _apply_round(mask, budgets, smask, imask):
-    nmask = mask & ~imask
-    nb = list(budgets)
-    for v in _bits(smask & ~imask):
-        nb[v] -= 1
-    return nmask, tuple(b if nmask >> v & 1 else 0 for v, b in enumerate(nb))
-
-
 def _record(mask, budgets, smask, imask) -> GameRound:
     return GameRound(
-        listed=tuple(_bits(smask)),
-        painted=tuple(_bits(imask)),
-        budgets={v: budgets[v] for v in _bits(mask)},
+        listed=tuple(bits(smask)),
+        painted=tuple(bits(imask)),
+        budgets={v: budgets[v] for v in bits(mask)},
     )
 
 
@@ -540,7 +501,7 @@ def _traverse_all_lines(g, mask0, budgets0, painter_fn) -> GameOutcome:
         nonlocal explored
         if not mask:
             return None
-        for v in _bits(mask):
+        for v in bits(mask):
             if budgets[v] < 1:
                 return []
         key = (mask, budgets)
@@ -548,7 +509,7 @@ def _traverse_all_lines(g, mask0, budgets0, painter_fn) -> GameOutcome:
             return None if cache[key] else []
         cache[key] = True
         explored += 1
-        for smask in _submasks(mask):
+        for smask in submasks(mask):
             if smask == 0:
                 continue
             imask = painter_fn(g, mask, budgets, smask)

@@ -14,7 +14,7 @@ from kernelpaint import (
     validate_certificate,
 )
 from kernelpaint.cli import main as cli_main
-from kernelpaint.harness import SUITE_NAMES
+from kernelpaint.harness import SUITE_NAMES, _parse_enumerate
 from kernelpaint.orient import Digraph
 
 
@@ -129,10 +129,29 @@ def test_timings_flag_controls_meta():
     assert all("elapsed_ms" in r for r in rep.records)
 
 
-def test_jobs_flag_validated():
-    with pytest.raises(ValueError, match="jobs"):
-        run_suite("mic-basics", max_n=3, jobs=0)
-    rep = run_suite("mic-basics", max_n=3, jobs=4)
+@pytest.mark.parametrize("spec", ["enumerate:n7x3", "enumerate:nx", "enumerate:7",
+                                  "enumerate:n"])
+def test_malformed_enumerate_spec_rejected(spec):
+    with pytest.raises(ValueError, match="cannot parse"):
+        _parse_enumerate(spec)
+    assert cli_main(["suite", "mic-basics", "--source", spec]) == 2
+
+
+def test_enumerate_spec_parsed():
+    assert _parse_enumerate("enumerate:n8") == 8
+    assert len(run_suite("mic-basics", source="enumerate:n3").records) == 4
+
+
+PER_GRAPH_SUITES = sorted(set(SUITE_NAMES) - {"gallai-count", "cut-lemma"})
+
+
+@pytest.mark.parametrize("name", PER_GRAPH_SUITES)
+def test_empty_graph_is_skipped(name, tmp_path):
+    path = tmp_path / "empty.g6"
+    path.write_text("?\n")
+    rep = run_suite(name, source=str(path))
+    per_graph = [r for r in rep.records if "phase" not in r]
+    assert per_graph == [{"verdict": "skip", "graph6": "?", "reason": "empty graph"}]
     assert rep.passed
 
 

@@ -10,6 +10,7 @@ from kernelpaint import (
     digraph_to_dot,
     enumerate_graphs,
     extend_d0_kp,
+    f_KP_witnesses,
     find_kernel,
     is_f_AT,
     is_f_KP,
@@ -169,6 +170,40 @@ def test_is_kernel_perfect_examples():
         is_kernel_perfect(Digraph(range(11)))
 
 
+def _subsets_in_mask_order(verts):
+    subsets = [frozenset(c) for r in range(len(verts) + 1)
+               for c in itertools.combinations(verts, r)]
+    return sorted(subsets, key=lambda s: sum(1 << v for v in s))
+
+
+def _first_kernel_by_definition(arcs, sub):
+    """Smallest kernel of D[sub] in mask order: an independent set that every
+    other vertex of sub has an out-arc into."""
+    for k in _subsets_in_mask_order(sorted(sub)):
+        if (all((u, v) not in arcs for u in k for v in k)
+                and all(any((v, w) in arcs for w in k) for v in sub - k)):
+            return k
+    return None
+
+
+def test_kernel_search_matches_definition_on_random_digraphs():
+    import random
+
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        verts = sorted(rng.sample(range(12), n))  # non-contiguous labels
+        p = rng.random()
+        arcs = {(t, h) for t in verts for h in verts if t != h and rng.random() < p}
+        d = Digraph(verts, arcs)
+        assert find_kernel(d) == _first_kernel_by_definition(arcs, frozenset(verts))
+        offending = next((s for s in _subsets_in_mask_order(verts)
+                          if s and _first_kernel_by_definition(arcs, s) is None), None)
+        check = is_kernel_perfect(d)
+        assert check.offending == offending
+        assert bool(check) == (offending is None)
+
+
 # -- Alon-Tarsi counting ------------------------------------------------------
 
 
@@ -257,6 +292,14 @@ def test_is_f_kp_witness_meets_bounds(k4e):
     assert is_kernel_perfect(w)
     assert all(w.out_degree(v) + 1 <= k4e.degrees[v] for v in range(4))
     assert k4e.edges <= w.underlying_edges()
+
+
+def test_f_kp_witnesses_on_k4_minus_e(k4e):
+    witnesses = list(f_KP_witnesses(k4e, k4e.degrees))
+    assert len(witnesses) == 2
+    assert all(w.doubled_pairs() == {(0, 1)} for w in witnesses)
+    assert is_f_KP(k4e, k4e.degrees).witness == witnesses[0]
+    assert list(f_KP_witnesses(k4e, k4e.degrees, allow_supergraph=False)) == []
 
 
 # -- witness extension ---------------------------------------------------------
