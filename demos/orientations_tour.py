@@ -3,7 +3,7 @@ Orientations, kernels, and why one doubled edge matters
 =======================================================
 
 Three views of the same 4-vertex graph K4 minus an edge: in-degree demands
-solved by max flow, Eulerian subgraph counts over an orientation, and the
+solved by path reversal, Eulerian subgraph counts over an orientation, and the
 kernel-perfect supergraph search that needs to double exactly one edge.
 """
 
@@ -19,11 +19,11 @@ from kernelpaint import (
 g = make_named("K4_minus_e")
 print("K4 - e:", sorted(g.edges), "degrees", g.degrees)
 
-# 1. demand one in-arc everywhere: feasible, the flow finds it
+# 1. demand one in-arc everywhere: feasible, path reversal finds it
 res = orient_with_indegrees(g, [1, 1, 1, 1])
 print("\nin-degree >= 1 orientation:", list(res.orientation.arcs))
 
-# 2. demand too much and the flow hands back the witness set instead
+# 2. demand too much and the orientation hands back the witness set instead
 res = orient_with_indegrees(g, [3, 3, 2, 2])
 print("in-degree (3,3,2,2):", "feasible" if res.ok else
       f"violating set {sorted(res.violating_set)}, deficiency {res.deficiency}")

@@ -1,6 +1,6 @@
 """Command line interface.
 
-    kernelpaint suite <name> [--source enumerate:nN|file.g6] [--max-n N]
+    kernelpaint suite <name> [--source file.g6] [--max-n N]
                              [--seed S] [--out report.jsonl]
                              [--format jsonl|summary] [--allow-large] [--timings]
     kernelpaint gen <family> [params...] [--g6|--dot]
@@ -33,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_suite = sub.add_parser("suite", help="run a theorem suite over a corpus")
     p_suite.add_argument("name", choices=SUITE_NAMES)
     p_suite.add_argument("--source", default=None,
-                         help="enumerate:nN or a graph6 file (default: suite ceiling)")
+                         help="a graph6 file (default: enumerate up to --max-n)")
     p_suite.add_argument("--max-n", type=int, default=None,
                          help="enumerate up to this order; above the suite "
                               "ceiling requires --allow-large")
@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--allow-large", action="store_true",
                          help="permit corpora beyond the suite's declared ceiling")
     p_suite.add_argument("--timings", action="store_true",
-                         help="include elapsed time in the summary "
+                         help="include corpus and elapsed times in the summary "
                               "(breaks byte-identical reports)")
 
     p_gen = sub.add_parser("gen", help="emit a named graph")
@@ -83,8 +83,9 @@ def _cmd_suite(args) -> int:
             print(f"{key}: {summary[key]}")
         for reason, count in sorted(summary["skip_reasons"].items()):
             print(f"  skip[{reason}]: {count}")
-        if "elapsed_s" in summary:
-            print(f"elapsed_s: {summary['elapsed_s']}")
+        for key in ("corpus_s", "elapsed_s"):
+            if key in summary:
+                print(f"{key}: {summary[key]}")
     return 0 if report.passed else 1
 
 

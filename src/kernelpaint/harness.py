@@ -281,7 +281,7 @@ def _suite_in_orient_oracle(corpus: list[Graph], seed: int) -> Iterator[dict]:
             res = orient_with_indegrees(g, dem)
             brute = any(all(vec[v] >= dem[v] for v in range(g.n)) for vec in frontier)
             if res.ok != brute:
-                bad = {"demand": list(dem), "flow": res.ok, "brute": brute}
+                bad = {"demand": list(dem), "orient": res.ok, "brute": brute}
                 break
             if res.ok:
                 if any(res.orientation.in_degree(v) < dem[v] for v in range(g.n)):
@@ -471,12 +471,17 @@ def _suite_triangle_free_mic(corpus: list[Graph], seed: int) -> Iterator[dict]:
 
 
 def _suite_edges_4critical(corpus: list[Graph], seed: int) -> Iterator[dict]:
-    corpus_max = max((g.n for g in corpus), default=0)
-    expected_keys = {}
-    if corpus_max >= 4:
-        expected_keys[canonical_key(make_named("complete", [4]))] = "K4"
-    if corpus_max >= 7:
-        expected_keys[canonical_key(make_named("moser_spindle"))] = "moser_spindle"
+    # Coverage: every target graph the corpus contains must be checked and
+    # pass.  Keys are computed only for graphs with a target's degree sequence.
+    targets = {}
+    for name, t in (("K4", make_named("complete", [4])),
+                    ("moser_spindle", make_named("moser_spindle"))):
+        targets[tuple(sorted(t.degrees))] = (canonical_key(t), name)
+    present = {}
+    for g in corpus:
+        key, name = targets.get(tuple(sorted(g.degrees)), (None, None))
+        if key is not None and canonical_key(g) == key:
+            present[g] = name
     found: set[str] = set()
 
     def check(g: Graph):
@@ -500,13 +505,12 @@ def _suite_edges_4critical(corpus: list[Graph], seed: int) -> Iterator[dict]:
                        phase="regular-boundary", edges=g.m, formula=formula, n=g.n)
             return
         ok = g.m == formula and g.n % 3 != 0
-        key = canonical_key(g)
-        if key in expected_keys:
-            found.add(expected_keys[key])
+        if g in present:
+            found.add(present[g])
         yield _rec(g, "pass" if ok else "fail", edges=g.m, formula=formula, n=g.n)
 
     yield from _per_graph(corpus, check)
-    ok = found == set(expected_keys.values())
+    ok = found == set(present.values())
     yield {"verdict": "pass" if ok else "fail", "phase": "coverage",
            "found": sorted(found)}
 
@@ -606,9 +610,6 @@ def _resolve_corpus(spec: Optional[str], suite: _Suite, max_n: Optional[int],
     if suite.corpus == "none":
         return []
     n = suite.max_n if max_n is None else max_n
-    if spec is not None and spec.startswith("enumerate:"):
-        n = _parse_enumerate(spec)
-        spec = None
     if spec is None:
         if n > suite.max_n and not allow_large:
             raise ValueError(
@@ -626,13 +627,6 @@ def _resolve_corpus(spec: Optional[str], suite: _Suite, max_n: Optional[int],
     return graphs
 
 
-def _parse_enumerate(spec: str) -> int:
-    body = spec.split(":", 1)[1]
-    if not (body[:1] == "n" and body[1:].isdigit()):
-        raise ValueError(f"cannot parse corpus spec {spec!r}; expected enumerate:n<digits>")
-    return int(body[1:])
-
-
 def run_suite(
     name: str,
     source: Optional[str] = None,
@@ -643,19 +637,24 @@ def run_suite(
 ) -> SuiteReport:
     """Run one named suite and return its report.
 
-    ``source`` is ``enumerate:nK`` or a graph6 file path; by default each
-    suite enumerates up to its own ceiling, and asking for a larger corpus
-    requires ``allow_large``.
+    ``source`` is a graph6 file path; without one the suite enumerates up to
+    ``max_n``, by default its own ceiling, and asking for a larger corpus
+    requires ``allow_large``.  With ``timings`` the summary gains
+    ``elapsed_s`` (the whole run) and ``corpus_s`` (its corpus construction),
+    and each record ``elapsed_ms``, counted from the end of corpus
+    construction.
     """
     if name not in _SUITES:
         raise ValueError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
         )
     suite = _SUITES[name]
+    start = time.perf_counter()
     corpus = _resolve_corpus(source, suite, max_n, allow_large)
     report = SuiteReport(suite=name, meta={"seed": seed, "source": source or "enumerate"})
-    start = time.perf_counter()
-    last = start
+    last = time.perf_counter()
+    if timings:
+        report.meta["corpus_s"] = round(last - start, 3)
     for rec in suite.body(corpus, seed):
         now = time.perf_counter()
         if timings:

@@ -9,7 +9,9 @@ collects enough in-arcs, and doubles every edge not touching A; the result is
 kernel-perfect with out-degrees bounded by f(v) - 1, which is exactly what the
 painting strategy in :mod:`kernelpaint.verify` consumes.
 
-One exhaustive kernel search, ``_smallest_kernel``, serves both
+In-degree-constrained orientations come from Hakimi's theorem by path
+reversal; an infeasible demand yields the largest vertex set of maximum
+deficiency.  One exhaustive kernel search, ``_smallest_kernel``, serves both
 :func:`find_kernel` (on the whole digraph) and :func:`is_kernel_perfect` (on
 every vertex subset); the constructive ``find_kernel(d, a)`` path is the only
 other way kernels are found.
@@ -95,12 +97,6 @@ class Digraph:
     def in_degree(self, v: int) -> int:
         return self._in.get(v, 0)
 
-    def arc_multiset(self) -> Counter:
-        return Counter(self.arcs)
-
-    def has_arc(self, t: int, h: int) -> bool:
-        return (t, h) in self.arcs
-
     def underlying_edges(self) -> frozenset[tuple[int, int]]:
         return frozenset((t, h) if t < h else (h, t) for t, h in self.arcs)
 
@@ -146,7 +142,7 @@ def digraph_to_dot(d: Digraph, name: str = "D") -> str:
 
 
 # ---------------------------------------------------------------------------
-# In-degree constrained orientations via max flow
+# In-degree constrained orientations by path reversal
 # ---------------------------------------------------------------------------
 
 
@@ -168,11 +164,14 @@ def orient_with_indegrees(g: Graph, demand: DegreeTable) -> OrientationResult:
     """Orient g so that every vertex v has in-degree >= demand(v), if possible.
 
     An orientation exists iff every X <= V satisfies
-    ||X|| + ||X, V-X|| >= Sum_{v in X} demand(v); feasibility is decided by a
-    max-flow formulation (one unit per edge, routed to one endpoint, vertex
-    sinks capped at demand), not by enumeration.  On failure the violating set
-    is read off the sink side of the minimum cut with maximal source side,
-    which makes it inclusion-minimal and maximally deficient.
+    ||X|| + ||X, V-X|| >= Sum_{v in X} demand(v) (Hakimi).  It is found by
+    path reversal on the orientation itself, not by enumeration: every edge
+    starts at its smaller end, and while some vertex v lacks in-arcs, a
+    shortest directed path from v to a vertex with in-degree above its demand
+    is reversed, which moves one in-arc to v.  When some vertex stays short,
+    the violating set is every vertex with no directed path to such a surplus
+    vertex.  That set has maximum deficiency, and it is the largest such set:
+    the union of all sets of maximum deficiency.
     """
     dem = _table(demand, range(g.n))
     if any(val < 0 for val in dem.values()):
@@ -184,89 +183,63 @@ def _orient_masked(g: Graph, mask: int, dem: Mapping[int, int]) -> OrientationRe
     """orient_with_indegrees restricted to the induced subgraph on a vertex mask,
     keeping original labels."""
     verts = bits(mask)
-    edges = sorted(
-        (u, v) for u, v in g.edges if mask >> u & 1 and mask >> v & 1
-    )
-    m = len(edges)
-    need = sum(dem.get(v, 0) for v in verts)
-    # Node ids: 0 = source, 1..m = edges, then vertices, last = sink.
-    vid = {v: 1 + m + i for i, v in enumerate(verts)}
-    sink = 1 + m + len(verts)
-    big = m + need + 1
-    cap: dict[int, dict[int, int]] = {i: {} for i in range(sink + 1)}
-
-    def add(a: int, b: int, c: int) -> None:
-        cap[a][b] = cap[a].get(b, 0) + c
-        cap[b].setdefault(a, 0)
-
-    for i, (u, v) in enumerate(edges):
-        add(0, 1 + i, 1)
-        add(1 + i, vid[u], big)
-        add(1 + i, vid[v], big)
+    # out[v]: out-neighbours of v; spare[v]: in-degree minus demand.  Every
+    # edge starts at its smaller end.
+    out = [0] * g.n
+    spare = [0] * g.n
     for v in verts:
-        if dem.get(v, 0) > 0:
-            add(vid[v], sink, dem[v])
-
-    flow = _max_flow(cap, 0, sink)
-    if flow == need:
-        arcs = []
-        for i, (u, v) in enumerate(edges):
-            if cap[1 + i][vid[u]] < big:
-                head = u
-            else:
-                head = v  # flowed to v, or unconstrained: fixed direction
-            tail = v if head == u else u
-            arcs.append((tail, head))
+        nbrs = g.adj[v] & mask
+        out[v] = nbrs >> (v + 1) << (v + 1)
+        spare[v] = (nbrs ^ out[v]).bit_count() - dem.get(v, 0)
+    # A vertex that reaches no surplus vertex stays short for good: later
+    # reversals only flip arcs among vertices that do reach one.
+    for v in verts:
+        while spare[v] < 0 and _reverse_path_to_surplus(out, spare, v):
+            pass
+    if all(spare[v] >= 0 for v in verts):
+        arcs = [(t, h) for t in verts for h in bits(out[t])]
         return OrientationResult(Digraph(verts, arcs), None)
 
-    reach = _residual_reachable(cap, 0)
-    x = frozenset(v for v in verts if vid[v] not in reach)
+    # X is every vertex with no directed path to a surplus vertex: search
+    # backwards from the surplus vertices along in-arcs.
+    stack = [v for v in verts if spare[v] > 0]
+    reach = mask_of(stack)
+    while stack:
+        y = stack.pop()
+        fresh = g.adj[y] & mask & ~out[y] & ~reach
+        reach |= fresh
+        stack.extend(bits(fresh))
+    x = frozenset(v for v in verts if not reach >> v & 1)
     deficiency = sum(dem.get(v, 0) for v in x) - (
         cut_size(g, x, x) // 2 + cut_size(g, x, set(verts) - x)
     )
-    assert deficiency > 0, "min-cut side must genuinely violate the demand bound"
+    assert deficiency > 0, "X must genuinely violate the demand bound"
     return OrientationResult(None, x, deficiency)
 
 
-def _max_flow(cap: dict[int, dict[int, int]], s: int, t: int) -> int:
-    """Edmonds-Karp on a residual-capacity adjacency dict (mutated in place)."""
-    total = 0
-    while True:
-        parent = {s: -1}
-        queue = [s]
-        while queue and t not in parent:
-            nxt = []
-            for x in queue:
-                for y, c in cap[x].items():
-                    if c > 0 and y not in parent:
-                        parent[y] = x
-                        nxt.append(y)
-            queue = nxt
-        if t not in parent:
-            return total
-        # bottleneck along the path
-        path = [t]
-        while path[-1] != s:
-            path.append(parent[path[-1]])
-        path.reverse()
-        aug = min(cap[path[i]][path[i + 1]] for i in range(len(path) - 1))
-        for i in range(len(path) - 1):
-            a, b = path[i], path[i + 1]
-            cap[a][b] -= aug
-            cap[b][a] = cap[b].get(a, 0) + aug
-        total += aug
-
-
-def _residual_reachable(cap: dict[int, dict[int, int]], s: int) -> set[int]:
-    seen = {s}
-    queue = [s]
-    while queue:
-        x = queue.pop()
-        for y, c in cap[x].items():
-            if c > 0 and y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
+def _reverse_path_to_surplus(out: list[int], spare: list[int], v: int) -> bool:
+    """Find a shortest out-arc path from v to a vertex whose in-degree exceeds
+    its demand and reverse it, moving one in-arc from that vertex to v.  False
+    when no such vertex is reachable."""
+    parent = {v: v}
+    seen = 1 << v
+    queue = [v]
+    for x in queue:  # the queue grows while it is read
+        fresh = out[x] & ~seen
+        seen |= fresh
+        for y in bits(fresh):
+            parent[y] = x
+            if spare[y] > 0:
+                spare[v] += 1
+                spare[y] -= 1
+                while y != v:
+                    t = parent[y]
+                    out[t] ^= 1 << y
+                    out[y] ^= 1 << t
+                    y = t
+                return True
+            queue.append(y)
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,8 @@ def test_criterion_03_kernel_game():
 
 
 def test_criterion_04_in_orient_oracle():
-    # flow feasibility == brute-force orientation enumeration, all demand
-    # tables with g(v) <= d(v), all graphs n <= 5
+    # path-reversal feasibility == brute-force orientation enumeration, all
+    # demand tables with g(v) <= d(v), all graphs n <= 5
     report = _run("criterion 4", "in-orient-oracle", 600, max_n=5)
     assert sum(r.get("tables", 0) for r in report.records) > 4000
 

@@ -14,7 +14,7 @@ from kernelpaint import (
     validate_certificate,
 )
 from kernelpaint.cli import main as cli_main
-from kernelpaint.harness import SUITE_NAMES, _parse_enumerate
+from kernelpaint.harness import SUITE_NAMES
 from kernelpaint.orient import Digraph
 
 
@@ -120,26 +120,31 @@ def test_skip_records_for_oversized_file_graphs(tmp_path):
     assert rep.passed
 
 
-def test_timings_flag_controls_meta():
+def test_timings_flag_controls_meta(capsys):
+    summary = run_suite("mic-basics", max_n=3).summary()
+    assert "elapsed_s" not in summary and "corpus_s" not in summary
     rep = run_suite("mic-basics", max_n=3)
-    assert "elapsed_s" not in rep.summary()
     assert all("elapsed_ms" not in r for r in rep.records)
     rep = run_suite("mic-basics", max_n=3, timings=True)
-    assert "elapsed_s" in rep.summary()
+    summary = rep.summary()
+    # the clock covers corpus construction as well as the checks
+    assert 0 <= summary["corpus_s"] <= summary["elapsed_s"]
     assert all("elapsed_ms" in r for r in rep.records)
+    assert cli_main(["suite", "mic-basics", "--max-n", "3", "--timings"]) == 0
+    assert "corpus_s: " in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("spec", ["enumerate:n7x3", "enumerate:nx", "enumerate:7",
-                                  "enumerate:n"])
-def test_malformed_enumerate_spec_rejected(spec):
-    with pytest.raises(ValueError, match="cannot parse"):
-        _parse_enumerate(spec)
-    assert cli_main(["suite", "mic-basics", "--source", spec]) == 2
+def test_max_n_sets_corpus():
+    assert len(run_suite("mic-basics", max_n=3).records) == 4
 
 
-def test_enumerate_spec_parsed():
-    assert _parse_enumerate("enumerate:n8") == 8
-    assert len(run_suite("mic-basics", source="enumerate:n3").records) == 4
+def test_edges_4critical_coverage_needs_only_present_targets(tmp_path):
+    path = tmp_path / "c5.g6"
+    path.write_text("Dhc\n")  # C5: no K4, no Moser spindle
+    rep = run_suite("edges-4critical", source=str(path))
+    coverage = [r for r in rep.records if r.get("phase") == "coverage"]
+    assert coverage == [{"verdict": "pass", "phase": "coverage", "found": []}]
+    assert cli_main(["suite", "edges-4critical", "--source", str(path)]) == 0
 
 
 PER_GRAPH_SUITES = sorted(set(SUITE_NAMES) - {"gallai-count", "cut-lemma"})

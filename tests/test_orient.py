@@ -53,11 +53,35 @@ def test_orient_examples(c4):
     assert res.ok and res.orientation.in_degree(0) == 3
 
 
+def _check_against_every_subset(g, dem):
+    """orient_with_indegrees(g, dem) against the deficiency of every vertex
+    set X: its demand minus the edges meeting it."""
+    res = orient_with_indegrees(g, dem)
+    deficiency = {}
+    for k in range(g.n + 1):
+        for x in map(frozenset, itertools.combinations(range(g.n), k)):
+            inside = cut_size(g, x, x) // 2
+            crossing = cut_size(g, x, set(range(g.n)) - x)
+            deficiency[x] = sum(dem[v] for v in x) - inside - crossing
+    top = max(deficiency.values())
+    assert res.ok == (top <= 0)  # Hakimi's theorem
+    if res.ok:
+        d = res.orientation
+        assert len(d.arcs) == g.m and d.underlying_edges() == g.edges
+        assert all(d.in_degree(v) >= dem[v] for v in range(g.n))
+    else:
+        # the largest set of maximum deficiency: the union of all of them
+        assert res.deficiency == top
+        assert res.violating_set == frozenset().union(
+            *(x for x, k in deficiency.items() if k == top))
+    return res
+
+
 def test_orient_agrees_with_brute_force_n4():
     for g in enumerate_graphs(4):
         edges = sorted(g.edges)
         for dem in itertools.product(*[range(d + 1) for d in g.degrees]):
-            res = orient_with_indegrees(g, dem)
+            res = _check_against_every_subset(g, dem)
             brute = False
             for pick in range(1 << len(edges)):
                 indeg = [0] * g.n
@@ -67,11 +91,15 @@ def test_orient_agrees_with_brute_force_n4():
                     brute = True
                     break
             assert res.ok == brute
-            if not res.ok:
-                x = res.violating_set
-                inside = cut_size(g, x, x) // 2
-                crossing = cut_size(g, x, set(range(g.n)) - x)
-                assert inside + crossing < sum(dem[v] for v in x)
+    import random
+
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        p = rng.random()
+        g = Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                      if rng.random() < p])
+        _check_against_every_subset(g, [rng.randint(0, d + 1) for d in g.degrees])
 
 
 def test_orient_rejects_negative_demand(c4):
