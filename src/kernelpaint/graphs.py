@@ -230,16 +230,13 @@ def graph_stats(g: Graph) -> GraphStats:
     )
 
 
-def max_weight_independent_set(
-    g: Graph, weights: Sequence[int], within: Optional[int] = None
-) -> tuple[int, int]:
+def max_weight_independent_set(g: Graph, weights: Sequence[int]) -> tuple[int, int]:
     """Maximum total weight of an independent set, with its witness mask.
 
     Exhaustive branch and bound.  Among maximum-weight sets the witness is the
     one whose sorted vertex tuple is lexicographically smallest, which keeps
     downstream expectations deterministic.  Weights must be nonnegative.
     """
-    full = g.full_mask() if within is None else within
     adj = g.adj
     best_w = -1
     best_set = 0
@@ -266,12 +263,12 @@ def max_weight_independent_set(
         dfs(avail & ~(adj[v] | (1 << v)), cur_w + weights[v], cur_set | (1 << v))
         dfs(avail & ~(1 << v), cur_w, cur_set)
 
-    dfs(full, 0, 0)
+    dfs(g.full_mask(), 0, 0)
     return best_w, best_set
 
 
-def independence_number(g: Graph, within: Optional[int] = None) -> int:
-    w, _ = max_weight_independent_set(g, [1] * g.n, within)
+def independence_number(g: Graph) -> int:
+    w, _ = max_weight_independent_set(g, [1] * g.n)
     return w
 
 
@@ -465,8 +462,12 @@ def canonical_key(g_or_n, adj: Optional[Sequence[int]] = None) -> tuple:
 
     The key is the lexicographically smallest tuple of adjacency row bitmasks
     over all vertex orderings consistent with the refined color partition
-    (colors ordered by their invariant refinement keys).  Branch and bound on
-    the row strings keeps this fast for n <= 9.
+    (colors ordered by their invariant refinement keys), found by branch and
+    bound on the row strings.  At each node the search skips a candidate that
+    is a twin of one it already tried there: u and v are twins when
+    ``adj[u] & ~(1 << v) == adj[v] & ~(1 << u)``, so swapping them is an
+    automorphism that fixes the placed prefix and keeps every color, and the
+    subtree under v repeats the rows of the subtree under u.
     """
     if adj is None:
         n, adj = g_or_n.n, g_or_n.adj
@@ -478,10 +479,14 @@ def canonical_key(g_or_n, adj: Optional[Sequence[int]] = None) -> tuple:
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)
-    cell_order = [cells[c] for c in sorted(cells)]
-    cell_of_pos: list[int] = []
-    for i, cell in enumerate(cell_order):
-        cell_of_pos.extend([i] * len(cell))
+    cell_of_pos: list[list[int]] = []
+    for c in sorted(cells):
+        cell_of_pos.extend([cells[c]] * len(cells[c]))
+    twins = [
+        sum(1 << u for u in cells[colors[v]]
+            if u != v and adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
+        for v in range(n)
+    ]
 
     sentinel = 1 << (n + 1)
     best = [sentinel] * n
@@ -495,53 +500,26 @@ def canonical_key(g_or_n, adj: Optional[Sequence[int]] = None) -> tuple:
                 r |= 1 << (n - 1 - i)
         return r
 
-    def forced_tail(avail_cells: list[list[int]]) -> Optional[list[int]]:
-        # When all unplaced vertices look alike from the placed prefix and the
-        # subgraph they induce is empty or complete, any completion ties.
-        rest = [v for cell in avail_cells for v in cell]
-        if len(rest) <= 1:
-            return rest
-        rows = {row_bits(v) for v in rest}
-        if len(rows) != 1:
-            return None
-        k = len(rest)
-        inside = sum(1 for a, b in itertools.combinations(rest, 2) if adj[a] >> b & 1)
-        if inside == 0 or inside == k * (k - 1) // 2:
-            return rest
-        return None
-
-    def dfs(pos: int, avail_cells: list[list[int]]) -> None:
+    def dfs(pos: int, used: int) -> None:
         if pos == n:
             return
-        tail = forced_tail(avail_cells)
-        if tail is not None:
-            for v in tail:
-                r = row_bits(v)
-                if r > best[pos]:
-                    return
-                if r < best[pos]:
-                    best[pos] = r
-                    for j in range(pos + 1, n):
-                        best[j] = sentinel
-                placed.append(v)
-                pos += 1
-            return
-        ci = cell_of_pos[pos]
-        cell = avail_cells[ci]
-        scored = sorted((row_bits(v), v) for v in cell)
+        scored = sorted((row_bits(v), v) for v in cell_of_pos[pos] if not used >> v & 1)
+        tried = 0
         for r, v in scored:
             if r > best[pos]:
                 break
+            if twins[v] & tried:
+                continue
+            tried |= 1 << v
             if r < best[pos]:
                 best[pos] = r
                 for j in range(pos + 1, n):
                     best[j] = sentinel
             placed.append(v)
-            rest = [c if i != ci else [w for w in c if w != v] for i, c in enumerate(avail_cells)]
-            dfs(pos + 1, rest)
-            del placed[pos:]
+            dfs(pos + 1, used | 1 << v)
+            placed.pop()
 
-    dfs(0, cell_order)
+    dfs(0, 0)
     return (n, *best)
 
 

@@ -65,7 +65,6 @@ from .verify import (
 )
 
 __all__ = [
-    "SUITE_CEILINGS",
     "SUITE_NAMES",
     "SuiteReport",
     "run_suite",
@@ -403,24 +402,41 @@ def _kp_fixed_pair() -> Iterator[dict]:
                all_double_two_triangle_edge=ok)
 
 
+def _named_in_corpus(corpus: list[Graph], named: dict[str, Graph]) -> dict[Graph, str]:
+    """The corpus graphs isomorphic to a named graph, mapped to its name.
+
+    Keys are computed only for corpus graphs with a named graph's degree
+    sequence.
+    """
+    by_degrees: dict[tuple, dict[tuple, str]] = {}
+    for name, t in named.items():
+        by_degrees.setdefault(tuple(sorted(t.degrees)), {})[canonical_key(t)] = name
+    present = {}
+    for g in corpus:
+        keys = by_degrees.get(tuple(sorted(g.degrees)))
+        name = keys.get(canonical_key(g)) if keys else None
+        if name is not None:
+            present[g] = name
+    return present
+
+
 def _suite_mic_strength(corpus: list[Graph], seed: int) -> Iterator[dict]:
-    tight_expected = {
-        canonical_key(make_named("cycle", [5])): ("C5", 4),
-        canonical_key(make_named("complete", [4])): ("K4", 3),
-    }
+    expected_mic = {"C5": 4, "K4": 3}
+    tight = _named_in_corpus(corpus, {"C5": make_named("cycle", [5]),
+                                      "K4": make_named("complete", [4])})
     seen_tight: dict[str, bool] = {}
 
     def check(g: Graph):
         rec = check_mic_strength(g)
-        key = canonical_key(g)
-        if key in tight_expected:
-            name, expect = tight_expected[key]
-            seen_tight[name] = rec.irreducible and rec.mic_value == rec.bound == expect
+        name = tight.get(g)
+        if name is not None:
+            seen_tight[name] = (rec.irreducible
+                                and rec.mic_value == rec.bound == expected_mic[name])
         yield _rec(g, "pass" if rec.holds else "fail",
                    irreducible=rec.irreducible, mic=rec.mic_value, bound=rec.bound)
 
     yield from _per_graph(corpus, check)
-    for name, _ in tight_expected.values():
+    for name in expected_mic:
         if name not in seen_tight:
             yield {"verdict": "skip", "phase": "tightness", "graph": name,
                    "reason": "expected tight graph not in corpus"}
@@ -471,17 +487,9 @@ def _suite_triangle_free_mic(corpus: list[Graph], seed: int) -> Iterator[dict]:
 
 
 def _suite_edges_4critical(corpus: list[Graph], seed: int) -> Iterator[dict]:
-    # Coverage: every target graph the corpus contains must be checked and
-    # pass.  Keys are computed only for graphs with a target's degree sequence.
-    targets = {}
-    for name, t in (("K4", make_named("complete", [4])),
-                    ("moser_spindle", make_named("moser_spindle"))):
-        targets[tuple(sorted(t.degrees))] = (canonical_key(t), name)
-    present = {}
-    for g in corpus:
-        key, name = targets.get(tuple(sorted(g.degrees)), (None, None))
-        if key is not None and canonical_key(g) == key:
-            present[g] = name
+    # Coverage: every target graph the corpus contains must be checked and pass.
+    present = _named_in_corpus(corpus, {"K4": make_named("complete", [4]),
+                                        "moser_spindle": make_named("moser_spindle")})
     found: set[str] = set()
 
     def check(g: Graph):
@@ -602,7 +610,6 @@ _SUITES: dict[str, _Suite] = {
 }
 
 SUITE_NAMES = tuple(sorted(_SUITES))
-SUITE_CEILINGS = {name: s.max_n for name, s in _SUITES.items()}
 
 
 def _resolve_corpus(spec: Optional[str], suite: _Suite, max_n: Optional[int],

@@ -485,24 +485,6 @@ def alon_tarsi_diff(d: Digraph) -> ATCount:
     return ATCount(even - odd, even, odd)
 
 
-def _is_acyclic(d: Digraph) -> bool:
-    indeg = {v: 0 for v in d.vertex_set}
-    outs = {v: [] for v in d.vertex_set}
-    for t, h in d.arcs:
-        indeg[h] += 1
-        outs[t].append(h)
-    queue = [v for v, k in indeg.items() if k == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for h in outs[v]:
-            indeg[h] -= 1
-            if indeg[h] == 0:
-                queue.append(h)
-    return seen == len(d.vertex_set)
-
-
 # ---------------------------------------------------------------------------
 # f-AT and f-KP deciders
 # ---------------------------------------------------------------------------
@@ -522,8 +504,7 @@ def is_f_AT(g: Graph, f: DegreeTable) -> ATDecision:
     """Does g have an orientation with d+(v) <= f(v)-1 and EE != EO?
 
     Enumerates orientations edge by edge (lowest-index witness wins), pruning
-    branches whose out-degrees already exceed the bound.  Acyclic orientations
-    short-circuit: they always have EE - EO = 1.
+    branches whose out-degrees already exceed the bound.
     """
     if g.m > AT_EDGE_CAP:
         raise SizeLimitError(f"orientation enumeration capped at {AT_EDGE_CAP} edges")
@@ -542,13 +523,11 @@ def is_f_AT(g: Graph, f: DegreeTable) -> ATDecision:
 
     out = [0] * g.n
 
-    def dfs(i: int) -> Optional[Digraph]:
+    def dfs(i: int) -> Optional[tuple[Digraph, ATCount]]:
         if i == len(edges):
             d = build()
-            if _is_acyclic(d):
-                return d
             c = alon_tarsi_diff(d)
-            return d if c.diff != 0 else None
+            return (d, c) if c.diff != 0 else None
         u, v = edges[i]
         for head, tail, mark in ((v, u, 1), (u, v, 0)):
             if out[tail] < budget[tail]:
@@ -560,10 +539,10 @@ def is_f_AT(g: Graph, f: DegreeTable) -> ATDecision:
                     return got
         return None
 
-    witness = dfs(0)
-    if witness is None:
+    found = dfs(0)
+    if found is None:
         return ATDecision(False, None, None)
-    return ATDecision(True, witness, alon_tarsi_diff(witness))
+    return ATDecision(True, *found)
 
 
 @dataclass(frozen=True)

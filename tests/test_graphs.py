@@ -140,12 +140,14 @@ def test_enumeration_counts():
     assert sum(1 for _ in enumerate_graphs(5)) == 34
     assert sum(1 for _ in enumerate_graphs(6)) == 156
     assert sum(1 for _ in enumerate_graphs(6, connected_only=True)) == 112
+    assert sum(1 for _ in enumerate_graphs(7)) == 1044
+    assert sum(1 for _ in enumerate_graphs(8)) == 12346
     with pytest.raises(SizeLimitError):
         list(enumerate_graphs(9))
 
 
 def test_triangle_free_counts():
-    expected = {4: 7, 5: 14, 6: 38, 7: 107}
+    expected = {4: 7, 5: 14, 6: 38, 7: 107, 8: 410, 9: 1897}
     for n, count in expected.items():
         tf = list(enumerate_triangle_free(n))
         assert len(tf) == count
@@ -155,16 +157,38 @@ def test_triangle_free_counts():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 7), st.randoms(use_true_random=False))
-def test_canonical_key_is_relabeling_invariant(n, rnd):
+@given(
+    st.integers(2, 10),
+    st.sampled_from([0.0, 0.2, 0.4, 0.6, 1.0]),
+    st.randoms(use_true_random=False),
+)
+def test_canonical_key_is_relabeling_invariant(n, density, rnd):
     edges = [
-        (u, v) for u, v in itertools.combinations(range(n), 2) if rnd.random() < 0.4
+        (u, v) for u, v in itertools.combinations(range(n), 2) if rnd.random() < density
     ]
     g = Graph(n, edges)
     perm = list(range(n))
     rnd.shuffle(perm)
     h = Graph(n, [(perm[u], perm[v]) for u, v in edges])
     assert canonical_key(g) == canonical_key(h)
+
+
+def test_canonical_key_agrees_with_networkx_atlas():
+    # The atlas holds one graph per isomorphism class on at most 7 vertices.
+    nx = pytest.importorskip("networkx")
+    rnd = random.Random(2014)
+    atlas_keys: dict[int, set[tuple]] = {}
+    atlas = nx.graph_atlas_g()
+    for a in atlas:
+        n = a.number_of_nodes()
+        key = canonical_key(Graph(n, a.edges()))
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        assert canonical_key(Graph(n, [(perm[u], perm[v]) for u, v in a.edges()])) == key
+        atlas_keys.setdefault(n, set()).add(key)
+    assert sum(len(keys) for keys in atlas_keys.values()) == len(atlas) == 1253
+    for n in range(1, 8):
+        assert {canonical_key(g) for g in enumerate_graphs(n)} == atlas_keys[n]
 
 
 def test_canonical_key_separates_same_degree_sequence():

@@ -147,6 +147,19 @@ def test_edges_4critical_coverage_needs_only_present_targets(tmp_path):
     assert cli_main(["suite", "edges-4critical", "--source", str(path)]) == 0
 
 
+def test_mic_strength_keys_only_graphs_shaped_like_targets(monkeypatch):
+    from kernelpaint import harness
+
+    calls = []
+    key = harness.canonical_key
+    monkeypatch.setattr(harness, "canonical_key", lambda g: calls.append(g) or key(g))
+    rep = run_suite("mic-strength", max_n=5)
+    tight = [r for r in rep.records if r.get("phase") == "tightness"]
+    assert [(r["graph"], r["verdict"]) for r in tight] == [("C5", "pass"), ("K4", "pass")]
+    # C5 and K4, then the one corpus graph with each one's degree sequence
+    assert len(calls) <= 4
+
+
 PER_GRAPH_SUITES = sorted(set(SUITE_NAMES) - {"gallai-count", "cut-lemma"})
 
 
