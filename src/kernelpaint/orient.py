@@ -11,10 +11,12 @@ painting strategy in :mod:`kernelpaint.verify` consumes.
 
 In-degree-constrained orientations come from Hakimi's theorem by path
 reversal; an infeasible demand yields the largest vertex set of maximum
-deficiency.  One exhaustive kernel search, ``_smallest_kernel``, serves both
-:func:`find_kernel` (on the whole digraph) and :func:`is_kernel_perfect` (on
-every vertex subset); the constructive ``find_kernel(d, a)`` path is the only
-other way kernels are found.
+deficiency.  Kernels are found three ways: ``_smallest_kernel`` searches one
+vertex set (:func:`find_kernel` on the whole digraph); ``_kernel_table``
+gives the smallest kernel of every induced subdigraph from one sweep over
+the independent sets (:func:`is_kernel_perfect` and the kernel painter of
+:mod:`kernelpaint.verify`); the constructive ``find_kernel(d, a)`` path
+builds one for the composite shape.
 """
 
 from __future__ import annotations
@@ -105,11 +107,6 @@ class Digraph:
         return frozenset(
             (t, h) for t, h in ms if t < h and (h, t) in ms
         )
-
-    def induced(self, vertices: Iterable[int]) -> "Digraph":
-        vs = frozenset(vertices)
-        return Digraph(vs & self.vertex_set,
-                       [(t, h) for t, h in self.arcs if t in vs and h in vs])
 
     def relabel(self, mapping: Mapping[int, int]) -> "Digraph":
         return Digraph(
@@ -403,6 +400,43 @@ def _smallest_kernel(und: Sequence[int], out: Sequence[int], sub: int) -> Option
         pick = (pick - sub) & sub
 
 
+def _kernel_table(und: Sequence[int], out: Sequence[int]) -> list[Optional[int]]:
+    """The smallest kernel mask of every induced subdigraph, indexed by its
+    vertex mask; None where that subdigraph has no kernel.
+
+    An independent I is a kernel of D[S] exactly when I <= S <= I | Absorb(I),
+    Absorb(I) being the vertices with an out-arc into I.  One sweep over the
+    independent sets in ascending mask order records each I for every such S
+    not yet reached, so the entry of S is what ``_smallest_kernel(und, out, S)``
+    returns.
+    """
+    size = 1 << len(und)
+    into = [0] * len(und)  # into[h]: the vertices with an arc to h
+    for t, heads in enumerate(out):
+        for h in bits(heads):
+            into[h] |= 1 << t
+    table: list[Optional[int]] = [None] * size
+    absorb = [0] * size  # Absorb(i), or -1 when i is not independent
+    table[0] = 0
+    for i in range(1, size):
+        low = i & -i
+        v = low.bit_length() - 1
+        rest = i ^ low
+        if absorb[rest] < 0 or und[v] & rest:
+            absorb[i] = -1
+            continue
+        # no arc joins two vertices of an independent i, so free misses i
+        free = absorb[i] = absorb[rest] | into[v]
+        sub = free
+        while True:
+            if table[i | sub] is None:
+                table[i | sub] = i
+            if not sub:
+                break
+            sub = (sub - 1) & free
+    return table
+
+
 @dataclass(frozen=True)
 class KernelPerfectCheck:
     is_kernel_perfect: bool
@@ -413,14 +447,19 @@ class KernelPerfectCheck:
 
 
 def is_kernel_perfect(d: Digraph) -> KernelPerfectCheck:
-    """Exhaustively check that every induced subdigraph has a kernel (n <= 10)."""
+    """Exhaustively check that every induced subdigraph has a kernel (n <= 10).
+
+    The offending set, if any, is the kernel-free vertex set of smallest
+    mask, read off the kernel table.
+    """
     if d.n > KP_CHECK_CAP:
         raise SizeLimitError(f"kernel-perfection check capped at {KP_CHECK_CAP} vertices")
     verts, und, out = _arc_masks(d)
-    for sub in range(1, 1 << len(verts)):
-        if _smallest_kernel(und, out, sub) is None:
-            return KernelPerfectCheck(False, frozenset(verts[i] for i in bits(sub)))
-    return KernelPerfectCheck(True, None)
+    table = _kernel_table(und, out)
+    if None not in table:
+        return KernelPerfectCheck(True, None)
+    sub = table.index(None)
+    return KernelPerfectCheck(False, frozenset(verts[i] for i in bits(sub)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from .bits import bits, lex_key, mask_of, submasks
 from .errors import SizeLimitError
 from .graphs import Graph
-from .orient import Digraph, DegreeTable, _table, find_kernel
+from .orient import KP_CHECK_CAP, Digraph, DegreeTable, _arc_masks, _kernel_table, _table
 
 __all__ = [
     "ChoosabilityResult",
@@ -356,15 +356,28 @@ def make_kernel_painter(cert_digraph: Digraph) -> PainterFn:
     The digraph must be kernel-perfect over the game's vertex set; every
     induced subdigraph then has a kernel, kernels are independent, and every
     rejected vertex of S spends an out-arc, which is what keeps budgets ahead
-    of out-degrees for the whole game.
+    of out-degrees for the whole game.  The answer to every S is the smallest
+    kernel of the digraph on S (vertices of S outside the digraph are
+    ignored); all of them come from one kernel table, built when the painter
+    is made, so each move is a lookup.  The table has 2^n entries, so n is
+    capped as in :func:`kernelpaint.orient.is_kernel_perfect`.
     """
+    if cert_digraph.n > KP_CHECK_CAP:
+        raise SizeLimitError(f"kernel painter capped at {KP_CHECK_CAP} vertices")
+    verts, und, out = _arc_masks(cert_digraph)
+    labels = [0] * (1 << len(verts))  # position mask -> vertex-label mask
+    for pos in range(1, len(labels)):
+        low = pos & -pos
+        labels[pos] = labels[pos ^ low] | 1 << verts[low.bit_length() - 1]
+    kernels = {labels[sub]: None if kernel is None else labels[kernel]
+               for sub, kernel in enumerate(_kernel_table(und, out))}
+    vmask = labels[-1]
 
     def painter(g: Graph, mask: int, budgets: tuple[int, ...], smask: int) -> int:
-        sub = cert_digraph.induced(bits(smask))
-        kernel = find_kernel(sub)
+        kernel = kernels[smask & vmask]
         if kernel is None:
             raise ValueError("certificate digraph is not kernel-perfect on S")
-        return mask_of(kernel)
+        return kernel
 
     return painter
 

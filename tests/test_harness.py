@@ -1,12 +1,18 @@
+import itertools
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kernelpaint import (
     Certificate,
     FormatError,
+    Graph,
+    encode_graph6,
     extract_reducible,
     make_named,
     parse_graph6,
@@ -171,6 +177,35 @@ def test_empty_graph_is_skipped(name, tmp_path):
     per_graph = [r for r in rep.records if "phase" not in r]
     assert per_graph == [{"verdict": "skip", "graph6": "?", "reason": "empty graph"}]
     assert rep.passed
+
+
+def _graphs(max_n):
+    """Labelled graphs on at most max_n vertices, disconnected ones included."""
+    def on(n):
+        pairs = list(itertools.combinations(range(n), 2))
+        return st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)).map(
+            lambda picks: Graph(n, [e for e, pick in zip(pairs, picks) if pick]))
+
+    return st.integers(0, max_n).flatmap(on)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_graphs(6), min_size=1, max_size=4))
+def test_every_suite_finishes_clean_on_random_graph6_corpora(graphs):
+    # gallai-count reads no corpus; its one run is the next test
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "corpus.g6")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("".join(encode_graph6(g) + "\n" for g in graphs))
+        for name in sorted(set(SUITE_NAMES) - {"gallai-count"}):
+            rep = run_suite(name, source=path)
+            assert rep.passed, (name, [r for r in rep.records if r["verdict"] == "fail"])
+
+
+def test_gallai_count_runs_clean_with_a_graph6_source(tmp_path):
+    path = tmp_path / "corpus.g6"
+    path.write_text("?\nBw\n")
+    assert run_suite("gallai-count", source=str(path)).passed
 
 
 def test_cli_unreadable_corpus_is_usage_error(capsys):

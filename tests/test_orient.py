@@ -18,8 +18,10 @@ from kernelpaint import (
     make_named,
     orient_with_indegrees,
 )
+from kernelpaint.bits import bits
 from kernelpaint.errors import SizeLimitError
 from kernelpaint.graphs import cut_size
+from kernelpaint.orient import _arc_masks, _kernel_table
 
 
 # -- digraph basics -----------------------------------------------------------
@@ -198,6 +200,13 @@ def test_is_kernel_perfect_examples():
         is_kernel_perfect(Digraph(range(11)))
 
 
+def test_is_kernel_perfect_at_its_cap():
+    complete = Digraph(range(10), itertools.permutations(range(10), 2))
+    assert is_kernel_perfect(complete)
+    check = is_kernel_perfect(Digraph(range(10), [(0, 1), (1, 2), (2, 0)]))
+    assert not check and check.offending == {0, 1, 2}
+
+
 def _subsets_in_mask_order(verts):
     subsets = [frozenset(c) for r in range(len(verts) + 1)
                for c in itertools.combinations(verts, r)]
@@ -214,15 +223,21 @@ def _first_kernel_by_definition(arcs, sub):
     return None
 
 
-def test_kernel_search_matches_definition_on_random_digraphs():
+def _random_digraphs(count):
+    """Seeded random digraphs on n <= 7 vertices, labels drawn from 0..11."""
     import random
 
     rng = random.Random(11)
-    for _ in range(300):
+    for _ in range(count):
         n = rng.randint(0, 7)
         verts = sorted(rng.sample(range(12), n))  # non-contiguous labels
         p = rng.random()
         arcs = {(t, h) for t in verts for h in verts if t != h and rng.random() < p}
+        yield verts, arcs
+
+
+def test_kernel_search_matches_definition_on_random_digraphs():
+    for verts, arcs in _random_digraphs(300):
         d = Digraph(verts, arcs)
         assert find_kernel(d) == _first_kernel_by_definition(arcs, frozenset(verts))
         offending = next((s for s in _subsets_in_mask_order(verts)
@@ -230,6 +245,17 @@ def test_kernel_search_matches_definition_on_random_digraphs():
         check = is_kernel_perfect(d)
         assert check.offending == offending
         assert bool(check) == (offending is None)
+
+
+def test_kernel_table_matches_definition_on_random_digraphs():
+    for verts, arcs in _random_digraphs(300):
+        _, und, out = _arc_masks(Digraph(verts, arcs))
+        table = _kernel_table(und, out)
+        assert len(table) == 1 << len(verts)
+        for sub, kernel in enumerate(table):
+            s = frozenset(verts[i] for i in bits(sub))
+            got = None if kernel is None else frozenset(verts[i] for i in bits(kernel))
+            assert got == _first_kernel_by_definition(arcs, s)
 
 
 # -- Alon-Tarsi counting ------------------------------------------------------

@@ -158,8 +158,39 @@ def test_kernel_painter_wins_on_c4(c4):
     assert out.winner == "painter" and out.all_lines
 
 
+def test_kernel_painter_answers_smallest_kernel_on_every_set():
+    from kernelpaint import extract_reducible
+    from test_orient import _first_kernel_by_definition
+
+    g = make_named("moser_spindle")
+    cert = extract_reducible(g, g.degrees)
+    d = cert.digraph.relabel({v: 2 * v + 3 for v in cert.h_vertices})  # non-contiguous
+    verts = sorted(d.vertex_set)
+    assert verts != list(range(len(verts)))
+    painter = make_kernel_painter(d)
+    arcs = set(d.arcs)
+    for r in range(len(verts) + 1):
+        for s in itertools.combinations(verts, r):
+            smask = sum(1 << v for v in s)
+            kernel = _first_kernel_by_definition(arcs, frozenset(s))
+            assert painter(None, smask, (), smask) == sum(1 << v for v in kernel)
+
+
+def test_kernel_painter_raises_on_every_kernel_free_set():
+    painter = make_kernel_painter(Digraph(range(3), [(0, 1), (1, 2), (2, 0)]))
+    assert painter(None, 0b111, (), 0b011) == 0b010
+    for _ in range(2):  # a failure is never remembered as an answer
+        with pytest.raises(ValueError, match="not kernel-perfect on S"):
+            painter(None, 0b111, (), 0b111)
+
+
+def test_kernel_painter_is_capped_like_the_kernel_perfection_check():
+    make_kernel_painter(Digraph(range(10)))
+    with pytest.raises(SizeLimitError):
+        make_kernel_painter(Digraph(range(11)))
+
+
 def test_kernel_painter_rejects_bad_digraph(c4):
-    bad = Digraph(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])  # directed C4: S = V has no kernel? it does; use odd pieces
     painter = make_kernel_painter(Digraph(range(4), [(0, 1), (1, 0)]))
     # digraph misses edges of C4, so painted sets can collide with real edges
     with pytest.raises(ValueError):
