@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .bits import bits, lex_key
 from .errors import ConstructionError, SizeLimitError, UndefinedStatisticError
@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 8
-TRIANGLE_FREE_CAP = 9
+TRIANGLE_FREE_CAP = 10
 
 
 class Graph:
@@ -523,51 +523,94 @@ def canonical_key(g_or_n, adj: Optional[Sequence[int]] = None) -> tuple:
     return (n, *best)
 
 
-_ALL_LEVELS: dict[int, list[Graph]] = {}
-_TF_LEVELS: dict[int, list[Graph]] = {}
+# A hereditary property of graphs, given by which neighborhoods a new vertex
+# may take: admits(adj, nb) says whether joining a new vertex to the vertex set
+# nb of the graph with adjacency rows adj keeps the property.
+Admits = Callable[[Sequence[int], int], bool]
 
 
-def _extend_level(prev: list[Graph], n: int, triangle_free: bool) -> list[Graph]:
-    """All isomorphism classes on n vertices by attaching a new vertex to each
-    (n-1)-class in every possible way, deduplicated by canonical key."""
-    seen: set[tuple] = set()
-    out: list[Graph] = []
-    for parent in prev:
-        base_adj = parent.adj
-        for nb in range(1 << (n - 1)):
-            if triangle_free and any(
-                base_adj[u] & nb for u in bits(nb)
-            ):
+def _any_neighborhood(adj: Sequence[int], nb: int) -> bool:
+    return True
+
+
+def _independent_neighborhood(adj: Sequence[int], nb: int) -> bool:
+    """The new vertex closes no triangle: no two of its neighbors are adjacent."""
+    return not any(adj[u] & nb for u in bits(nb))
+
+
+# admits -> its levels; levels[k] holds the classes on k + 1 vertices
+_LEVELS: dict[Admits, list[list[Graph]]] = {}
+
+
+def _from_key(key: tuple) -> Graph:
+    """The graph whose adjacency rows, below the diagonal, are the key's rows.
+
+    Row p of a key has bit ``n - 1 - i`` set when position p is adjacent to
+    the earlier position i, so the result is the class in canonical labeling.
+    """
+    n = key[0]
+    return Graph(n, [(i, p) for p, row in enumerate(key[1:])
+                     for i in range(p) if row >> (n - 1 - i) & 1])
+
+
+def _children(parent: Graph, admits: Admits) -> Iterator[list[int]]:
+    """Adjacency rows of each admissible one-vertex extension of parent whose
+    new vertex has the minimum invariant (degree, sorted neighbor degrees).
+
+    The invariant is preserved by isomorphisms, every class has a vertex of
+    minimum invariant, and deleting it leaves a class of the previous level,
+    so each class is still reached.  Degrees reject most extensions: a new
+    vertex of degree d needs no parent vertex of degree below d - 1 and every
+    one of degree d - 1 among its neighbors.  Only the vertices tied with it
+    at degree d compare sorted neighbor degrees.
+    """
+    k = parent.n
+    base = parent.adj
+    deg = parent.degrees
+    at_degree = [0] * (k + 1)
+    for v, dv in enumerate(deg):
+        at_degree[dv] |= 1 << v
+    top = min(deg) + 1
+    for nb in range(1 << k):
+        d = nb.bit_count()
+        if d > top or d and at_degree[d - 1] & ~nb or not admits(base, nb):
+            continue
+        adj = [a | (nb >> v & 1) << k for v, a in enumerate(base)]
+        adj.append(nb)
+        tied = (at_degree[d - 1] if d else 0) | at_degree[d] & ~nb
+        if tied:
+            child_deg = [dv + (nb >> v & 1) for v, dv in enumerate(deg)]
+            child_deg.append(d)
+            mine = sorted(child_deg[u] for u in bits(nb))
+            if any(sorted(child_deg[u] for u in bits(adj[w])) < mine
+                   for w in bits(tied)):
                 continue
-            adj = [a | ((nb >> v & 1) << (n - 1)) for v, a in enumerate(base_adj)]
-            adj.append(nb)
-            key = canonical_key(n, adj)
-            if key in seen:
-                continue
-            seen.add(key)
-            new = n - 1
-            edges = list(parent.edges) + [(v, new) for v in bits(nb)]
-            out.append(Graph(n, edges))
-    return out
+        yield adj
 
 
-def _levels(n: int, triangle_free: bool) -> list[Graph]:
-    cache = _TF_LEVELS if triangle_free else _ALL_LEVELS
-    if 1 not in cache:
-        cache[1] = [Graph(1)]
-    k = max(cache)
-    while k < n:
-        cache[k + 1] = _extend_level(cache[k], k + 1, triangle_free)
-        k += 1
-    return cache[n]
+def _levels(n: int, admits: Admits) -> list[Graph]:
+    """Every class on n vertices with the hereditary property admits,
+    in canonical labeling and ascending key order."""
+    levels = _LEVELS.setdefault(admits, [[Graph(1)]])
+    while len(levels) < n:
+        k = len(levels) + 1
+        keys = {canonical_key(k, adj)
+                for parent in levels[-1] for adj in _children(parent, admits)}
+        levels.append([_from_key(key) for key in sorted(keys)])
+    return levels[n - 1]
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     """One representative per isomorphism class of graphs on n vertices.
 
-    Correctness is anchored to the known class counts (tested); performance is
-    adequate up to the documented cap of n = 8.  Beyond that, read a graph6
-    corpus file instead.
+    Level n extends each class on n - 1 vertices by a new vertex, in every way
+    where the new vertex has the minimum invariant (degree, sorted neighbor
+    degrees) of the result (canonical deletion), and keeps one graph per
+    ``canonical_key``.  Each representative is its class in canonical labeling
+    (the graph built from its key), and classes come in ascending key order,
+    so the output does not depend on how the classes were generated.
+    Correctness is anchored to the known class counts (tested); the documented
+    cap is n = 8.  Beyond that, read a graph6 corpus file instead.
     """
     if n < 1:
         raise ValueError("enumerate_graphs requires n >= 1")
@@ -575,7 +618,7 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
         raise SizeLimitError(
             f"enumeration capped at n = {ENUMERATION_CAP}; use a graph6 corpus file"
         )
-    for g in _levels(n, triangle_free=False):
+    for g in _levels(n, _any_neighborhood):
         if not connected_only or g.is_connected():
             yield g
 
@@ -583,9 +626,10 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
 def enumerate_triangle_free(n: int, connected_only: bool = False) -> Iterator[Graph]:
     """One representative per isomorphism class of triangle-free graphs.
 
-    The triangle-free restriction is hereditary, so the level-by-level
-    extension only ever attaches independent neighborhoods; that keeps the
-    class counts small enough to reach n = 9.
+    Generated like ``enumerate_graphs`` (canonical deletion, canonical
+    labeling, ascending key order).  Triangle-freeness is hereditary, so each
+    level extends only by independent neighborhoods; that keeps the class
+    counts small enough to reach n = 10.
     """
     if n < 1:
         raise ValueError("enumerate_triangle_free requires n >= 1")
@@ -593,7 +637,7 @@ def enumerate_triangle_free(n: int, connected_only: bool = False) -> Iterator[Gr
         raise SizeLimitError(
             f"triangle-free enumeration capped at n = {TRIANGLE_FREE_CAP}"
         )
-    for g in _levels(n, triangle_free=True):
+    for g in _levels(n, _independent_neighborhood):
         if not connected_only or g.is_connected():
             yield g
 

@@ -147,13 +147,49 @@ def test_enumeration_counts():
 
 
 def test_triangle_free_counts():
-    expected = {4: 7, 5: 14, 6: 38, 7: 107, 8: 410, 9: 1897}
+    # OEIS A006785
+    expected = {4: 7, 5: 14, 6: 38, 7: 107, 8: 410, 9: 1897, 10: 12172}
     for n, count in expected.items():
         tf = list(enumerate_triangle_free(n))
         assert len(tf) == count
         assert all(not g.has_triangle() for g in tf)
     with pytest.raises(SizeLimitError):
-        list(enumerate_triangle_free(10))
+        list(enumerate_triangle_free(11))
+
+
+def _extend_unfiltered(level: dict, n: int, keep) -> dict:
+    """Classes on n vertices: every class of level joined to a new vertex in
+    every way whose result keep accepts, one graph per canonical key."""
+    out = {}
+    for parent in level.values():
+        for nb in range(1 << (n - 1)):
+            g = Graph(n, list(parent.edges) + [(v, n - 1) for v in range(n - 1) if nb >> v & 1])
+            if keep(g):
+                out.setdefault(canonical_key(g), g)
+    return out
+
+
+def _own_rows(g: Graph) -> tuple:
+    """g's adjacency rows below the diagonal, in canonical_key's row format."""
+    return (g.n, *(sum(1 << (g.n - 1 - i) for i in range(p) if g.has_edge(i, p))
+                   for p in range(g.n)))
+
+
+@pytest.mark.parametrize("generate, keep, top", [
+    (enumerate_graphs, lambda g: True, 7),
+    (enumerate_triangle_free, lambda g: not g.has_triangle(), 8),
+], ids=["all", "triangle-free"])
+def test_enumeration_matches_unfiltered_extension(generate, keep, top):
+    # slow path: no invariant filter, only deduplication by canonical key
+    level = {canonical_key(Graph(1)): Graph(1)}
+    for n in range(1, top + 1):
+        if n > 1:
+            level = _extend_unfiltered(level, n, keep)
+        keys = [canonical_key(g) for g in generate(n)]
+        assert set(keys) == set(level)
+        # each graph is its class in canonical labeling, in ascending key order
+        assert keys == [_own_rows(g) for g in generate(n)]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 @settings(max_examples=60, deadline=None)

@@ -192,7 +192,7 @@ def _graphs(max_n):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_graphs(6), min_size=1, max_size=4))
 def test_every_suite_finishes_clean_on_random_graph6_corpora(graphs):
-    # gallai-count reads no corpus; its one run is the next test
+    # gallai-count reads no corpus and rejects a source (next test)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "corpus.g6")
         with open(path, "w", encoding="ascii") as fh:
@@ -202,15 +202,30 @@ def test_every_suite_finishes_clean_on_random_graph6_corpora(graphs):
             assert rep.passed, (name, [r for r in rep.records if r["verdict"] == "fail"])
 
 
-def test_gallai_count_runs_clean_with_a_graph6_source(tmp_path):
+def test_gallai_count_rejects_a_graph6_source(tmp_path):
+    # it builds its own forests, so a source file would be silently ignored
     path = tmp_path / "corpus.g6"
     path.write_text("?\nBw\n")
-    assert run_suite("gallai-count", source=str(path)).passed
+    with pytest.raises(ValueError, match="no corpus"):
+        run_suite("gallai-count", source=str(path))
+
+
+def test_cli_source_for_a_suite_without_corpus_is_usage_error(capsys):
+    assert cli_main(["suite", "gallai-count", "--source", "/no/such/file.g6"]) == 2
+    assert "no corpus" in capsys.readouterr().err
 
 
 def test_cli_unreadable_corpus_is_usage_error(capsys):
     assert cli_main(["suite", "mic-basics", "--source", "/no/such/file.g6"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_triangle_free_mic_reaches_n10_behind_allow_large():
+    with pytest.raises(ValueError, match="allow_large"):
+        run_suite("triangle-free-mic", max_n=10)
+    rep = run_suite("triangle-free-mic", max_n=10, allow_large=True)
+    # one record per connected triangle-free class, n <= 10 (OEIS A024607)
+    assert rep.passed and len(rep.records) == 11569
 
 
 def test_suite_names_stable():

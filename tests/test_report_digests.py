@@ -2,13 +2,19 @@
 
 A refactor must leave these reports byte for byte unchanged.  A change that
 alters a report on purpose re-baselines the affected digests once and says so
-in CHANGES.md.  ROADMAP open item 1 will do that, on purpose: emitting each
-enumerated class in its canonical labeling picks different representatives.
+in CHANGES.md.
 
 The main-lemma-d0 and kernel-game digests were re-baselined once when
 orientations moved from max flow to path reversal: a feasible demand now gets
 a different, equally valid orientation, so certificate arcs and game state
 counts changed; with those two fields stripped the reports are unchanged.
+
+Every digest but gallai-count's (it builds its own forests) was re-baselined
+once when enumeration moved to canonical deletion: each class now comes in
+its canonical labeling and in ascending canonical-key order, so records carry
+other graph6 strings in another order.  At every suite's default ceiling the
+multiset of (canonical key, verdict, reason) per record was unchanged, except
+cut-lemma, which samples the corpus by index; its verdict counts held.
 
 Corpora stay small so the whole gate runs in a few seconds: graphs on at most
 5 vertices, at most 4 for in-orient-oracle, and gallai-count, which builds its
@@ -24,19 +30,19 @@ from kernelpaint import SUITE_NAMES, run_suite
 MAX_N = {"in-orient-oracle": 4, "gallai-count": None}
 
 DIGESTS = {
-    "at-classify": "822cfa696015a3e957883840ecb8eaf3015f776fa6fb3eeab1bf72b6d5f33d9d",
-    "brooks-alpha": "efb8e69260db855123956ff11791519441398b92147a6d7522d413e020061489",
-    "cut-lemma": "3293740dccb0ba4a467867351bb7c3f2fef971db6081274fcf9af6ce91002e8d",
-    "edges-4critical": "f8e4315aa28504d1e8c40d1fb35a7c952a3bbd6d17db0b60e8b79c562dd911c8",
+    "at-classify": "163d19f4f29757793f3383fd5d95872ccdacd7e0eda42443d5a4a3620b331943",
+    "brooks-alpha": "cf355cdc424c1816b9726adb1763d86b2e842ccddc5cb57a6ddc493ce773e859",
+    "cut-lemma": "79ba347a067a947b7552958c1c903bfda27fdd2242f9da8746b5a6bb166bf7d2",
+    "edges-4critical": "9a2483d32198a55feb26fe3912e690d41c5a78ad17e59722fae8455d1f57e5a8",
     "gallai-count": "08b31f3250a2fce7a06873b2c988d82bcd3a4d4963426d9eae2bc11702535b28",
-    "in-orient-oracle": "f6ea7d111f73bd94f3a17d136f8ee3329cf20c2b97122d0b18e96eee6882066a",
-    "kernel-game": "8fa28b1264934ef5066750e3b9be86e4c02f492ab664d0b13fb4468e97b0b8c9",
-    "kp-classify": "7526372ae2104501383d4e61e51ca3176f25645db7ea0157e0925ab3ef66dabc",
-    "main-lemma-d0": "a1c80c347008702e957e72af38af47e18fb084ede127d2b6b8f126bd30619588",
-    "mic-basics": "773ff4b623029327927fd1aabc20850272831a47fe2d2cff1833121186ba6dfa",
-    "mic-strength": "cf00130cc4d1f7223cb9670fc4da8e7bc0c58ebd3b67aad1b139d426a2ebeeaa",
-    "ore-precursors": "b14eb8f3fe28f70aa12e875af3c14f0c7354214cd76f08202a83445490287d57",
-    "triangle-free-mic": "c1adda3a0190354c521357ff83207915be3f21ff832c97d7e253f7c1c533e1fb",
+    "in-orient-oracle": "41f21c7093014e854f0b5173c0803ac1ebb7f0fa16874be0641898476c8b1b0c",
+    "kernel-game": "050838ddb21ef0de8c38d802c74997e4d76032dfb83d7db8b39e6eb93139a03f",
+    "kp-classify": "1c74d67493f418f1768ddc9215f9ef862969ed8e38e4376aeba05550df9f161e",
+    "main-lemma-d0": "9f13fe0969f33cb087bcce21e969be4bb5337eb97360e4b1339398ccba692c94",
+    "mic-basics": "1efe5db64442fa9b246b8872b3297432d6d1263841758e14ece017fb0c8095d2",
+    "mic-strength": "f8daa72096eef8f3fe55654259c55a28ac5a623148a4b23395e8539c7ca82363",
+    "ore-precursors": "1918c0667bc713362ae2384f8dbac6abcbcea0daaf599460c5d294a69c4ee990",
+    "triangle-free-mic": "9281ee5029915ec6fa538a2a6238723b8ada4d25ca5ec21fa7e5aee3b05f4428",
 }
 
 
