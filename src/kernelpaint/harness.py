@@ -617,6 +617,8 @@ def _resolve_corpus(spec: Optional[str], suite: _Suite, max_n: Optional[int],
     if suite.corpus == "none":
         if spec is not None:
             raise ValueError("this suite reads no corpus, so it takes no source file")
+        if max_n is not None:
+            raise ValueError("this suite reads no corpus, so it takes no max_n")
         return []
     n = suite.max_n if max_n is None else max_n
     if spec is None:
@@ -649,10 +651,10 @@ def run_suite(
     ``source`` is a graph6 file path; without one the suite enumerates up to
     ``max_n``, by default its own ceiling, and asking for a larger corpus
     requires ``allow_large``.  A suite that reads no corpus (gallai-count)
-    rejects a ``source`` with ``ValueError``.  With ``timings`` the summary gains
-    ``elapsed_s`` (the whole run) and ``corpus_s`` (its corpus construction),
-    and each record ``elapsed_ms``, counted from the end of corpus
-    construction.
+    rejects a ``source`` and a ``max_n`` with ``ValueError``.  With
+    ``timings`` the summary gains ``elapsed_s`` (the whole run) and
+    ``corpus_s`` (its corpus construction), and each record ``elapsed_ms``,
+    counted from the end of corpus construction.
     """
     if name not in _SUITES:
         raise ValueError(

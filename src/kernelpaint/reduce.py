@@ -16,6 +16,7 @@ strategy needs to win the online game on H.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -150,21 +151,25 @@ def is_oc_reducible(g: Graph) -> Optional[tuple[tuple[int, ...], dict[int, int]]
         return None
     delta = min(g.degrees)
     solver = PaintabilitySolver(g)
-    masks = sorted(range(1, 1 << g.n), key=lambda m: (m.bit_count(), lex_key(m)))
-    for mask in masks:
+    for mask, members in _size_lex_candidates(g.n):
         f_h = {}
-        feasible = True
-        for v in bits(mask):
+        for v in members:
             fv = delta + g.deg_in(v, mask) - g.degrees[v]
             if fv < 1:
-                feasible = False
                 break
             f_h[v] = fv
-        if not feasible:
-            continue
-        if solver.wins(mask, f_h):
-            return tuple(bits(mask)), f_h
+        else:
+            if solver.wins(mask, f_h):
+                return members, f_h
     return None
+
+
+@functools.lru_cache(maxsize=None)
+def _size_lex_candidates(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Every nonempty vertex set of 0..n-1, as (mask, members), in increasing
+    size and lexicographic within a size; built once per n."""
+    masks = sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), lex_key(m)))
+    return tuple((m, tuple(bits(m))) for m in masks)
 
 
 @dataclass(frozen=True)

@@ -158,23 +158,96 @@ def is_f_choosable(g: Graph, f: DegreeTable) -> ChoosabilityResult:
 # ---------------------------------------------------------------------------
 
 
+class _Spread(dict):
+    """mask -> an int with a 1 at the bottom of the field of every vertex of
+    mask; each entry is computed the first time it is asked for."""
+
+    __slots__ = ("width",)
+
+    def __init__(self, width: int):
+        super().__init__()
+        self.width = width
+
+    def __missing__(self, mask: int) -> int:
+        out = 0
+        for v in bits(mask):
+            out |= 1 << self.width * v
+        self[mask] = out
+        return out
+
+
+class _Packing:
+    """Game budgets packed into one int, a ``width``-bit field per vertex.
+
+    Vertex v's budget sits at bit ``width * v`` and up, and the fields of
+    vertices that have left the game are 0, so a game state is two ints,
+    (remaining-vertex mask, packed budgets), and serves as a memo key as it
+    stands.  Budgets never rise, and no round is played from a state with an
+    empty field, so a field never borrows from the next one: a round is one
+    subtraction and one and-mask.
+    """
+
+    __slots__ = ("width", "fill", "spread")
+
+    def __init__(self, width: int):
+        self.width = width
+        self.fill = (1 << width) - 1
+        self.spread = _Spread(width)
+
+    def pack(self, mask: int, budgets) -> int:
+        """The budgets (indexed by vertex) of the vertices of mask; a budget
+        at or below 0 packs as 0."""
+        out = 0
+        for v in bits(mask):
+            if budgets[v] > 0:
+                out |= budgets[v] << self.width * v
+        return out
+
+    def unpack(self, packed: int, n: int) -> tuple[int, ...]:
+        """The budgets of vertices 0..n-1, 0 for a vertex out of the game."""
+        width, fill = self.width, self.fill
+        return tuple(packed >> width * v & fill for v in range(n))
+
+    def within(self, packed: int, mask: int) -> int:
+        """The budgets of the vertices of mask alone."""
+        return packed & self.fill * self.spread[mask]
+
+    def exhausted(self, mask: int, packed: int) -> bool:
+        """Has some vertex of mask no budget left?  Taking 1 from every field
+        of mask sets the top bit of the lowest empty field, and newly sets no
+        top bit below it."""
+        ones = self.spread[mask]
+        return bool((packed - ones) & ~packed & ones << self.width - 1)
+
+    def after_round(self, mask: int, packed: int, smask: int,
+                    imask: int) -> tuple[int, int]:
+        """The state after Painter answers S with I: I leaves the game and
+        every vertex of S - I spends one token."""
+        spread = self.spread
+        nmask = mask & ~imask
+        return nmask, (packed - spread[smask & ~imask]) & self.fill * spread[nmask]
+
+
 class PaintabilitySolver:
     """Memoized exact solver for the painting game on one host graph.
 
-    States are (remaining-vertex mask, budget tuple); callers may start from
-    any induced subgraph of the host, which lets a single memo table serve
-    every candidate subgraph of the same graph.  Three sound reductions keep
-    the search tractable: vertices whose budget exceeds their remaining degree
-    are removed (they can always be painted last), components are solved
-    independently, and Painter only ever uses maximal independent subsets of S
-    (painting more is never worse).
+    A state is (remaining-vertex mask, packed budgets): the budgets sit in one
+    int with 4 bits per vertex (``ONLINE_BUDGET_CAP`` = 7 leaves each field a
+    spare top bit), and ``memo`` is keyed by that pair.  Callers may start
+    from any induced subgraph of the host, which lets a single memo table
+    serve every candidate subgraph of the same graph.  Three sound reductions
+    keep the search tractable: vertices whose budget exceeds their remaining
+    degree are removed (they can always be painted last), components are
+    solved independently, and Painter only ever uses maximal independent
+    subsets of S (painting more is never worse).
     """
 
     def __init__(self, g: Graph):
         self.g = g
         self.adj = g.adj
-        self.memo: dict[tuple[int, tuple[int, ...]], bool] = {}
+        self.memo: dict[tuple[int, int], bool] = {}
         self._mis_cache: dict[int, tuple[int, ...]] = {}
+        self._packing = _Packing(4)
 
     # -- public entry points ---------------------------------------------
 
@@ -183,15 +256,14 @@ class PaintabilitySolver:
         mask = vertices if isinstance(vertices, int) else mask_of(vertices)
         if mask.bit_count() > ONLINE_VERTEX_CAP:
             raise SizeLimitError(f"online solver capped at {ONLINE_VERTEX_CAP} vertices")
-        ftab = _table(f, bits(mask))
-        if any(val > ONLINE_BUDGET_CAP for val in ftab.values()):
-            raise SizeLimitError(f"online solver capped at budget {ONLINE_BUDGET_CAP}")
-        budgets = tuple(
-            max(0, ftab.get(v, 0)) if mask >> v & 1 else 0 for v in range(self.g.n)
-        )
-        return self._solve(mask, budgets)
+        return self._solve(mask, self._pack(mask, _table(f, bits(mask))))
 
     # -- internals ---------------------------------------------------------
+
+    def _pack(self, mask: int, budgets) -> int:
+        if any(budgets[v] > ONLINE_BUDGET_CAP for v in bits(mask)):
+            raise SizeLimitError(f"online solver capped at budget {ONLINE_BUDGET_CAP}")
+        return self._packing.pack(mask, budgets)
 
     def maximal_independent_sets(self, smask: int) -> tuple[int, ...]:
         got = self._mis_cache.get(smask)
@@ -216,93 +288,90 @@ class PaintabilitySolver:
         self._mis_cache[smask] = out
         return out
 
-    def _solve(self, mask: int, budgets: tuple[int, ...]) -> bool:
+    def _solve(self, mask: int, packed: int) -> bool:
         if not mask:
             return True
-        adj = self.adj
+        packing = self._packing
         # a remaining vertex with no budget loses outright
-        v = mask
-        while v:
-            low = v & -v
-            if budgets[low.bit_length() - 1] < 1:
-                return False
-            v ^= low
-        # peel: budget above remaining degree means the vertex is always safe
-        peeled = False
+        if packing.exhausted(mask, packed):
+            return False
+        # peel: budget above remaining degree means the vertex is always safe;
+        # the same pass collects the vertices holding one token
+        adj = self.adj
+        width, fill = packing.width, packing.fill
+        keep = mask
+        ones = 0
         v = mask
         while v:
             low = v & -v
             u = low.bit_length() - 1
-            if budgets[u] > (adj[u] & mask).bit_count():
-                mask &= ~low
-                peeled = True
+            budget = packed >> width * u & fill
+            if budget > (adj[u] & mask).bit_count():
+                keep ^= low
+            elif budget == 1:
+                ones |= low
             v ^= low
-        if peeled:
-            return self._solve(mask, _restrict(budgets, mask))
-        if not mask:
-            return True
+        if keep != mask:
+            return self._solve(keep, packing.within(packed, keep))
         # quick Lister win: an edge whose two endpoints both hold one token
-        v = mask
+        v = ones
         while v:
             low = v & -v
-            u = low.bit_length() - 1
-            if budgets[u] == 1 and any(
-                budgets[w] == 1 for w in bits(adj[u] & mask & -(low << 1))
-            ):
+            if adj[low.bit_length() - 1] & ones:
                 return False
             v ^= low
         comps = self.g.component_masks(within=mask)
         if len(comps) > 1:
-            return all(self._solve(c, _restrict(budgets, c)) for c in comps)
-        key = (mask, budgets)
+            return all(self._solve(c, packing.within(packed, c)) for c in comps)
+        key = (mask, packed)
         got = self.memo.get(key)
         if got is not None:
             return got
-        # rounds strictly shrink the mask, so the recursion cannot revisit key;
-        # the full set comes first: it is usually Lister's sharpest move, so
-        # losses surface fast
-        result = all(self._painter_can_answer(mask, budgets, smask)
-                     for smask in submasks(mask) if smask)
+        # rounds strictly shrink the state, so the recursion cannot revisit
+        # key; the full set comes first: it is usually Lister's sharpest move,
+        # so losses surface fast
+        result = True
+        for smask in submasks(mask):
+            if smask and not self._painter_can_answer(mask, packed, smask):
+                result = False
+                break
         self.memo[key] = result
         return result
 
-    def _painter_can_answer(self, mask: int, budgets: tuple[int, ...], smask: int) -> bool:
-        return any(self._solve(*_apply_round(mask, budgets, smask, imask))
-                   for imask in self.maximal_independent_sets(smask))
+    def _painter_can_answer(self, mask: int, packed: int, smask: int) -> bool:
+        after_round = self._packing.after_round
+        for imask in self.maximal_independent_sets(smask):
+            if self._solve(*after_round(mask, packed, smask, imask)):
+                return True
+        return False
 
     # -- strategy extraction ----------------------------------------------
 
-    def lister_winning_move(self, mask: int, budgets: tuple[int, ...]) -> Optional[int]:
-        """Lex-smallest S that defeats every Painter answer, if one exists."""
+    def _pack_position(self, mask: int, budgets: Sequence[int]) -> int:
+        packed = self._pack(mask, budgets)
+        if self._packing.exhausted(mask, packed):
+            raise ValueError("a remaining vertex has no budget left: the game is over")
+        return packed
+
+    def lister_winning_move(self, mask: int, budgets: Sequence[int]) -> Optional[int]:
+        """Lex-smallest S that defeats every Painter answer, if one exists.
+
+        ``budgets`` is indexed by vertex, and every vertex of mask must hold
+        at least one token."""
+        packed = self._pack_position(mask, budgets)
         for smask in sorted(submasks(mask)):
-            if smask and not self._painter_can_answer(mask, budgets, smask):
+            if smask and not self._painter_can_answer(mask, packed, smask):
                 return smask
         return None
 
-    def painter_winning_move(self, mask: int, budgets: tuple[int, ...], smask: int) -> Optional[int]:
+    def painter_winning_move(self, mask: int, budgets: Sequence[int], smask: int) -> Optional[int]:
         """Lex-smallest independent I <= S whose successor state Painter wins."""
+        packed = self._pack_position(mask, budgets)
+        after_round = self._packing.after_round
         for imask in sorted(self.maximal_independent_sets(smask), key=lex_key):
-            if self._solve(*_apply_round(mask, budgets, smask, imask)):
+            if self._solve(*after_round(mask, packed, smask, imask)):
                 return imask
         return None
-
-
-def _restrict(budgets: Sequence[int], mask: int) -> tuple[int, ...]:
-    return tuple(b if mask >> v & 1 else 0 for v, b in enumerate(budgets))
-
-
-def _apply_round(mask: int, budgets: tuple[int, ...], smask: int,
-                 imask: int) -> tuple[int, tuple[int, ...]]:
-    """The state after Painter answers S with I: I leaves the game and every
-    vertex of S - I spends one token."""
-    nmask = mask & ~imask
-    nb = list(budgets)
-    dec = smask & ~imask
-    while dec:
-        low = dec & -dec
-        nb[low.bit_length() - 1] -= 1
-        dec ^= low
-    return nmask, _restrict(nb, nmask)
 
 
 def is_online_f_choosable(g: Graph, f: DegreeTable) -> bool:
@@ -445,10 +514,15 @@ def play_paint_game(
     survived all of them), "optimal", or a strategy callable.  Transcripts
     record each round's S, I, and the budgets left after it; the exhaustive
     mode's transcript is a losing line when one exists.
+
+    The budgets travel packed in one int, with fields one bit wider than the
+    largest starting budget (and at least 4 bits); strategies see them as a
+    tuple indexed by vertex.
     """
     ftab = _table(f, range(g.n))
-    budgets = tuple(ftab[v] for v in range(g.n))
+    packing = _Packing(max(4, max([0, *ftab.values()]).bit_length() + 1))
     mask = g.full_mask()
+    packed = packing.pack(mask, ftab)
 
     solver: Optional[PaintabilitySolver] = None
     if painter == "optimal" or lister == "optimal":
@@ -464,7 +538,7 @@ def play_paint_game(
         raise ValueError(f"unknown painter {painter!r}")
 
     if lister == "exhaustive":
-        return _traverse_all_lines(g, mask, budgets, painter_fn)
+        return _traverse_all_lines(g, packing, mask, packed, painter_fn)
 
     lister_fn: ListerFn
     if lister == "optimal":
@@ -476,65 +550,76 @@ def play_paint_game(
 
     rounds: list[GameRound] = []
     while mask:
-        if any(budgets[v] < 1 for v in bits(mask)):
+        if packing.exhausted(mask, packed):
             return GameOutcome("lister", tuple(rounds))
+        budgets = packing.unpack(packed, g.n)
         smask = lister_fn(g, mask, budgets)
         if smask == 0 or smask & ~mask:
             raise ValueError("lister produced an invalid set")
         imask = painter_fn(g, mask, budgets, smask)
         _check_painter_move(g, smask, imask)
-        mask, budgets = _apply_round(mask, budgets, smask, imask)
-        rounds.append(_record(mask, budgets, smask, imask))
+        mask, packed = packing.after_round(mask, packed, smask, imask)
+        rounds.append(_record(packing, mask, packed, smask, imask))
     return GameOutcome("painter", tuple(rounds))
 
 
 def _check_painter_move(g: Graph, smask: int, imask: int) -> None:
     if imask & ~smask:
         raise ValueError("painter's set must be a subset of S")
-    for v in bits(imask):
-        if g.adj[v] & imask:
+    adj = g.adj
+    rest = imask
+    while rest:
+        low = rest & -rest
+        if adj[low.bit_length() - 1] & imask:
             raise ValueError("painter's set must be independent")
+        rest ^= low
 
 
-def _record(mask, budgets, smask, imask) -> GameRound:
+def _record(packing: _Packing, mask: int, packed: int, smask: int, imask: int) -> GameRound:
+    width, fill = packing.width, packing.fill
     return GameRound(
         listed=tuple(bits(smask)),
         painted=tuple(bits(imask)),
-        budgets={v: budgets[v] for v in bits(mask)},
+        budgets={v: packed >> width * v & fill for v in bits(mask)},
     )
 
 
-def _traverse_all_lines(g, mask0, budgets0, painter_fn) -> GameOutcome:
-    """Painter's moves are fixed, so states repeat: cache (mask, budgets)."""
-    cache: dict[tuple[int, tuple[int, ...]], bool] = {}
+def _traverse_all_lines(g: Graph, packing: _Packing, mask0: int, packed0: int,
+                        painter_fn: PainterFn) -> GameOutcome:
+    """Painter's moves are fixed, so states repeat: cache each state, the
+    pair (remaining-vertex mask, packed budgets).  The budgets are decoded
+    for the painter once per visited state, and every answer it gives is
+    checked."""
+    cache: dict[tuple[int, int], bool] = {}
     explored = 0
+    exhausted, after_round = packing.exhausted, packing.after_round
 
-    def survive(mask, budgets) -> Optional[list[GameRound]]:
+    def survive(mask: int, packed: int) -> Optional[list[GameRound]]:
         # None = painter survives every line; otherwise a losing line
         nonlocal explored
         if not mask:
             return None
-        for v in bits(mask):
-            if budgets[v] < 1:
-                return []
-        key = (mask, budgets)
+        if exhausted(mask, packed):
+            return []
+        key = (mask, packed)
         if key in cache:
             return None if cache[key] else []
         cache[key] = True
         explored += 1
+        budgets = packing.unpack(packed, g.n)
         for smask in submasks(mask):
             if smask == 0:
                 continue
             imask = painter_fn(g, mask, budgets, smask)
             _check_painter_move(g, smask, imask)
-            nmask, nb = _apply_round(mask, budgets, smask, imask)
-            line = survive(nmask, nb)
+            nmask, npacked = after_round(mask, packed, smask, imask)
+            line = survive(nmask, npacked)
             if line is not None:
                 cache[key] = False
-                return [_record(nmask, nb, smask, imask)] + line
+                return [_record(packing, nmask, npacked, smask, imask)] + line
         return None
 
-    line = survive(mask0, budgets0)
+    line = survive(mask0, packed0)
     if line is None:
         return GameOutcome("painter", (), all_lines=True, states_explored=explored)
     return GameOutcome("lister", tuple(line), all_lines=True, states_explored=explored)

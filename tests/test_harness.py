@@ -210,9 +210,22 @@ def test_gallai_count_rejects_a_graph6_source(tmp_path):
         run_suite("gallai-count", source=str(path))
 
 
+def test_gallai_count_rejects_max_n():
+    # a corpus size means nothing to a suite that builds its own forests
+    for allow_large in (False, True):
+        with pytest.raises(ValueError, match="no max_n"):
+            run_suite("gallai-count", max_n=50, allow_large=allow_large)
+
+
 def test_cli_source_for_a_suite_without_corpus_is_usage_error(capsys):
     assert cli_main(["suite", "gallai-count", "--source", "/no/such/file.g6"]) == 2
     assert "no corpus" in capsys.readouterr().err
+
+
+def test_cli_max_n_for_a_suite_without_corpus_is_usage_error(capsys):
+    assert cli_main(["suite", "gallai-count", "--max-n", "50"]) == 2
+    assert "no max_n" in capsys.readouterr().err
+    assert cli_main(["suite", "gallai-count", "--max-n", "50", "--allow-large"]) == 2
 
 
 def test_cli_unreadable_corpus_is_usage_error(capsys):

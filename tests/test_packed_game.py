@@ -1,0 +1,205 @@
+"""The packed game state at its edges.
+
+Both game walkers carry a state as (remaining-vertex mask, packed budgets),
+one int field per vertex.  These tests pin the packing where it can go
+wrong: the solver's budget cap (4-bit fields), games whose budgets need
+wider fields, empty and negative starting budgets, and the decoding of
+budgets for strategies and transcripts.  The reference below is the
+exhaustive game walk by its definition, with budgets as tuples; the packed
+walk must agree with it on winner, states explored and transcript.
+"""
+
+import random
+
+import pytest
+
+from kernelpaint import (
+    Digraph,
+    Graph,
+    PaintabilitySolver,
+    make_kernel_painter,
+    make_named,
+    play_paint_game,
+)
+from kernelpaint.errors import SizeLimitError
+from kernelpaint.verify import (
+    ONLINE_BUDGET_CAP,
+    GameOutcome,
+    GameRound,
+    greedy_painter,
+    random_lister,
+)
+
+
+def _members(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(v for v in range(n) if mask >> v & 1)
+
+
+def _next_budgets(n, budgets, nmask, smask, imask) -> tuple[int, ...]:
+    """Every vertex of S - I spends one token; painted vertices leave."""
+    return tuple(
+        (budgets[v] - (smask >> v & 1 and not imask >> v & 1)) if nmask >> v & 1 else 0
+        for v in range(n)
+    )
+
+
+def _checked_answer(g, painter, mask, budgets, smask) -> int:
+    imask = painter(g, mask, budgets, smask)
+    assert not imask & ~smask
+    assert all(not g.has_edge(u, v) for u in _members(imask, g.n)
+               for v in _members(imask, g.n) if u < v)
+    return imask
+
+
+def tuple_state_walk(g: Graph, f, painter) -> GameOutcome:
+    """Every Lister line against a fixed painter, states as (mask, tuple).
+
+    A state is lost when a remaining vertex has no token; otherwise Lister
+    tries every nonempty S in descending numeric order and the first line
+    the painter loses is returned.  Each visited state is cached, so a state
+    met again is not walked again."""
+    n = g.n
+    cache = {}
+    explored = 0
+
+    def survive(mask, budgets):
+        nonlocal explored
+        if not mask:
+            return None
+        if any(budgets[v] < 1 for v in _members(mask, n)):
+            return []
+        if (mask, budgets) in cache:
+            return None if cache[mask, budgets] else []
+        cache[mask, budgets] = True
+        explored += 1
+        for smask in range(mask, 0, -1):
+            if smask & ~mask:
+                continue
+            imask = _checked_answer(g, painter, mask, budgets, smask)
+            nmask = mask & ~imask
+            nb = _next_budgets(n, budgets, nmask, smask, imask)
+            line = survive(nmask, nb)
+            if line is not None:
+                cache[mask, budgets] = False
+                played = GameRound(_members(smask, n), _members(imask, n),
+                                   {v: nb[v] for v in _members(nmask, n)})
+                return [played] + line
+        return None
+
+    line = survive((1 << n) - 1, tuple(f))
+    winner = "painter" if line is None else "lister"
+    return GameOutcome(winner, tuple(line or ()), all_lines=True, states_explored=explored)
+
+
+def tuple_state_rounds(g: Graph, f, painter, lister) -> GameOutcome:
+    """One game, round by round, with budgets as tuples."""
+    n = g.n
+    mask, budgets = (1 << n) - 1, tuple(f)
+    rounds = []
+    while mask:
+        if any(budgets[v] < 1 for v in _members(mask, n)):
+            return GameOutcome("lister", tuple(rounds))
+        smask = lister(g, mask, budgets)
+        imask = _checked_answer(g, painter, mask, budgets, smask)
+        nmask = mask & ~imask
+        budgets = _next_budgets(n, budgets, nmask, smask, imask)
+        mask = nmask
+        rounds.append(GameRound(_members(smask, n), _members(imask, n),
+                                {v: budgets[v] for v in _members(mask, n)}))
+    return GameOutcome("painter", tuple(rounds))
+
+
+def budget_painter(g, mask, budgets, smask) -> int:
+    """Maximal independent subset of S grown from the poorest vertex up: its
+    answers depend on every budget it is handed."""
+    imask = 0
+    for v in sorted(_members(smask, g.n), key=lambda v: (budgets[v], v)):
+        if not g.adj[v] & imask:
+            imask |= 1 << v
+    return imask
+
+
+def _random_case(rng: random.Random):
+    n = rng.randint(1, 6)
+    p = rng.random()
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    # budgets 1..20, most of them near the degree, where games are decided
+    f = [rng.randint(1, 20) if rng.random() < 0.25 else rng.randint(1, g.degrees[v] + 1)
+         for v in range(n)]
+    order = list(range(n))
+    rng.shuffle(order)
+    rank = {v: i for i, v in enumerate(order)}
+    # an acyclic orientation is kernel-perfect
+    d = Digraph(range(n), [(u, v) if rank[u] < rank[v] else (v, u) for u, v in g.edges])
+    return g, f, d
+
+
+def test_packed_walks_match_the_tuple_state_walks():
+    rng = random.Random(2015)
+    winners = {"painter": 0, "lister": 0}
+    wide = 0
+    for case in range(200):
+        g, f, d = _random_case(rng)
+        wide += max(f) >= 8
+        for painter in (greedy_painter, budget_painter, make_kernel_painter(d)):
+            got = play_paint_game(g, f, painter=painter, lister="exhaustive")
+            assert got == tuple_state_walk(g, f, painter), (g.edges, f)
+            winners[got.winner] += 1
+            got = play_paint_game(g, f, painter=painter, lister=random_lister(case))
+            assert got == tuple_state_rounds(g, f, painter, random_lister(case)), (g.edges, f)
+    # the sample decides games both ways and needs fields wider than 3 bits
+    assert min(winners.values()) > 100 and wide > 20
+
+
+def test_solver_at_the_budget_cap():
+    # K_n is online f-choosable exactly when its i-th smallest budget is at
+    # least i
+    k7 = make_named("complete", [7])
+    assert ONLINE_BUDGET_CAP == 7
+    solver = PaintabilitySolver(k7)
+    for f in ([7] * 7, [6] * 7, [7, 1, 7, 7, 7, 7, 7], [7, 1, 7, 7, 7, 7, 1],
+              [1, 7, 2, 7, 3, 7, 7], [1, 2, 3, 4, 5, 6, 7], [7, 6, 5, 4, 3, 2, 1],
+              [1, 2, 3, 4, 5, 6, 6], [7, 6, 5, 4, 3, 1, 1]):
+        expect = all(b >= i for i, b in enumerate(sorted(f), start=1))
+        assert solver.wins(k7.full_mask(), f) == expect, f
+    with pytest.raises(SizeLimitError, match="budget"):
+        solver.wins(k7.full_mask(), [8] + [7] * 6)
+
+
+def test_solver_strategies_take_tuples_and_keep_the_cap(c5):
+    solver = PaintabilitySolver(c5)
+    full = c5.full_mask()
+    smask = solver.lister_winning_move(full, (2,) * 5)
+    assert smask is not None
+    assert solver.painter_winning_move(full, (2,) * 5, smask) is None
+    assert solver.lister_winning_move(full, (3,) * 5) is None
+    assert solver.painter_winning_move(full, (3,) * 5, full) is not None
+    with pytest.raises(SizeLimitError, match="budget"):
+        solver.lister_winning_move(full, (8, 2, 2, 2, 2))
+    with pytest.raises(ValueError, match="no budget"):
+        solver.painter_winning_move(full, (2, 0, 2, 2, 2), full)
+
+
+def test_exhaustive_game_with_budgets_past_four_bits():
+    k3 = make_named("complete", [3])
+    f = [16, 31, 17]
+    out = play_paint_game(k3, f, painter="greedy", lister="exhaustive")
+    assert out == tuple_state_walk(k3, f, greedy_painter)
+    assert out.winner == "painter" and out.states_explored > 1
+
+    def idle(g, mask, budgets, smask):
+        return 0  # the empty set is independent: every listed vertex pays
+
+    out = play_paint_game(Graph(2, [(0, 1)]), [16, 40], painter=idle, lister="exhaustive")
+    assert out.winner == "lister" and len(out.transcript) == 16
+    assert [r.budgets for r in out.transcript[-2:]] == [{0: 1, 1: 25}, {0: 0, 1: 24}]
+    assert out == tuple_state_walk(Graph(2, [(0, 1)]), [16, 40], idle)
+
+
+@pytest.mark.parametrize("f", [[2, 0, 2], [2, -3, 2], [0, 0, 0]])
+def test_game_with_an_empty_starting_budget(f):
+    p3 = make_named("path", [3])
+    for lister in ("exhaustive", random_lister(1)):
+        out = play_paint_game(p3, f, painter="greedy", lister=lister)
+        assert out.winner == "lister" and out.transcript == ()
+        assert out.states_explored == 0
