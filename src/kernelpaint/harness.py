@@ -131,7 +131,8 @@ def _rec(g: Optional[Graph], verdict: str, **detail) -> dict:
 
 def _per_graph(corpus, fn) -> Iterator[dict]:
     """Run a per-graph check, demoting the empty graph and size-limit
-    violations to skip records."""
+    violations to skip records.  Any other exception is a fault of the
+    check, not a verdict: it propagates as a RuntimeError naming the graph."""
     for g in corpus:
         if g.n == 0:
             yield _rec(g, "skip", reason="empty graph")
@@ -140,6 +141,9 @@ def _per_graph(corpus, fn) -> Iterator[dict]:
             yield from fn(g)
         except SizeLimitError as exc:
             yield _rec(g, "skip", reason=f"size limit: {exc}")
+        except Exception as exc:
+            raise RuntimeError(
+                f"check failed on graph6 {encode_graph6(g)}: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +273,21 @@ ORIENT_ORACLE_CAP = 5
 
 
 def _suite_in_orient_oracle(corpus: list[Graph], seed: int) -> Iterator[dict]:
+    # Every demand table with 0 <= dem(v) <= d(v) goes to orient_with_indegrees.
+    # Its verdict is checked against the definition, "some orientation meets
+    # the demand", read from one set of feasible demands per graph; an
+    # orientation is checked against the demands, a violating set against
+    # Hakimi's bound.
     def check(g: Graph):
         if g.n > ORIENT_ORACLE_CAP:
             yield _rec(g, "skip", reason=f"oracle capped at n = {ORIENT_ORACLE_CAP}")
             return
-        frontier = _indegree_frontier(g)
+        feasible = _feasible_demands(g)
         checked = 0
         bad = None
         for dem in itertools.product(*[range(d + 1) for d in g.degrees]):
             res = orient_with_indegrees(g, dem)
-            brute = any(all(vec[v] >= dem[v] for v in range(g.n)) for vec in frontier)
+            brute = dem in feasible
             if res.ok != brute:
                 bad = {"demand": list(dem), "orient": res.ok, "brute": brute}
                 break
@@ -299,21 +308,26 @@ def _suite_in_orient_oracle(corpus: list[Graph], seed: int) -> Iterator[dict]:
     yield from _per_graph(corpus, check)
 
 
-def _indegree_frontier(g: Graph) -> list[tuple[int, ...]]:
-    """Pareto-maximal in-degree vectors over all 2^m orientations."""
+def _feasible_demands(g: Graph) -> set[tuple[int, ...]]:
+    """Every demand table some orientation of g meets: the in-degree vectors
+    of all 2^m orientations, closed downwards one decrement at a time."""
     edges = sorted(g.edges)
-    vecs: set[tuple[int, ...]] = set()
+    stack = []
     for pick in range(1 << len(edges)):
         indeg = [0] * g.n
         for i, (u, v) in enumerate(edges):
             indeg[v if pick >> i & 1 else u] += 1
-        vecs.add(tuple(indeg))
-    frontier = []
-    for vec in vecs:
-        if not any(other != vec and all(o >= x for o, x in zip(other, vec))
-                   for other in vecs):
-            frontier.append(vec)
-    return frontier
+        stack.append(tuple(indeg))
+    feasible: set[tuple[int, ...]] = set()
+    while stack:
+        vec = stack.pop()
+        if vec in feasible:
+            continue
+        feasible.add(vec)
+        for v, x in enumerate(vec):
+            if x:
+                stack.append(vec[:v] + (x - 1,) + vec[v + 1:])
+    return feasible
 
 
 AT_SUITE_EDGE_CAP = 12

@@ -12,7 +12,8 @@ painting strategy in :mod:`kernelpaint.verify` consumes.
 In-degree-constrained orientations come from Hakimi's theorem by path
 reversal; an infeasible demand yields the largest vertex set of maximum
 deficiency.  Kernels are found three ways: ``_smallest_kernel`` searches one
-vertex set (:func:`find_kernel` on the whole digraph); ``_kernel_table``
+vertex set (:func:`find_kernel` on the whole digraph, the f-KP search on each
+subdigraph as soon as its arcs are decided); ``_kernel_table``
 gives the smallest kernel of every induced subdigraph from one sweep over
 the independent sets (:func:`is_kernel_perfect` and the kernel painter of
 :mod:`kernelpaint.verify`); the constructive ``find_kernel(d, a)`` path
@@ -21,7 +22,6 @@ builds one for the composite shape.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -596,7 +596,9 @@ class KPDecision:
 def is_f_KP(g: Graph, f: DegreeTable, allow_supergraph: bool = True) -> KPDecision:
     """Does g have a kernel-perfect oriented supergraph with d+(v) <= f(v)-1?
 
-    The witness, if any, is the first one :func:`f_KP_witnesses` yields.
+    The witness, if any, is the first one :func:`f_KP_witnesses` yields: its
+    search decides vertex pairs in colex order and prunes a branch at the
+    first induced subdigraph without a kernel.
     """
     witness = next(f_KP_witnesses(g, f, allow_supergraph), None)
     return KPDecision(witness is not None, witness)
@@ -610,9 +612,17 @@ def f_KP_witnesses(g: Graph, f: DegreeTable,
     one arc and may carry both; with ``allow_supergraph`` non-edges may also
     gain one or two arcs (at most one arc per direction either way).  Setting
     ``allow_supergraph=False`` restricts to strict orientations of g itself:
-    single arcs on edges, nothing elsewhere.  Vertex pairs are decided in
-    sorted order, so witnesses come out in a fixed order.  Exhaustive, for
-    n <= 5.
+    single arcs on edges, nothing elsewhere.  Exhaustive, for n <= 5.
+
+    Vertex pairs are decided in colex order, (0,1), (0,2), (1,2), (0,3), ...
+    Once pair (u, k) is decided, so is every induced subdigraph whose two
+    largest vertices are u < k, and each of those must have a kernel.
+    Kernel-perfection is hereditary, so a branch is pruned at the first one
+    without; a branch that decides every pair has had each vertex set of two
+    or more vertices checked exactly once, so it is kernel-perfect.  A branch
+    is also pruned when the out-degree left to spend cannot give every
+    undecided edge an arc.  Witnesses come out in the fixed order of this
+    search, which is not the order of sorted pairs.
     """
     if g.n > KP_SEARCH_CAP:
         raise SizeLimitError(f"kernel-perfect search capped at n = {KP_SEARCH_CAP}")
@@ -620,11 +630,14 @@ def f_KP_witnesses(g: Graph, f: DegreeTable,
     budget = [ftab[v] - 1 for v in range(g.n)]
     if any(b < 0 for b in budget):
         return
-    pairs = sorted(itertools.combinations(range(g.n), 2))
+    pairs = [(u, k) for k in range(g.n) for u in range(k)]
     edges_after = [0] * (len(pairs) + 1)
     for i in range(len(pairs) - 1, -1, -1):
         u, v = pairs[i]
         edges_after[i] = edges_after[i + 1] + (1 if g.has_edge(u, v) else 0)
+    spent = [0] * g.n
+    # underlying and out-neighbourhoods of the arcs placed so far, as masks
+    und = [0] * g.n
     out = [0] * g.n
     arcs: list[tuple[int, int]] = []
 
@@ -638,28 +651,39 @@ def f_KP_witnesses(g: Graph, f: DegreeTable,
             return [(), ((u, v),), ((v, u),), ((u, v), (v, u))]
         return [()]
 
+    def kernels_below(u: int, k: int) -> bool:
+        # every S = T + {u, k}, T a subset of {0, ..., u-1}
+        top = 1 << u | 1 << k
+        return all(_smallest_kernel(und, out, low | top) is not None
+                   for low in range(1 << u))
+
     def dfs(i: int) -> Iterator[Digraph]:
         if i == len(pairs):
-            d = Digraph(range(g.n), arcs)
-            if is_kernel_perfect(d):
-                yield d
+            yield Digraph(range(g.n), arcs)
             return
         # each remaining edge needs an out-arc from one of its endpoints
-        slack = sum(budget[v] - out[v] for v in range(g.n))
+        slack = sum(budget[v] - spent[v] for v in range(g.n))
         if slack < edges_after[i]:
             return
-        u, v = pairs[i]
-        for opt in options(u, v):
-            if any(out[t] >= budget[t] for t, _ in opt):
+        u, k = pairs[i]
+        for opt in options(u, k):
+            if any(spent[t] >= budget[t] for t, _ in opt):
                 continue
-            for t, _ in opt:
-                out[t] += 1
-            arcs.extend(opt)
-            yield from dfs(i + 1)
+            for t, h in opt:
+                spent[t] += 1
+                out[t] |= 1 << h
             if opt:
-                del arcs[-len(opt):]
-            for t, _ in opt:
-                out[t] -= 1
+                und[u] |= 1 << k
+                und[k] |= 1 << u
+            if kernels_below(u, k):
+                arcs.extend(opt)
+                yield from dfs(i + 1)
+                del arcs[len(arcs) - len(opt):]
+            for t, h in opt:
+                spent[t] -= 1
+                out[t] &= ~(1 << h)
+            und[u] &= ~(1 << k)
+            und[k] &= ~(1 << u)
 
     yield from dfs(0)
 

@@ -613,6 +613,9 @@ def _traverse_all_lines(g: Graph, packing: _Packing, mask0: int, packed0: int,
             imask = painter_fn(g, mask, budgets, smask)
             _check_painter_move(g, smask, imask)
             nmask, npacked = after_round(mask, packed, smask, imask)
+            # a finished game, or a state already survived: nothing to walk
+            if not nmask or cache.get((nmask, npacked)):
+                continue
             line = survive(nmask, npacked)
             if line is not None:
                 cache[key] = False

@@ -13,15 +13,17 @@ from kernelpaint import (
     FormatError,
     Graph,
     encode_graph6,
+    enumerate_graphs,
     extract_reducible,
     make_named,
     parse_graph6,
     run_suite,
     validate_certificate,
 )
+from kernelpaint import harness
 from kernelpaint.cli import main as cli_main
 from kernelpaint.harness import SUITE_NAMES
-from kernelpaint.orient import Digraph
+from kernelpaint.orient import Digraph, OrientationResult
 
 
 # -- certificate validation -----------------------------------------------------
@@ -154,8 +156,6 @@ def test_edges_4critical_coverage_needs_only_present_targets(tmp_path):
 
 
 def test_mic_strength_keys_only_graphs_shaped_like_targets(monkeypatch):
-    from kernelpaint import harness
-
     calls = []
     key = harness.canonical_key
     monkeypatch.setattr(harness, "canonical_key", lambda g: calls.append(g) or key(g))
@@ -231,6 +231,60 @@ def test_cli_max_n_for_a_suite_without_corpus_is_usage_error(capsys):
 def test_cli_unreadable_corpus_is_usage_error(capsys):
     assert cli_main(["suite", "mic-basics", "--source", "/no/such/file.g6"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_a_fault_in_a_check_propagates_with_its_graph6(monkeypatch, tmp_path):
+    def broken(g):
+        raise ValueError("broken check")
+
+    monkeypatch.setattr(harness, "mic", broken)
+    path = tmp_path / "corpus.g6"
+    path.write_text("Bw\nCr\n")
+    # not a verdict and not a skip: the run stops, naming the first graph
+    with pytest.raises(RuntimeError, match="graph6 Bw: ValueError") as info:
+        run_suite("mic-basics", source=str(path))
+    assert isinstance(info.value.__cause__, ValueError)
+    # nor is it mistaken for a usage error (exit 2) by the CLI
+    with pytest.raises(RuntimeError, match="graph6 Bw: ValueError"):
+        cli_main(["suite", "mic-basics", "--source", str(path)])
+
+
+def _meets_hakimi(g, dem):
+    """Sum of dem over X <= e(X) + e(X, V - X), for every vertex set X."""
+    for x in range(1 << g.n):
+        meeting = sum(1 for u, v in g.edges if x >> u & 1 or x >> v & 1)
+        if sum(dem[v] for v in range(g.n) if x >> v & 1) > meeting:
+            return False
+    return True
+
+
+def test_feasible_demands_match_hakimi():
+    graphs = [g for n in range(1, 5) for g in enumerate_graphs(n, connected_only=False)]
+    graphs += [make_named("complete", [5]), make_named("cycle", [5]),
+               make_named("K4_minus_e")]
+    for g in graphs:
+        # no demand above the degree is feasible, so one more bounds the box
+        box = itertools.product(*[range(d + 2) for d in g.degrees])
+        literal = {dem for dem in box if _meets_hakimi(g, dem)}
+        assert harness._feasible_demands(g) == literal
+
+
+def test_in_orient_oracle_reports_a_wrong_verdict(monkeypatch, tmp_path):
+    real = harness.orient_with_indegrees
+    met_by_a_directed_triangle = (1, 1, 1)
+
+    def lying(g, dem):
+        if tuple(dem) == met_by_a_directed_triangle:
+            return OrientationResult(None, frozenset(range(g.n)), 1)
+        return real(g, dem)
+
+    monkeypatch.setattr(harness, "orient_with_indegrees", lying)
+    path = tmp_path / "k3.g6"
+    path.write_text("Bw\n")
+    rep = run_suite("in-orient-oracle", source=str(path))
+    assert [r["verdict"] for r in rep.records] == ["fail"]
+    assert rep.records[0]["counterexample"] == {
+        "demand": [1, 1, 1], "orient": False, "brute": True}
 
 
 def test_triangle_free_mic_reaches_n10_behind_allow_large():

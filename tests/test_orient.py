@@ -356,6 +356,62 @@ def test_f_kp_witnesses_on_k4_minus_e(k4e):
     assert list(f_KP_witnesses(k4e, k4e.degrees, allow_supergraph=False)) == []
 
 
+def _f_kp_by_definition(g, f, allow_supergraph):
+    """Arc sets of every kernel-perfect oriented supergraph of g with
+    d+(v) <= f(v) - 1: pairs in sorted order, the out-degree bound checked as
+    each arc is placed, and is_kernel_perfect at every leaf."""
+    pairs = sorted(itertools.combinations(range(g.n), 2))
+    found = set()
+    out = [0] * g.n
+    arcs = []
+
+    def go(i):
+        if i == len(pairs):
+            d = Digraph(range(g.n), arcs)
+            if is_kernel_perfect(d):
+                found.add(d.arcs)
+            return
+        u, v = pairs[i]
+        both = ((u, v), (v, u))
+        if g.has_edge(u, v):
+            opts = [((u, v),), ((v, u),)] + ([both] if allow_supergraph else [])
+        else:
+            opts = [(), ((u, v),), ((v, u),), both] if allow_supergraph else [()]
+        for opt in opts:
+            for t, _ in opt:
+                out[t] += 1
+            if all(out[t] <= f[t] - 1 for t, _ in opt):
+                arcs.extend(opt)
+                go(i + 1)
+                del arcs[len(arcs) - len(opt):]
+            for t, _ in opt:
+                out[t] -= 1
+
+    if all(x >= 1 for x in f):
+        go(0)
+    return found
+
+
+@pytest.mark.parametrize("allow_supergraph", [True, False])
+def test_f_kp_witnesses_match_definition_n5(allow_supergraph):
+    import random
+
+    rng = random.Random(8)
+    graphs = [g for n in range(1, 6) for g in enumerate_graphs(n, connected_only=False)]
+    assert len(graphs) == 52
+    for g in graphs:
+        for f in (list(g.degrees), [rng.randint(1, d + 2) for d in g.degrees]):
+            got = list(f_KP_witnesses(g, f, allow_supergraph))
+            assert len({w.arcs for w in got}) == len(got)
+            assert {w.arcs for w in got} == _f_kp_by_definition(g, f, allow_supergraph)
+            for w in got:
+                assert is_kernel_perfect(w)
+                assert all(w.out_degree(v) <= f[v] - 1 for v in range(g.n))
+                assert g.edges <= w.underlying_edges()
+                if not allow_supergraph:
+                    assert len(w.arcs) == g.m
+
+
 # -- witness extension ---------------------------------------------------------
 
 

@@ -119,6 +119,15 @@ def budget_painter(g, mask, budgets, smask) -> int:
     return imask
 
 
+def _logged(painter, asked: list):
+    """The painter, with each (mask, S) it is asked appended to asked."""
+    def logged(g, mask, budgets, smask):
+        asked.append((mask, smask))
+        return painter(g, mask, budgets, smask)
+
+    return logged
+
+
 def _random_case(rng: random.Random):
     n = rng.randint(1, 6)
     p = rng.random()
@@ -142,8 +151,11 @@ def test_packed_walks_match_the_tuple_state_walks():
         g, f, d = _random_case(rng)
         wide += max(f) >= 8
         for painter in (greedy_painter, budget_painter, make_kernel_painter(d)):
-            got = play_paint_game(g, f, painter=painter, lister="exhaustive")
-            assert got == tuple_state_walk(g, f, painter), (g.edges, f)
+            asked, asked_ref = [], []
+            got = play_paint_game(g, f, painter=_logged(painter, asked), lister="exhaustive")
+            ref = tuple_state_walk(g, f, _logged(painter, asked_ref))
+            assert got == ref, (g.edges, f)
+            assert asked == asked_ref  # the painter answers the same questions
             winners[got.winner] += 1
             got = play_paint_game(g, f, painter=painter, lister=random_lister(case))
             assert got == tuple_state_rounds(g, f, painter, random_lister(case)), (g.edges, f)
