@@ -33,6 +33,20 @@ def lex_key(mask: int) -> tuple:
     return tuple(bits(mask))
 
 
+def lex_less(a: int, b: int) -> bool:
+    """``lex_key(a) < lex_key(b)`` without building either tuple.
+
+    Below the lowest differing bit the tuples agree.  There the mask holding
+    the bit continues with it and the other with a higher member, so the
+    mask holding the bit is smaller, unless the other has no higher member
+    and its tuple ends first.
+    """
+    low = (a ^ b) & -(a ^ b)
+    if a & low:
+        return bool(b & -(low << 1))
+    return bool(low) and not a & -(low << 1)
+
+
 def submasks(mask: int) -> list[int]:
     """Every subset of mask in descending numeric order, full set first."""
     out = []

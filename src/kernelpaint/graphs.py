@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .bits import bits, lex_key
+from .bits import bits, lex_less
 from .errors import ConstructionError, SizeLimitError, UndefinedStatisticError
 
 __all__ = [
@@ -105,15 +105,6 @@ class Graph:
             (pos[u], pos[v]) for u, v in self.edges if u in pos and v in pos
         ]
         return Graph(len(vs), edges)
-
-    def complement(self) -> "Graph":
-        edges = [
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if not self.has_edge(u, v)
-        ]
-        return Graph(self.n, edges)
 
     def deg_in(self, v: int, mask: int) -> int:
         """Degree of v inside the vertex subset given as a bitmask."""
@@ -215,8 +206,10 @@ class GraphStats:
 def graph_stats(g: Graph) -> GraphStats:
     """Exact elementary statistics.
 
-    Clique and independence numbers use exhaustive branch-and-bound search,
-    intended for n <= 16; cost grows exponentially beyond that.
+    The independence number is one ``max_weight_independent_set`` search with
+    unit weights on g's rows, the clique number one on the complement's rows;
+    no complement graph is built.  The searches are exhaustive branch and
+    bound, intended for n <= 16; their cost grows exponentially beyond that.
     """
     theta = ore_degree(g) if g.edges else None
     return GraphStats(
@@ -230,18 +223,23 @@ def graph_stats(g: Graph) -> GraphStats:
     )
 
 
-def max_weight_independent_set(g: Graph, weights: Sequence[int]) -> tuple[int, int]:
+def max_weight_independent_set(g_or_n, weights: Sequence[int],
+                               adj: Optional[Sequence[int]] = None) -> tuple[int, int]:
     """Maximum total weight of an independent set, with its witness mask.
 
-    Exhaustive branch and bound.  Among maximum-weight sets the witness is the
-    one whose sorted vertex tuple is lexicographically smallest, which keeps
-    downstream expectations deterministic.  Weights must be nonnegative.
+    Takes a graph, or a vertex count and its adjacency rows.  Exhaustive
+    branch and bound; the bound on a subtree is the weight of the vertices
+    still available, a bit count when every weight is 1.  Among
+    maximum-weight sets the witness is the one whose sorted vertex tuple is
+    lexicographically smallest, which keeps downstream expectations
+    deterministic.  Weights must be nonnegative.
     """
-    adj = g.adj
+    if adj is None:
+        g_or_n, adj = g_or_n.n, g_or_n.adj
     best_w = -1
     best_set = 0
 
-    def rest_weight(mask: int) -> int:
+    def weight_of(mask: int) -> int:
         t = 0
         while mask:
             low = mask & -mask
@@ -249,12 +247,12 @@ def max_weight_independent_set(g: Graph, weights: Sequence[int]) -> tuple[int, i
             mask ^= low
         return t
 
+    rest_weight = int.bit_count if all(w == 1 for w in weights) else weight_of
+
     def dfs(avail: int, cur_w: int, cur_set: int) -> None:
         nonlocal best_w, best_set
         if not avail:
-            if cur_w > best_w or (
-                cur_w == best_w and lex_key(cur_set) < lex_key(best_set)
-            ):
+            if cur_w > best_w or cur_w == best_w and lex_less(cur_set, best_set):
                 best_w, best_set = cur_w, cur_set
             return
         if cur_w + rest_weight(avail) < best_w:
@@ -263,17 +261,18 @@ def max_weight_independent_set(g: Graph, weights: Sequence[int]) -> tuple[int, i
         dfs(avail & ~(adj[v] | (1 << v)), cur_w + weights[v], cur_set | (1 << v))
         dfs(avail & ~(1 << v), cur_w, cur_set)
 
-    dfs(g.full_mask(), 0, 0)
+    dfs((1 << g_or_n) - 1, 0, 0)
     return best_w, best_set
 
 
 def independence_number(g: Graph) -> int:
-    w, _ = max_weight_independent_set(g, [1] * g.n)
-    return w
+    return max_weight_independent_set(g, [1] * g.n)[0]
 
 
 def clique_number(g: Graph) -> int:
-    return independence_number(g.complement())
+    full = g.full_mask()
+    rows = [full & ~(a | 1 << v) for v, a in enumerate(g.adj)]
+    return max_weight_independent_set(g.n, [1] * g.n, rows)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +441,15 @@ def block_decomposition(g: Graph) -> BlockTree:
 
 
 def _refine(n: int, adj: Sequence[int]) -> list[int]:
-    """Stable vertex coloring: iterated (color, sorted neighbor colors) keys."""
-    colors = [0] * n
-    ncells = 1
+    """Stable vertex coloring: iterated (color, sorted neighbor colors) keys.
+
+    The first round from the one-cell coloring ranks vertices by degree, so
+    the iteration starts there.
+    """
+    degrees = [a.bit_count() for a in adj]
+    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    colors = [rank[d] for d in degrees]
+    ncells = len(rank)
     nbrs = [bits(a) for a in adj]
     while True:
         keys = [
@@ -462,19 +467,38 @@ def canonical_key(g_or_n, adj: Optional[Sequence[int]] = None) -> tuple:
 
     The key is the lexicographically smallest tuple of adjacency row bitmasks
     over all vertex orderings consistent with the refined color partition
-    (colors ordered by their invariant refinement keys), found by branch and
-    bound on the row strings.  At each node the search skips a candidate that
-    is a twin of one it already tried there: u and v are twins when
-    ``adj[u] & ~(1 << v) == adj[v] & ~(1 << u)``, so swapping them is an
-    automorphism that fixes the placed prefix and keeps every color, and the
-    subtree under v repeats the rows of the subtree under u.
+    (colors ordered by their invariant refinement keys), found by the branch
+    and bound of ``_canonical_search``.
     """
     if adj is None:
-        n, adj = g_or_n.n, g_or_n.adj
-    else:
-        n = g_or_n
+        g_or_n, adj = g_or_n.n, g_or_n.adj
+    return _canonical_search(g_or_n, adj)[0]
+
+
+def _canonical_search(n: int,
+                      adj: Sequence[int]) -> tuple[tuple, list[tuple[int, ...]]]:
+    """The canonical key of the graph with adjacency rows adj, and a list of
+    automorphisms (``p[v]`` is the image of v) that generates its group.
+
+    Branch and bound on the row strings: row p of an ordering has bit
+    ``n - 1 - i`` set when positions i < p are adjacent.  At each node the
+    search skips a candidate that is a twin of one it already tried there:
+    u and v are twins when ``adj[u] & ~(1 << v) == adj[v] & ~(1 << u)``, so
+    the transposition (u v) is an automorphism that fixes the placed prefix
+    and keeps every color, and the subtree under v is the image of the
+    subtree under u.  Each skipped pair is reported as that transposition.
+    Every leaf the search reaches has the rows of the best ordering so far;
+    when a leaf repeats the rows of the first leaf since ``best`` last fell,
+    the two orderings give the same adjacency matrix, so the map from one to
+    the other is an automorphism, whatever the final best turns out to be.
+
+    Together these generate the whole group.  Leaves with the final rows are
+    never cut by the bound, every automorphism maps the first of them to
+    another one (refinement colors are invariant), and a twin skip leaves out
+    only the image of a searched subtree under its reported transposition.
+    """
     if n == 0:
-        return (0,)
+        return (0,), []
     colors = _refine(n, adj)
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
@@ -491,6 +515,8 @@ def canonical_key(g_or_n, adj: Optional[Sequence[int]] = None) -> tuple:
     sentinel = 1 << (n + 1)
     best = [sentinel] * n
     placed: list[int] = []
+    first: Optional[list[int]] = None  # first leaf since best last fell
+    automorphisms: set[tuple[int, ...]] = set()
 
     def row_bits(v: int) -> int:
         r = 0
@@ -501,26 +527,40 @@ def canonical_key(g_or_n, adj: Optional[Sequence[int]] = None) -> tuple:
         return r
 
     def dfs(pos: int, used: int) -> None:
+        nonlocal first
         if pos == n:
+            if first is None:
+                first = placed[:]
+            else:
+                perm = [0] * n
+                for u, v in zip(first, placed):
+                    perm[u] = v
+                automorphisms.add(tuple(perm))
             return
         scored = sorted((row_bits(v), v) for v in cell_of_pos[pos] if not used >> v & 1)
         tried = 0
         for r, v in scored:
             if r > best[pos]:
                 break
-            if twins[v] & tried:
+            twin = twins[v] & tried
+            if twin:
+                u = (twin & -twin).bit_length() - 1
+                perm = list(range(n))
+                perm[u], perm[v] = v, u
+                automorphisms.add(tuple(perm))
                 continue
             tried |= 1 << v
             if r < best[pos]:
                 best[pos] = r
                 for j in range(pos + 1, n):
                     best[j] = sentinel
+                first = None
             placed.append(v)
             dfs(pos + 1, used | 1 << v)
             placed.pop()
 
     dfs(0, 0)
-    return (n, *best)
+    return (n, *best), list(automorphisms)
 
 
 # A hereditary property of graphs, given by which neighborhoods a new vertex
@@ -555,7 +595,8 @@ def _from_key(key: tuple) -> Graph:
 
 def _children(parent: Graph, admits: Admits) -> Iterator[list[int]]:
     """Adjacency rows of each admissible one-vertex extension of parent whose
-    new vertex has the minimum invariant (degree, sorted neighbor degrees).
+    new vertex has the minimum invariant (degree, sorted neighbor degrees),
+    one neighborhood per orbit of the parent's automorphism group.
 
     The invariant is preserved by isomorphisms, every class has a vertex of
     minimum invariant, and deleting it leaves a class of the previous level,
@@ -563,6 +604,13 @@ def _children(parent: Graph, admits: Admits) -> Iterator[list[int]]:
     vertex of degree d needs no parent vertex of degree below d - 1 and every
     one of degree d - 1 among its neighbors.  Only the vertices tied with it
     at degree d compare sorted neighbor degrees.
+
+    An automorphism p of the parent extends, fixing the new vertex, to an
+    isomorphism from the extension by nb to the extension by p(nb).  So both
+    children are one class, and every test here gives both the same answer:
+    the degree conditions and the invariant comparison are isomorphism
+    invariants, and so is ``admits``, a hereditary property of the child.
+    Only the least mask of each orbit is extended.
     """
     k = parent.n
     base = parent.adj
@@ -571,10 +619,23 @@ def _children(parent: Graph, admits: Admits) -> Iterator[list[int]]:
     for v, dv in enumerate(deg):
         at_degree[dv] |= 1 << v
     top = min(deg) + 1
+    automorphisms = _canonical_search(k, base)[1]
+    seen: set[int] = set()  # masks of the orbits already handled
     for nb in range(1 << k):
         d = nb.bit_count()
-        if d > top or d and at_degree[d - 1] & ~nb or not admits(base, nb):
+        if (d > top or d and at_degree[d - 1] & ~nb or nb in seen
+                or not admits(base, nb)):
             continue
+        seen.add(nb)
+        orbit = [nb]
+        for m in orbit:
+            for p in automorphisms:
+                image = 0
+                for v in bits(m):
+                    image |= 1 << p[v]
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
         adj = [a | (nb >> v & 1) << k for v, a in enumerate(base)]
         adj.append(nb)
         tied = (at_degree[d - 1] if d else 0) | at_degree[d] & ~nb
@@ -606,9 +667,12 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     Level n extends each class on n - 1 vertices by a new vertex, in every way
     where the new vertex has the minimum invariant (degree, sorted neighbor
     degrees) of the result (canonical deletion), and keeps one graph per
-    ``canonical_key``.  Each representative is its class in canonical labeling
-    (the graph built from its key), and classes come in ascending key order,
-    so the output does not depend on how the classes were generated.
+    ``canonical_key``.  Neighborhoods that an automorphism of the parent maps
+    onto each other give isomorphic children and pass or fail every test
+    alike, so only one per orbit is tried (parent-orbit pruning).  Each
+    representative is its class in canonical labeling (the graph built from
+    its key), and classes come in ascending key order, so the output does not
+    depend on how the classes were generated.
     Correctness is anchored to the known class counts (tested); the documented
     cap is n = 8.  Beyond that, read a graph6 corpus file instead.
     """

@@ -609,8 +609,8 @@ class _Suite:
 
 _SUITES: dict[str, _Suite] = {
     "brooks-alpha": _Suite(_suite_brooks_alpha, 8),
-    "mic-basics": _Suite(_suite_mic_basics, 7),
-    "main-lemma-d0": _Suite(_suite_main_lemma_d0, 7),
+    "mic-basics": _Suite(_suite_mic_basics, 8),
+    "main-lemma-d0": _Suite(_suite_main_lemma_d0, 8),
     "kernel-game": _Suite(_suite_kernel_game, 6),
     "in-orient-oracle": _Suite(_suite_in_orient_oracle, 5, connected_only=False),
     "at-classify": _Suite(_suite_at_classify, 6),

@@ -549,6 +549,7 @@ def play_paint_game(
         raise ValueError(f"unknown lister {lister!r}")
 
     rounds: list[GameRound] = []
+    independent: set[int] = set()
     while mask:
         if packing.exhausted(mask, packed):
             return GameOutcome("lister", tuple(rounds))
@@ -557,15 +558,21 @@ def play_paint_game(
         if smask == 0 or smask & ~mask:
             raise ValueError("lister produced an invalid set")
         imask = painter_fn(g, mask, budgets, smask)
-        _check_painter_move(g, smask, imask)
+        _check_painter_move(g, smask, imask, independent)
         mask, packed = packing.after_round(mask, packed, smask, imask)
         rounds.append(_record(packing, mask, packed, smask, imask))
     return GameOutcome("painter", tuple(rounds))
 
 
-def _check_painter_move(g: Graph, smask: int, imask: int) -> None:
+def _check_painter_move(g: Graph, smask: int, imask: int,
+                        independent: set[int]) -> None:
+    """Raise unless imask is an independent subset of smask.  ``independent``
+    holds the sets this game has already found independent: whether I is
+    independent does not depend on S, so each is checked once per game."""
     if imask & ~smask:
         raise ValueError("painter's set must be a subset of S")
+    if imask in independent:
+        return
     adj = g.adj
     rest = imask
     while rest:
@@ -573,6 +580,7 @@ def _check_painter_move(g: Graph, smask: int, imask: int) -> None:
         if adj[low.bit_length() - 1] & imask:
             raise ValueError("painter's set must be independent")
         rest ^= low
+    independent.add(imask)
 
 
 def _record(packing: _Packing, mask: int, packed: int, smask: int, imask: int) -> GameRound:
@@ -588,9 +596,10 @@ def _traverse_all_lines(g: Graph, packing: _Packing, mask0: int, packed0: int,
                         painter_fn: PainterFn) -> GameOutcome:
     """Painter's moves are fixed, so states repeat: cache each state, the
     pair (remaining-vertex mask, packed budgets).  The budgets are decoded
-    for the painter once per visited state, and every answer it gives is
-    checked."""
+    for the painter once per visited state.  Every answer it gives is
+    checked to lie in S; independence is checked once per distinct answer."""
     cache: dict[tuple[int, int], bool] = {}
+    independent: set[int] = set()
     explored = 0
     exhausted, after_round = packing.exhausted, packing.after_round
 
@@ -611,7 +620,7 @@ def _traverse_all_lines(g: Graph, packing: _Packing, mask0: int, packed0: int,
             if smask == 0:
                 continue
             imask = painter_fn(g, mask, budgets, smask)
-            _check_painter_move(g, smask, imask)
+            _check_painter_move(g, smask, imask, independent)
             nmask, npacked = after_round(mask, packed, smask, imask)
             # a finished game, or a state already survived: nothing to walk
             if not nmask or cache.get((nmask, npacked)):

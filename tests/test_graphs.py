@@ -18,6 +18,8 @@ from kernelpaint import (
     ore_degree,
     to_dot,
 )
+from kernelpaint import graphs
+from kernelpaint.bits import lex_key, lex_less
 from kernelpaint.errors import SizeLimitError
 
 
@@ -97,6 +99,43 @@ def test_graph_stats_examples(k4):
     p3 = make_named("path", [3])
     st_ = graph_stats(p3)
     assert st_.ore_degree == 3 and st_.triangle_free
+
+
+def _is_independent(adj, mask: int) -> bool:
+    return not any(adj[v] & mask for v in range(len(adj)) if mask >> v & 1)
+
+
+def test_lex_less_orders_masks_like_their_member_tuples():
+    for a in range(1 << 7):
+        for b in range(1 << 7):
+            assert lex_less(a, b) == (lex_key(a) < lex_key(b))
+
+
+def test_max_weight_independent_set_matches_definition():
+    # maximum weight, then the lexicographically smallest sorted tuple; the
+    # zero weights make ties where one witness is a prefix of the other
+    rnd = random.Random(9)
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            independent = [m for m in range(1 << n) if _is_independent(g.adj, m)]
+            seeded = [rnd.randint(0, 3) for _ in range(n)]
+            for weights in ([1] * n, list(g.degrees), seeded):
+                weight = {m: sum(weights[v] for v in lex_key(m)) for m in independent}
+                top = max(weight.values())
+                witness = min((m for m in independent if weight[m] == top), key=lex_key)
+                assert graphs.max_weight_independent_set(g, weights) == (top, witness)
+
+
+def test_graph_stats_alpha_and_omega_match_definition():
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            full = (1 << n) - 1
+            co = [full & ~(a | 1 << v) for v, a in enumerate(g.adj)]
+            st_ = graph_stats(g)
+            assert st_.independence_number == max(
+                m.bit_count() for m in range(1 << n) if _is_independent(g.adj, m))
+            assert st_.clique_number == max(
+                m.bit_count() for m in range(1 << n) if _is_independent(co, m))
 
 
 def test_ore_degree_undefined_on_edgeless():
@@ -225,6 +264,52 @@ def test_canonical_key_agrees_with_networkx_atlas():
     assert sum(len(keys) for keys in atlas_keys.values()) == len(atlas) == 1253
     for n in range(1, 8):
         assert {canonical_key(g) for g in enumerate_graphs(n)} == atlas_keys[n]
+
+
+def _preserves_adjacency(g: Graph, perm) -> bool:
+    return all(g.has_edge(perm[u], perm[v]) for u, v in g.edges)
+
+
+def _group_order(n: int, generators) -> int:
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        a = todo.pop()
+        for p in generators:
+            c = tuple(p[a[v]] for v in range(n))
+            if c not in group:
+                group.add(c)
+                todo.append(c)
+    return len(group)
+
+
+def test_canonical_search_generates_the_automorphism_group():
+    rnd = random.Random(77)
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            perm = list(range(n))
+            rnd.shuffle(perm)
+            for h in (g, Graph(n, [(perm[u], perm[v]) for u, v in g.edges])):
+                key, automorphisms = graphs._canonical_search(n, h.adj)
+                assert key == canonical_key(h)
+                assert all(_preserves_adjacency(h, p) for p in automorphisms)
+                if n <= 6:
+                    brute = sum(1 for p in itertools.permutations(range(n))
+                                if _preserves_adjacency(h, p))
+                    assert _group_order(n, automorphisms) == brute
+
+
+@pytest.mark.parametrize("generate, n, classes, cap", [
+    (enumerate_graphs, 8, 12346, 15_300),           # 23,321 keys before orbit pruning
+    (enumerate_triangle_free, 10, 12172, 17_400),   # 23,023 keys before orbit pruning
+], ids=["all", "triangle-free"])
+def test_orbit_pruning_keys_fewer_children(monkeypatch, generate, n, classes, cap):
+    calls = []
+    key = graphs.canonical_key
+    monkeypatch.setattr(graphs, "_LEVELS", {})  # a cold cache
+    monkeypatch.setattr(graphs, "canonical_key", lambda *a: calls.append(a) or key(*a))
+    assert sum(1 for _ in generate(n)) == classes
+    assert len(calls) <= cap
 
 
 def test_canonical_key_separates_same_degree_sequence():

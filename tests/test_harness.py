@@ -295,6 +295,17 @@ def test_triangle_free_mic_reaches_n10_behind_allow_large():
     assert rep.passed and len(rep.records) == 11569
 
 
+@pytest.mark.parametrize("name, counts", [
+    ("mic-basics", {"pass": 12113, "skip": 0, "fail": 0}),
+    # the skips are the connected Gallai trees on at most 8 vertices
+    ("main-lemma-d0", {"pass": 11825, "skip": 288, "fail": 0}),
+], ids=["mic-basics", "main-lemma-d0"])
+def test_suite_default_ceiling_covers_every_graph_up_to_n8(name, counts):
+    rep = run_suite(name)
+    assert rep.counts() == counts
+    assert max(parse_graph6(r["graph6"]).n for r in rep.records) == 8
+
+
 def test_suite_names_stable():
     assert set(SUITE_NAMES) == {
         "brooks-alpha", "mic-basics", "main-lemma-d0", "at-classify",

@@ -158,6 +158,25 @@ def test_kernel_painter_wins_on_c4(c4):
     assert out.winner == "painter" and out.all_lines
 
 
+def test_exhaustive_game_checks_every_painter_answer(c4):
+    from kernelpaint import build_kernel_perfect
+
+    kernel = make_kernel_painter(build_kernel_perfect(c4, [0, 2], c4.degrees).digraph)
+    first = []
+
+    def stale(g, mask, budgets, smask):
+        # the first answer, already checked, given again for an S that misses it
+        first.append(kernel(g, mask, budgets, smask))
+        return first[0] if first[0] & ~smask else first[-1]
+
+    def dependent(g, mask, budgets, smask):
+        return smask if smask == 0b0011 else kernel(g, mask, budgets, smask)
+
+    for painter, message in ((stale, "subset of S"), (dependent, "independent")):
+        with pytest.raises(ValueError, match=message):
+            play_paint_game(c4, [2] * 4, painter=painter, lister="exhaustive")
+
+
 def test_kernel_painter_answers_smallest_kernel_on_every_set():
     from kernelpaint import extract_reducible
     from test_orient import _first_kernel_by_definition
