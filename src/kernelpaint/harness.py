@@ -34,6 +34,7 @@ from .graphs import (
     make_named,
 )
 from .orient import (
+    KP_SEARCH_CAP,
     extend_d0_kp,
     f_KP_witnesses,
     is_f_AT,
@@ -42,6 +43,7 @@ from .orient import (
     orient_with_indegrees,
 )
 from .reduce import (
+    CUT_LEMMA_CAP,
     Certificate,
     check_mic_strength,
     cut_lemma_check,
@@ -348,9 +350,6 @@ def _suite_at_classify(corpus: list[Graph], seed: int) -> Iterator[dict]:
     yield from _per_graph(corpus, check)
 
 
-KP_EXHAUSTIVE_CAP = 5
-
-
 def _suite_kp_classify(corpus: list[Graph], seed: int) -> Iterator[dict]:
     yield from _kp_fixed_pair()
 
@@ -358,7 +357,7 @@ def _suite_kp_classify(corpus: list[Graph], seed: int) -> Iterator[dict]:
         gallai = bool(is_gallai_tree(g))
         detail: dict = {"gallai_tree": gallai, "phases": []}
         ok = True
-        if g.n <= KP_EXHAUSTIVE_CAP:
+        if g.n <= KP_SEARCH_CAP:
             dec = is_f_KP(g, g.degrees)
             detail["phases"].append("exhaustive")
             detail["d0_kp"] = bool(dec)
@@ -381,21 +380,20 @@ def _suite_kp_classify(corpus: list[Graph], seed: int) -> Iterator[dict]:
 
 def _constructive_kp_route(g: Graph) -> Optional[str]:
     """Spanning degree-bounded kernel-perfect witness by extraction plus
-    layer-by-layer extension; returns an error string on any failure."""
+    layer-by-layer extension; returns an error string on any failure.
+
+    Each layer H is checked as a certificate with f = d_G, so f_H = d_H."""
     cert = extract_reducible(g, g.degrees)
-    witness = cert.digraph
-    covered = set(cert.h_vertices)
     while True:
-        cmask = mask_of(covered)
-        if not is_kernel_perfect(witness):
-            return "witness is not kernel-perfect"
-        for v in covered:
-            if not witness.out_degree(v) < g.deg_in(v, cmask):
-                return f"out-degree bound fails at {v}"
-        if covered == set(range(g.n)):
+        ok, why = validate_certificate(cert, g, g.degrees)
+        if not ok:
+            return why
+        if len(cert.h_vertices) == g.n:
             return None
-        witness = extend_d0_kp(g, covered, witness)
-        covered = set(witness.vertex_set)
+        witness = extend_d0_kp(g, cert.h_vertices, cert.digraph)
+        h = tuple(sorted(witness.vertex_set))
+        hmask = mask_of(h)
+        cert = Certificate(h, witness, {v: g.deg_in(v, hmask) for v in h})
 
 
 def _kp_fixed_pair() -> Iterator[dict]:
@@ -580,7 +578,7 @@ CUT_LEMMA_SAMPLES = 500
 
 def _suite_cut_lemma(corpus: list[Graph], seed: int) -> Iterator[dict]:
     rng = random.Random(seed)
-    pool = [g for g in corpus if 1 <= g.n <= 6]
+    pool = [g for g in corpus if 1 <= g.n <= CUT_LEMMA_CAP]
     if not pool:
         return
     for i in range(CUT_LEMMA_SAMPLES):

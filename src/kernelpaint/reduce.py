@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 from .bits import bits, lex_key, mask_of
 from .errors import HypothesisNotMetError, SizeLimitError
 from .graphs import Graph, cut_size
-from .orient import DegreeTable, Digraph, _build_kp_masked, _table
+from .orient import DegreeTable, Digraph, _build_kp_masked, _check_kp_inputs, _table
 from .structure import mic
 from .verify import PaintabilitySolver
 
@@ -90,13 +90,8 @@ def extract_reducible(
     if g.n == 0:
         raise ValueError("graph must be nonempty")
     ftab = _table(f, range(g.n))
-    for v in range(g.n):
-        if not 0 <= ftab[v] <= g.degrees[v] + 1:
-            raise ValueError(f"f({v}) = {ftab[v]} outside [0, d(v)+1]")
     a_set = frozenset(a) if a is not None else mic(g).witness
-    for u in a_set:
-        if g.adj[u] & mask_of(a_set):
-            raise ValueError("A must be independent")
+    _check_kp_inputs(g, a_set, ftab, g.full_mask())
     need = sum(g.degrees[v] + 1 - ftab[v] for v in range(g.n))
     have = cut_size(g, a_set, range(g.n))
     if have < need:

@@ -104,7 +104,7 @@ def is_gallai_forest(g: Graph) -> GallaiCheck:
 
 
 # ---------------------------------------------------------------------------
-# Even cycle with at most one chord (Rubin's block lemma, constructively)
+# Even cycle with at most one chord (Rubin's block lemma, one construction)
 # ---------------------------------------------------------------------------
 
 
@@ -115,32 +115,62 @@ class EvenCycleResult:
 
 
 def find_even_cycle_one_chord(g: Graph) -> EvenCycleResult:
-    """An even cycle of g with at most one chord.
+    """An even cycle of g with at most one chord, and that chord.
 
     Requires g 2-connected, not complete and not an odd cycle; such a graph
-    always contains one.  Construction: take a shortest cycle C.  If C is even
-    it is induced and we are done.  Otherwise attach a shortest ear P to the
-    odd induced C; of the two cycles P makes with the arcs of C exactly one is
-    even, and shortestness kills every chord except possibly the C-edge
-    between the ear's endpoints.  Shortest ears can fail only in one corner
-    (every shortest ear completes a K4 over a triangle, e.g. K5 minus an
-    edge); that corner falls back to a direct search in increasing length,
-    which terminates because the cycle is guaranteed to exist.
+    always contains one (Erdős, Rubin & Taylor 1979).  One construction, in
+    O(n m) time, proves it:
+
+    1. g is connected and not complete, so it has an induced path x-z-y.
+    2. g - z is connected; a shortest x-y path Q in it is induced.
+    3. Cut Q at the neighbours of z.  z sees only the ends of each piece, so
+       an even piece closes with z into an induced even cycle, and two
+       consecutive odd pieces close with z into an even cycle whose only
+       chord joins z to the cut point between them (their outer ends lie two
+       or more steps apart on the induced Q, so are not adjacent).
+    4. Otherwise z sees only x and y and Q is odd, so C = z + Q is an induced
+       odd cycle on at least 5 vertices.  g is not C, so some vertex lies
+       off C; g is 2-connected, so C has an ear, a path between two vertices
+       of C through vertices off it.  Let R be a shortest ear.
+       - If R has one inner vertex r, cut C at the neighbours of r.  The arcs
+         sum to |C|, which is odd.  An even arc closes with r into an induced
+         even cycle.  Otherwise there are at least three arcs, all odd, and
+         two consecutive ones close with r into an even cycle whose one chord
+         joins r to their common end, provided their outer ends are not
+         adjacent on C, that is, the rest of C is longer than one edge.  Some
+         pair qualifies since C is not a triangle: of three odd arcs summing
+         to at least 5 one is at least 3 long and the other two qualify, and
+         with five or more arcs every pair leaves at least three.
+       - If R is longer, an edge from an inner vertex of R to C other than
+         R's end edges, or a chord of R, would give a shorter ear.  So R is
+         induced and meets C only at its ends a and b.  The two arcs of C
+         from a to b sum to |C|, so exactly one closes with R into an even
+         cycle, and its only possible chord is the edge ab.
     """
     _check_rubin_preconditions(g)
-    if all(d == 2 for d in g.degrees):  # connected 2-regular: a single cycle
-        cyc = _trace_cycle(g)
-        return EvenCycleResult(tuple(cyc), None)
-
-    cyc = _shortest_cycle(g)
-    if len(cyc) % 2 == 0:
-        return EvenCycleResult(tuple(cyc), None)
-    ear = _shortest_ear(g, cyc)
-    if ear is not None:
-        res = _combine_ear(g, cyc, ear)
-        if res is not None:
-            return res
-    return _search_even_cycle(g)
+    x, z, y = next(
+        (x, z, y)
+        for z in range(g.n)
+        for x, y in itertools.combinations(bits(g.adj[z]), 2)
+        if not g.has_edge(x, y)
+    )
+    q = _shortest_path(g, x, 1 << y, g.full_mask() & ~(1 << z))
+    found = _close_through(g, z, q)
+    if found is not None:
+        return found
+    cyc = [z, *q]
+    cmask = mask_of(cyc)
+    ears = (_shortest_path(g, c, cmask & ~(1 << c), g.full_mask() & ~cmask) for c in cyc)
+    a, *inner, b = min(filter(None, ears), key=len)
+    i = cyc.index(a)
+    rot = cyc[i:] + cyc[:i]
+    if len(inner) == 1:
+        # twice round C, so the pairs of arcs across a are cut out too
+        return _close_through(g, inner[0], rot * 2)
+    k = rot.index(b)
+    if (k + len(inner)) % 2:
+        return _even_cycle(g, rot[:k + 1] + inner[::-1])
+    return _even_cycle(g, rot[k:] + [a] + inner)
 
 
 def _check_rubin_preconditions(g: Graph) -> None:
@@ -156,117 +186,46 @@ def _check_rubin_preconditions(g: Graph) -> None:
         raise ValueError("graph must not be an odd cycle")
 
 
-def _trace_cycle(g: Graph) -> list[int]:
-    cyc = [0]
-    prev = -1
-    while True:
-        nxt = [u for u in g.neighbors(cyc[-1]) if u != prev]
-        prev = cyc[-1]
-        if nxt[0] == 0:
-            return cyc
-        cyc.append(nxt[0])
-
-
-def _shortest_cycle(g: Graph) -> list[int]:
-    """Vertex sequence of a shortest cycle (hence induced)."""
-    best: Optional[list[int]] = None
-    for u, v in sorted(g.edges):
-        path = _bfs_path(g, u, v, forbidden_edge=(u, v))
-        if path is not None and (best is None or len(path) < len(best)):
-            best = path
-    assert best is not None, "2-connected graph has a cycle"
-    return best
-
-
-def _bfs_path(
-    g: Graph, src: int, dst: int, forbidden_edge: tuple[int, int]
-) -> Optional[list[int]]:
-    parent = {src: -1}
-    queue = [src]
-    fu, fv = forbidden_edge
-    while queue:
+def _shortest_path(g: Graph, src: int, dst: int, inner: int) -> Optional[list[int]]:
+    """A shortest path from src to a vertex of mask dst with at least one
+    inner vertex, every inner vertex in mask inner; None if there is none."""
+    parent = {src: src}
+    level = [src]
+    while level:
         nxt = []
-        for x in queue:
-            for y in g.neighbors(x):
-                if {x, y} == {fu, fv} or y in parent:
-                    continue
-                parent[y] = x
-                if y == dst:
-                    path = [y]
-                    while path[-1] != src:
-                        path.append(parent[path[-1]])
-                    return path
-                nxt.append(y)
-        queue = nxt
+        for u in level:
+            hit = g.adj[u] & dst if u != src else 0
+            if hit:
+                path = [(hit & -hit).bit_length() - 1, u]
+                while path[-1] != src:
+                    path.append(parent[path[-1]])
+                return path[::-1]
+            for v in bits(g.adj[u] & inner):
+                if v not in parent:
+                    parent[v] = u
+                    nxt.append(v)
+        level = nxt
     return None
 
 
-def _shortest_ear(g: Graph, cyc: Sequence[int]) -> Optional[list[int]]:
-    """Shortest path with both endpoints on cyc and interior disjoint from it.
-
-    Ties are broken toward ears whose interior sends no extra edges into the
-    cycle, which is exactly the corner where the parity argument can break.
-    """
-    on_c = set(cyc)
-    best: Optional[list[int]] = None
-    best_clean = False
-    for a in sorted(on_c):
-        parent = {a: -1}
-        queue = [a]
-        found: Optional[list[int]] = None
-        while queue and found is None:
-            nxt = []
-            for x in queue:
-                for y in g.neighbors(x):
-                    if y in parent:
-                        continue
-                    if y in on_c:
-                        if x == a:
-                            continue  # cycle's own edge, C is induced
-                        found = [y]
-                        cur = x
-                        while cur != -1:
-                            found.append(cur)
-                            cur = parent[cur]
-                        break
-                    parent[y] = x
-                    nxt.append(y)
-                if found:
-                    break
-            queue = nxt
-        if found is None:
-            continue
-        clean = not any(
-            u in on_c
-            for w in found[1:-1]
-            for u in g.neighbors(w)
-            if u not in (found[0], found[-1])
-        )
-        better = best is None or len(found) < len(best) or (
-            len(found) == len(best) and clean and not best_clean
-        )
-        if better:
-            best, best_clean = found, clean
-    return best
-
-
-def _combine_ear(g: Graph, cyc: Sequence[int], ear: Sequence[int]) -> Optional[EvenCycleResult]:
-    ear = list(ear)
-    if cyc.index(ear[0]) > cyc.index(ear[-1]):
-        ear.reverse()
-    a, b = ear[0], ear[-1]
-    ia, ib = cyc.index(a), cyc.index(b)
-    interior = ear[1:-1]
-    arc1 = list(cyc[ia:ib + 1])                  # a .. b forward along the cycle
-    arc2 = list(cyc[ib:]) + list(cyc[:ia + 1])   # b .. a the other way around
-    cand1 = arc1 + interior[::-1]                # close b -> a through the ear
-    cand2 = arc2 + interior                      # close a -> b through the ear
-    for cand in (cand1, cand2):
-        if len(cand) % 2 == 0 and _is_cycle_sequence(g, cand):
-            chords = _chords(g, cand)
-            if len(chords) <= 1:
-                return EvenCycleResult(tuple(cand), chords[0] if chords else None)
+def _close_through(g: Graph, w: int, walk: Sequence[int]) -> Optional[EvenCycleResult]:
+    """Close w with a stretch of walk cut at w's neighbours: the first even
+    piece, else the first two consecutive odd pieces whose outer ends are not
+    adjacent; None if neither exists."""
+    cuts = [i for i, v in enumerate(walk) if g.adj[w] >> v & 1]
+    for i, j in zip(cuts, cuts[1:]):
+        if (j - i) % 2 == 0:
+            return _even_cycle(g, (w, *walk[i:j + 1]))
+    for i, k in zip(cuts, cuts[2:]):
+        if not g.has_edge(walk[i], walk[k]):
+            return _even_cycle(g, (w, *walk[i:k + 1]))
     return None
+
+
+def _even_cycle(g: Graph, cycle: Sequence[int]) -> EvenCycleResult:
+    chords = _chords(g, cycle)
+    assert len(cycle) % 2 == 0 and len(chords) <= 1, "Rubin construction invariant"
+    return EvenCycleResult(tuple(cycle), chords[0] if chords else None)
 
 
 def _chords(g: Graph, cycle: Sequence[int]) -> list[tuple[int, int]]:
@@ -279,30 +238,6 @@ def _chords(g: Graph, cycle: Sequence[int]) -> list[tuple[int, int]]:
         if g.has_edge(u, v) and (u, v) not in cyc_edges:
             out.append((u, v))
     return out
-
-
-def _is_cycle_sequence(g: Graph, seq: Sequence[int]) -> bool:
-    k = len(seq)
-    if k < 3 or len(set(seq)) != k:
-        return False
-    return all(g.has_edge(seq[i], seq[(i + 1) % k]) for i in range(k))
-
-
-def _search_even_cycle(g: Graph) -> EvenCycleResult:
-    """Exhaustive fallback: first even cycle with at most one chord, by length."""
-    for k in range(4, g.n + 1, 2):
-        for vs in itertools.combinations(range(g.n), k):
-            for perm in itertools.permutations(vs[1:]):
-                seq = (vs[0],) + perm
-                if perm[0] > perm[-1]:
-                    continue  # each cycle once per orientation
-                if not _is_cycle_sequence(g, seq):
-                    continue
-                chords = _chords(g, seq)
-                if len(chords) <= 1:
-                    return EvenCycleResult(seq, chords[0] if chords else None)
-    raise ValueError("no even cycle with at most one chord found; "
-                     "input violates the 2-connected/non-complete/non-odd-cycle precondition")
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,8 @@ def test_extract_validates_inputs(c4):
         extract_reducible(c4, c4.degrees, [0, 1])
     with pytest.raises(ValueError, match="outside"):
         extract_reducible(c4, [5, 2, 2, 2], [0, 2])
+    with pytest.raises(ValueError, match="outside"):
+        extract_reducible(c4, c4.degrees, [7])
 
 
 def test_extract_defaults_to_mic_witness():

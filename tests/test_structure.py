@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from kernelpaint import (
     Graph,
     UndefinedStatisticError,
     beta_t,
+    block_decomposition,
+    canonical_key,
     enumerate_graphs,
     find_even_cycle_one_chord,
     gallai_count_check,
@@ -17,6 +20,7 @@ from kernelpaint import (
     low_high_split,
     make_named,
     mic,
+    parse_graph6,
     random_gallai_forest,
     random_gallai_tree,
     sigma,
@@ -145,6 +149,55 @@ def test_even_cycle_output_valid_on_all_seven_vertex_inputs():
         _check_rubin_output(g, find_even_cycle_one_chord(g))
         count += 1
     assert count > 400  # most connected 7-vertex graphs are 2-connected
+
+
+def test_even_cycle_uses_a_shortest_ear():
+    # The path 1-2-3-4 closes with 0 into an induced C5.  The ear 0-5-6-2 from
+    # 0 closes with the arc 2-3-4-0 into a 6-cycle with chords 3-6 and 4-6;
+    # the shortest ear 2-6-3 gives an even cycle with one chord.
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+                  (0, 5), (5, 6), (6, 2), (6, 3), (6, 4)])
+    _check_rubin_output(g, find_even_cycle_one_chord(g))
+
+
+def _k4_with_path(length):
+    """K4 with a path through `length` new vertices joining its vertices 0 and 1."""
+    path = [0, *range(4, 4 + length), 1]
+    return Graph(4 + length, [*itertools.combinations(range(4), 2), *zip(path, path[1:])])
+
+
+def test_even_cycle_on_k4_with_odd_paths():
+    # n = 11 is graph6 J~OGGC@?H?_; an exhaustive search takes seconds there
+    assert canonical_key(_k4_with_path(7)) == canonical_key(parse_graph6("J~OGGC@?H?_"))
+    for length in range(1, 40, 2):
+        g = _k4_with_path(length)
+        start = time.perf_counter()
+        res = find_even_cycle_one_chord(g)
+        assert time.perf_counter() - start < 1.0, g.n
+        _check_rubin_output(g, res)
+
+
+def test_even_cycle_on_random_larger_graphs():
+    # G(n, p) mostly closes at the first cut; a Hamiltonian cycle with a few
+    # chords also needs the ears, one inner vertex or longer
+    rng = random.Random(20261018)
+    count = 0
+    while count < 400:
+        n = rng.randint(9, 40)
+        if count % 2:
+            p = rng.uniform(2.5 / n, 0.9)
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        else:
+            order = rng.sample(range(n), n)
+            edges = list(zip(order, order[1:] + order[:1]))
+            edges += [rng.sample(range(n), 2) for _ in range(rng.randint(1, n))]
+        g = Graph(n, edges)
+        if not g.is_connected() or len(block_decomposition(g).blocks) != 1:
+            continue
+        if g.m == n * (n - 1) // 2 or (n % 2 == 1 and g.m == n and max(g.degrees) == 2):
+            continue
+        _check_rubin_output(g, find_even_cycle_one_chord(g))
+        count += 1
 
 
 # -- mic ----------------------------------------------------------------------
