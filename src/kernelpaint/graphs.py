@@ -4,9 +4,12 @@ Vertices are dense integers ``0..n-1``.  A :class:`Graph` is immutable after
 construction; every operation in this module is a pure function, so graphs can
 be shared freely across threads.
 
-Adjacency is kept both as a set of sorted edge pairs and as per-vertex integer
-bitmasks; the bitmask form is what makes the exhaustive searches (cliques,
-independent sets, isomorph rejection) fast enough at desk scale.
+Adjacency rows stored, edge set derived on read: a graph keeps one integer
+bitmask per vertex, and ``Graph.edges`` rebuilds the set of sorted pairs from
+the rows each time it is read.  The rows are what makes the exhaustive
+searches (cliques, independent sets, isomorph rejection) fast enough at desk
+scale, and storing nothing else keeps an enumerated level small: a class on
+7 vertices takes under 300 bytes.
 """
 
 from __future__ import annotations
@@ -41,36 +44,41 @@ class Graph:
     """Simple undirected graph on vertex set ``{0, ..., n-1}``.
 
     ``edges`` may be any iterable of pairs; self-loops are rejected and
-    duplicate/reversed pairs collapse.  Treat instances as immutable.
+    duplicate/reversed pairs collapse.  Adjacency rows stored, edge set
+    derived on read: ``adj[v]`` has bit u set when uv is an edge, and the
+    ``edges`` property rebuilds the frozenset of pairs (u, v), u < v, from
+    the rows.  Treat instances as immutable.
     """
 
-    __slots__ = ("n", "edges", "adj", "degrees", "_hash")
+    __slots__ = ("n", "adj", "degrees", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        norm = set()
+        adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            norm.add((u, v) if u < v else (v, u))
-        adj = [0] * n
-        for u, v in norm:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self.n = n
-        self.edges = frozenset(norm)
         self.adj = tuple(adj)
         self.degrees = tuple(m.bit_count() for m in adj)
-        self._hash = hash((n, self.edges))
+        self._hash = hash((n, self.adj))
 
     # -- basic accessors -------------------------------------------------
 
     @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as pairs (u, v) with u < v, built from the rows."""
+        return frozenset((u, v) for u, a in enumerate(self.adj)
+                         for v in bits(a >> u + 1 << u + 1))
+
+    @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(self.degrees) // 2
 
     def degree(self, v: int) -> int:
         return self.degrees[v]
@@ -86,7 +94,7 @@ class Graph:
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+            isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
         )
 
     def __hash__(self) -> int:
@@ -98,13 +106,14 @@ class Graph:
     # -- derived graphs --------------------------------------------------
 
     def induced(self, vertices: Iterable[int]) -> "Graph":
-        """Induced subgraph relabeled onto 0..k-1 in sorted(vertices) order."""
+        """Induced subgraph relabeled onto 0..k-1 in sorted(vertices) order.
+
+        A vertex outside 0..n-1 raises ValueError."""
         vs = sorted(set(vertices))
         pos = {v: i for i, v in enumerate(vs)}
-        edges = [
-            (pos[u], pos[v]) for u, v in self.edges if u in pos and v in pos
-        ]
-        return Graph(len(vs), edges)
+        keep = _as_mask(self, vs)
+        return Graph(len(vs), [(i, pos[w]) for i, v in enumerate(vs)
+                               for w in bits(self.adj[v] & keep >> v + 1 << v + 1)])
 
     def deg_in(self, v: int, mask: int) -> int:
         """Degree of v inside the vertex subset given as a bitmask."""
@@ -141,9 +150,14 @@ class Graph:
         return self.n <= 1 or len(self.component_masks()) == 1
 
     def has_triangle(self) -> bool:
-        for u, v in self.edges:
-            if self.adj[u] & self.adj[v]:
-                return True
+        adj = self.adj
+        for u, a in enumerate(adj):
+            later = a >> u + 1 << u + 1  # each edge once, from its smaller end
+            while later:
+                low = later & -later
+                if a & adj[low.bit_length() - 1]:
+                    return True
+                later ^= low
         return False
 
 
@@ -187,9 +201,23 @@ def _as_mask(g: Graph, vertices: Iterable[int]) -> int:
 
 def ore_degree(g: Graph) -> int:
     """Largest endpoint degree sum over the edges of g."""
-    if not g.edges:
+    deg = g.degrees
+    top = 2 * max(deg, default=0)
+    if not top:
         raise UndefinedStatisticError("Ore-degree is undefined on an edgeless graph")
-    return max(g.degrees[u] + g.degrees[v] for u, v in g.edges)
+    best = 0
+    for u, a in enumerate(g.adj):
+        du = deg[u]
+        later = a >> u + 1 << u + 1  # each edge once, from its smaller end
+        while later:
+            low = later & -later
+            s = du + deg[low.bit_length() - 1]
+            if s > best:
+                if s == top:  # no edge can beat twice the maximum degree
+                    return s
+                best = s
+            later ^= low
+    return best
 
 
 @dataclass(frozen=True)
@@ -211,7 +239,7 @@ def graph_stats(g: Graph) -> GraphStats:
     no complement graph is built.  The searches are exhaustive branch and
     bound, intended for n <= 16; their cost grows exponentially beyond that.
     """
-    theta = ore_degree(g) if g.edges else None
+    theta = ore_degree(g) if g.m else None
     return GraphStats(
         max_degree=max(g.degrees, default=0),
         min_degree=min(g.degrees, default=0),

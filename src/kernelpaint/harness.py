@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .bits import mask_of
+from .bits import bits, mask_of
 from .errors import FormatError, HypothesisNotMetError, SizeLimitError
 from .graph6 import encode_graph6, read_graph6_file
 from .graphs import (
@@ -179,9 +179,8 @@ def validate_certificate(cert, g: Graph, f) -> tuple[bool, str]:
         return False, "vertices outside the host graph"
     if cert.digraph.vertex_set != frozenset(h):
         return False, "digraph vertex set differs from h_vertices"
-    hset = frozenset(h)
     hmask = mask_of(h)
-    induced_edges = {e for e in g.edges if e[0] in hset and e[1] in hset}
+    induced_edges = {(u, v) for u in h for v in bits(g.adj[u] & hmask) if u < v}
     if not induced_edges <= cert.digraph.underlying_edges():
         return False, "some edge of G[H] carries no arc"
     for v in h:

@@ -59,7 +59,13 @@ DegreeTable = Union[Mapping[int, int], Sequence[int]]
 
 
 def _table(f: DegreeTable, vertices: Iterable[int]) -> dict[int, int]:
-    return {v: int(f[v]) for v in vertices}
+    table = {}
+    for v in vertices:
+        try:
+            table[v] = int(f[v])
+        except (IndexError, KeyError):
+            raise ValueError(f"f gives no value for vertex {v}") from None
+    return table
 
 
 class Digraph:
@@ -271,10 +277,11 @@ def build_kernel_perfect(g: Graph, a: Iterable[int], f: DegreeTable) -> KernelPe
 
 
 def _check_kp_inputs(g: Graph, a_set: frozenset, ftab: Mapping[int, int], mask: int) -> None:
+    for v in a_set:
+        if not (0 <= v < g.n and mask >> v & 1):
+            raise ValueError(f"vertex {v} of A is outside the graph")
     amask = mask_of(a_set)
     for v in a_set:
-        if not mask >> v & 1:
-            raise ValueError(f"vertex {v} of A is outside the graph")
         if g.adj[v] & amask:
             raise ValueError("A must be independent")
     for v in bits(mask):
@@ -289,23 +296,19 @@ def _build_kp_masked(
 ) -> KernelPerfectResult:
     verts = bits(mask)
     amask = mask_of(a_set) & mask
-    # Bipartite part: edges meeting A.  Demands are d(v) + 1 - f(v) in the
-    # induced subgraph, clamped at 0.
-    bip_edges = [
-        (u, v)
-        for u, v in g.edges
-        if mask >> u & 1 and mask >> v & 1 and (amask >> u & 1 or amask >> v & 1)
-    ]
+    # Bipartite part: edges meeting A, listed from their end in A (A is
+    # independent).  Demands are d(v) + 1 - f(v) in the induced subgraph,
+    # clamped at 0.
+    bip_edges = [(u, v) for u in bits(amask) for v in bits(g.adj[u] & mask)]
     bip = Graph(g.n, bip_edges)  # same labels, only the A-incident edges
     dem = {v: max(0, g.deg_in(v, mask) + 1 - ftab[v]) for v in verts}
     res = _orient_masked(bip, mask, dem)
     if not res.ok:
         return KernelPerfectResult(None, res.violating_set)
     arcs = list(res.orientation.arcs)
-    for u, v in g.edges:
-        if mask >> u & 1 and mask >> v & 1 and not (amask >> u & 1 or amask >> v & 1):
-            arcs.append((u, v))
-            arcs.append((v, u))
+    rest = mask & ~amask
+    # every edge with both ends outside A, once from each end: a doubled pair
+    arcs += [(u, v) for u in bits(rest) for v in bits(g.adj[u] & rest)]
     d = Digraph(verts, arcs)
     for v in verts:
         assert d.out_degree(v) <= ftab[v] - 1, "construction must bound out-degrees"
@@ -719,8 +722,7 @@ def extend_d0_kp(g: Graph, h_vertices: Iterable[int], h_witness: Digraph) -> Dig
         for u in g.neighbors(v):
             if u in s:
                 arcs.append((v, u))
-    for u, v in g.edges:
-        if u in s and v in s:
-            arcs.append((u, v))
-            arcs.append((v, u))
+    smask = mask_of(s)
+    # every edge inside S, once from each end: a doubled pair
+    arcs += [(u, v) for u in bits(smask) for v in bits(g.adj[u] & smask)]
     return Digraph(h_set | s, arcs)

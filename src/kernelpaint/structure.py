@@ -70,11 +70,12 @@ class GallaiCheck:
 
 def _classify_block(g: Graph, block: frozenset[int]) -> str:
     k = len(block)
-    inside = sum(1 for u, v in g.edges if u in block and v in block)
+    bmask = mask_of(block)
+    inside = sum(g.deg_in(v, bmask) for v in block) // 2
     if inside == k * (k - 1) // 2:
         return "clique"
     if k >= 3 and k % 2 == 1 and inside == k:
-        if all(g.deg_in(v, mask_of(block)) == 2 for v in block):
+        if all(g.deg_in(v, bmask) == 2 for v in block):
             return "odd_cycle"
     return "other"
 
@@ -289,8 +290,8 @@ def sigma(g: Graph) -> Fraction:
     if delta == 0:
         raise UndefinedStatisticError("sigma is undefined when the minimum degree is 0")
     low = [v for v in range(g.n) if g.degrees[v] == delta]
-    low_set = set(low)
-    low_edges = sum(1 for u, v in g.edges if u in low_set and v in low_set)
+    lmask = mask_of(low)
+    low_edges = sum(g.deg_in(v, lmask) for v in low) // 2
     return (Fraction(delta - 1) + Fraction(2, delta)) * len(low) - 2 * low_edges
 
 

@@ -648,7 +648,7 @@ def chromatic_number(g: Graph) -> int:
         raise SizeLimitError(f"chromatic number capped at {CHROMATIC_CAP} vertices")
     if g.n == 0:
         return 0
-    if not g.edges:
+    if not g.m:
         return 1
     # greedy upper bound in degree order
     order = sorted(range(g.n), key=lambda v: -g.degrees[v])

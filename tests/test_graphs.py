@@ -323,3 +323,98 @@ def test_to_dot_mentions_every_edge(c4):
     dot = to_dot(c4)
     assert dot.startswith("graph")
     assert dot.count(" -- ") == c4.m
+
+
+# -- adjacency rows against definition-literal oracles -------------------------
+
+
+def _pair_lists():
+    """(n, pairs) for every class on <= 6 vertices, then seeded random lists
+    carrying duplicates, reversed pairs and shuffled order."""
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            yield n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                      if g.has_edge(u, v)]
+    rnd = random.Random(11)
+    for _ in range(60):
+        n = rnd.randrange(2, 10)
+        pairs = [p for p in itertools.combinations(range(n), 2) if rnd.random() < 0.5]
+        pairs += rnd.choices(pairs, k=len(pairs) // 2) if pairs else []
+        pairs = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in pairs]
+        rnd.shuffle(pairs)
+        yield n, pairs
+
+
+def _normalized(pairs):
+    return frozenset((min(p), max(p)) for p in pairs)
+
+
+def test_rows_match_the_input_pairs():
+    for n, pairs in _pair_lists():
+        g = Graph(n, pairs)
+        edges = _normalized(pairs)
+        assert g.edges == edges
+        assert g.m == len(edges)
+        assert g.degrees == tuple(sum(v in e for e in edges) for v in range(n))
+        if edges:
+            assert ore_degree(g) == max(g.degrees[u] + g.degrees[v] for u, v in edges)
+        assert g.has_triangle() == any(
+            {(a, b), (a, c), (b, c)} <= edges
+            for a, b, c in itertools.combinations(range(n), 3))
+
+
+def test_induced_matches_the_pair_loop():
+    rnd = random.Random(12)
+    for n, pairs in _pair_lists():
+        g = Graph(n, pairs)
+        subsets = range(1 << n) if n <= 6 else [rnd.getrandbits(n) for _ in range(20)]
+        for mask in subsets:
+            vs = [v for v in range(n) if mask >> v & 1]
+            pos = {v: i for i, v in enumerate(vs)}
+            h = g.induced(reversed(vs))
+            assert h.n == len(vs)
+            assert h.edges == {(pos[u], pos[v]) for u, v in _normalized(pairs)
+                               if u in pos and v in pos}
+
+
+def test_equality_and_hash_follow_the_edge_set():
+    rnd = random.Random(13)
+    built = [(n, _normalized(pairs), Graph(n, pairs)) for n, pairs in _pair_lists()]
+    for n, edges, g in built:
+        shuffled = [(v, u) for u, v in edges] + list(edges)
+        rnd.shuffle(shuffled)
+        twin = Graph(n, shuffled)
+        assert twin == g and hash(twin) == hash(g)
+    for (n1, e1, g1), (n2, e2, g2) in itertools.combinations(built, 2):
+        assert (g1 == g2) == (n1 == n2 and e1 == e2)
+    assert Graph(3) != Graph(4) and Graph(2, [(0, 1)]) != "Graph(2)"
+
+
+def test_construction_errors_are_unchanged():
+    with pytest.raises(ValueError, match=r"^edge \(0,3\) out of range for n=3$"):
+        Graph(3, [(0, 1), (0, 3), (2, 2)])
+    with pytest.raises(ValueError, match=r"^edge \(-1,0\) out of range for n=3$"):
+        Graph(3, [(-1, 0)])
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 2$"):
+        Graph(3, [(0, 1), (2, 2), (0, 3)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        Graph(-1)
+
+
+def test_a_graph_stores_rows_not_pairs():
+    # An n = 7 graph keeps 7 rows, 7 degrees and a hash: about 300 bytes.
+    # A stored edge set (one frozenset and a tuple per edge) took 1,593.
+    import tracemalloc
+
+    keys = [canonical_key(g) for g in enumerate_graphs(7)]
+    built = [None] * len(keys)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i, key in enumerate(keys):
+            built[i] = graphs._from_key(key)
+        per_graph = (tracemalloc.get_traced_memory()[0] - before) / len(keys)
+    finally:
+        tracemalloc.stop()
+    assert per_graph < 600
+    assert "edges" not in Graph.__slots__

@@ -139,6 +139,10 @@ def test_build_kernel_perfect_validates_inputs(c4):
         build_kernel_perfect(c4, [0, 1], c4.degrees)
     with pytest.raises(ValueError, match="outside"):
         build_kernel_perfect(c4, [0], {0: 9, 1: 2, 2: 2, 3: 2})
+    with pytest.raises(ValueError, match="outside"):
+        build_kernel_perfect(c4, [-1], c4.degrees)
+    with pytest.raises(ValueError, match="no value for vertex 2"):
+        build_kernel_perfect(c4, [0, 2], [2, 2])
 
 
 def test_build_kernel_perfect_doubles_outside_a():

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -7,14 +8,17 @@ from kernelpaint import (
     Graph,
     HypothesisNotMetError,
     PaintabilitySolver,
+    build_kernel_perfect,
     check_mic_strength,
     cut_lemma_check,
+    encode_graph6,
     enumerate_graphs,
     extract_reducible,
     is_gallai_tree,
     is_kernel_perfect,
     is_oc_reducible,
     make_named,
+    mic,
 )
 from kernelpaint.errors import SizeLimitError
 from kernelpaint.structure import is_gallai_forest
@@ -48,6 +52,10 @@ def test_extract_validates_inputs(c4):
         extract_reducible(c4, [5, 2, 2, 2], [0, 2])
     with pytest.raises(ValueError, match="outside"):
         extract_reducible(c4, c4.degrees, [7])
+    with pytest.raises(ValueError, match="outside"):
+        extract_reducible(c4, c4.degrees, [-1])
+    with pytest.raises(ValueError, match="no value for vertex 2"):
+        extract_reducible(c4, [2, 2])
 
 
 def test_extract_defaults_to_mic_witness():
@@ -142,3 +150,22 @@ def test_cut_lemma_examples(c4, k4):
 def test_cut_lemma_h_equals_g(c4):
     rec = cut_lemma_check(c4, [2] * 4, range(4))
     assert rec.holds
+
+
+def test_edge_order_does_not_change_any_output():
+    # Graph.edges is rebuilt from the rows, so it may iterate in another
+    # order than the pairs came in; nothing downstream may depend on that.
+    rnd = random.Random(14)
+    for n in range(1, 7):
+        for g in enumerate_graphs(n, connected_only=True):
+            pairs = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in g.edges]
+            rnd.shuffle(pairs)
+            for h in (Graph(n, sorted(g.edges)), Graph(n, pairs)):
+                assert encode_graph6(h) == encode_graph6(g)
+                assert is_gallai_tree(h) == is_gallai_tree(g)
+                a = mic(g).witness
+                assert build_kernel_perfect(h, a, h.degrees) == build_kernel_perfect(
+                    g, a, g.degrees)
+                if not is_gallai_tree(g):
+                    assert extract_reducible(h, h.degrees).dumps() == extract_reducible(
+                        g, g.degrees).dumps()
