@@ -21,6 +21,7 @@ from .errors import KernelPaintError
 from .graph6 import encode_graph6, parse_graph6
 from .graphs import make_named, to_dot
 from .harness import SUITE_NAMES, run_suite, validate_certificate
+from .orient import _table
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,10 +102,16 @@ def _cmd_gen(args) -> int:
 def _cmd_cert_validate(args) -> int:
     with open(args.file, "r", encoding="ascii") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("a certificate file holds one JSON object")
+    missing = [k for k in ("graph6", "f", "certificate") if k not in payload]
+    if missing:
+        raise ValueError("certificate file lacks " + ", ".join(map(repr, missing)))
+    if not isinstance(payload["f"], dict):
+        raise ValueError("field 'f' must be a JSON object from vertex to value")
     g = parse_graph6(payload["graph6"])
-    f = {int(k): int(v) for k, v in payload["f"].items()}
-    ftab = [f[v] for v in range(g.n)]
-    ok, reason = validate_certificate(payload["certificate"], g, ftab)
+    f = _table({int(k): int(v) for k, v in payload["f"].items()}, range(g.n))
+    ok, reason = validate_certificate(payload["certificate"], g, f)
     print(f"{'valid' if ok else 'invalid'}: {reason}")
     return 0 if ok else 1
 

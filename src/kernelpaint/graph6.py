@@ -59,23 +59,26 @@ def parse_graph6(text: str) -> Graph:
 
 
 def encode_graph6(g: Graph) -> str:
-    """Encode a Graph as one graph6 line (short form only)."""
-    if g.n > 62:
+    """Encode a Graph as one graph6 line (short form only).
+
+    Column j of the upper triangle is row j of the adjacency below the
+    diagonal: pair (i, j) is bit ``i`` of ``adj[j]``, and sits ``i`` places
+    after the column's first bit in the vector."""
+    n = g.n
+    if n > 62:
         raise SizeLimitError("short-form graph6 supports at most 62 vertices")
-    bits = 0
-    nbits = g.n * (g.n - 1) // 2
-    idx = nbits
-    for j in range(1, g.n):
-        for i in range(j):
-            idx -= 1
-            if g.has_edge(i, j):
-                bits |= 1 << idx
-    need = (nbits + 5) // 6
-    bits <<= 6 * need - nbits
-    chars = [chr(g.n + 63)]
-    for k in range(need - 1, -1, -1):
-        chars.append(chr((bits >> (6 * k) & 63) + 63))
-    return "".join(chars)
+    need = (n * (n - 1) // 2 + 5) // 6
+    column = 6 * need  # the vector's width, less the bits of earlier columns
+    vector = 0
+    for j, a in enumerate(g.adj):
+        below = a & ~(-1 << j)
+        while below:
+            low = below & -below
+            vector |= 1 << column - low.bit_length()
+            below ^= low
+        column -= j
+    return chr(n + 63) + "".join([chr((vector >> 6 * k & 63) + 63)
+                                  for k in range(need - 1, -1, -1)])
 
 
 def read_graph6_file(path: Union[str, os.PathLike]) -> list[Graph]:

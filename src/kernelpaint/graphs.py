@@ -468,26 +468,38 @@ def block_decomposition(g: Graph) -> BlockTree:
 # ---------------------------------------------------------------------------
 
 
-def _refine(n: int, adj: Sequence[int]) -> list[int]:
-    """Stable vertex coloring: iterated (color, sorted neighbor colors) keys.
+def _refine(nbrs: Sequence[Sequence[int]]) -> list[int]:
+    """Stable vertex coloring of the graph with neighbor lists nbrs:
+    iterated (color, sorted neighbor colors) keys, ranked.
 
     The first round from the one-cell coloring ranks vertices by degree, so
-    the iteration starts there.
+    the iteration starts there, and a discrete coloring is already stable.
+    Refinement only splits cells, so vertices of one color share a degree,
+    and their sorted neighbor-color tuples share a length.  Tuples of one
+    length compare like their count vectors read from color 0 up, a larger
+    count sorting first.  So each key is an int: with k cells and
+    ``B = 2 ** n.bit_length() > n``, the key of v is ``color(v) * B**k`` less
+    ``B**(k - 1 - color(u))`` for each neighbor u.  The subtracted sum spells
+    v's counts as k base-B digits, cell 0 first, so it stays below ``B**k``
+    and the keys rank the vertices exactly as the tuples do.
     """
-    degrees = [a.bit_count() for a in adj]
+    n = len(nbrs)
+    degrees = [len(nv) for nv in nbrs]
     rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
     colors = [rank[d] for d in degrees]
     ncells = len(rank)
-    nbrs = [bits(a) for a in adj]
-    while True:
-        keys = [
-            (colors[v], tuple(sorted(colors[u] for u in nbrs[v]))) for v in range(n)
-        ]
+    w = n.bit_length()
+    while ncells < n:
+        shift = w * ncells
+        weight = [1 << shift - w * (c + 1) for c in colors]
+        keys = [(c << shift) - sum(map(weight.__getitem__, nv))
+                for c, nv in zip(colors, nbrs)]
         table = {k: i for i, k in enumerate(sorted(set(keys)))}
         colors = [table[k] for k in keys]
         if len(table) == ncells:
-            return colors
+            break
         ncells = len(table)
+    return colors
 
 
 def canonical_key(g_or_n, adj: Optional[Sequence[int]] = None) -> tuple:
@@ -503,56 +515,93 @@ def canonical_key(g_or_n, adj: Optional[Sequence[int]] = None) -> tuple:
     return _canonical_search(g_or_n, adj)[0]
 
 
+def _orbit_closure(mask: int, generators: Sequence[Sequence[int]]) -> int:
+    """The union of the orbits that meet mask, under the group generated."""
+    todo = mask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        v = low.bit_length() - 1
+        for p in generators:
+            image = 1 << p[v]
+            if not mask & image:
+                mask |= image
+                todo |= image
+    return mask
+
+
 def _canonical_search(n: int,
                       adj: Sequence[int]) -> tuple[tuple, list[tuple[int, ...]]]:
     """The canonical key of the graph with adjacency rows adj, and a list of
     automorphisms (``p[v]`` is the image of v) that generates its group.
 
     Branch and bound on the row strings: row p of an ordering has bit
-    ``n - 1 - i`` set when positions i < p are adjacent.  At each node the
-    search skips a candidate that is a twin of one it already tried there:
-    u and v are twins when ``adj[u] & ~(1 << v) == adj[v] & ~(1 << u)``, so
-    the transposition (u v) is an automorphism that fixes the placed prefix
-    and keeps every color, and the subtree under v is the image of the
-    subtree under u.  Each skipped pair is reported as that transposition.
-    Every leaf the search reaches has the rows of the best ordering so far;
-    when a leaf repeats the rows of the first leaf since ``best`` last fell,
-    the two orderings give the same adjacency matrix, so the map from one to
-    the other is an automorphism, whatever the final best turns out to be.
+    ``n - 1 - i`` set when positions i < p are adjacent.  When refinement
+    leaves every vertex its own color the ordering is forced, and the group
+    is trivial because automorphisms keep colors.  Otherwise, at each node
+    the search skips two kinds of candidate:
+
+    - a twin of one it already tried there: u and v are twins when
+      ``adj[u] & ~(1 << v) == adj[v] & ~(1 << u)``, so the transposition
+      (u v) is an automorphism that fixes the placed prefix and keeps every
+      color.  Each skipped pair is reported as that transposition.
+    - a candidate in the orbit of the tried ones under the automorphisms
+      found so far that fix the placed prefix pointwise (orbit pruning).
+
+    Both skips are sound for the same reason.  An automorphism h that fixes
+    the prefix and maps a tried u to v keeps colors and adjacency, so it maps
+    each ordering under u to one under v with the same rows: the subtree
+    under v is the image of a searched subtree, and its best rows are already
+    known.  Every leaf the search reaches has the rows of the best ordering
+    so far; when a leaf repeats the rows of the first leaf since ``best``
+    last fell, the two orderings give the same adjacency matrix, so the map
+    from one to the other is an automorphism, whatever the final best turns
+    out to be.
 
     Together these generate the whole group.  Leaves with the final rows are
-    never cut by the bound, every automorphism maps the first of them to
-    another one (refinement colors are invariant), and a twin skip leaves out
-    only the image of a searched subtree under its reported transposition.
+    never cut by the bound, and every automorphism g maps the first of them,
+    L, to another one.  If g(L) was skipped, some h generated by what was
+    found maps it into the searched subtree of a tried candidate, one level
+    deeper than before; repeating reaches a visited leaf L' with
+    g(L) = h1...hk(L'), and the map from L to L' was reported.
     """
     if n == 0:
         return (0,), []
-    colors = _refine(n, adj)
+    nbrs = [bits(a) for a in adj]
+    colors = _refine(nbrs)
+    if max(colors) == n - 1:
+        rows = [0] * n
+        for v, c in enumerate(colors):
+            for u in nbrs[v]:
+                if colors[u] < c:
+                    rows[c] |= 1 << n - 1 - colors[u]
+        return (n, *rows), []
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)
     cell_of_pos: list[list[int]] = []
     for c in sorted(cells):
         cell_of_pos.extend([cells[c]] * len(cells[c]))
-    twins = [
-        sum(1 << u for u in cells[colors[v]]
-            if u != v and adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
-        for v in range(n)
-    ]
+    # Twins share their open neighborhood when not adjacent, their closed one
+    # when adjacent (kept under ~closed, apart from the open ones); either
+    # way refinement gives them one color.
+    same_nbhd: dict[int, int] = {}
+    for v, a in enumerate(adj):
+        for key in (a, ~(a | 1 << v)):
+            same_nbhd[key] = same_nbhd.get(key, 0) | 1 << v
+    twins = [(same_nbhd[a] | same_nbhd[~(a | 1 << v)]) & ~(1 << v)
+             for v, a in enumerate(adj)]
 
     sentinel = 1 << (n + 1)
     best = [sentinel] * n
     placed: list[int] = []
+    acc = [0] * n  # each vertex's row against the placed prefix
     first: Optional[list[int]] = None  # first leaf since best last fell
-    automorphisms: set[tuple[int, ...]] = set()
+    automorphisms: dict[tuple[int, ...], int] = {}  # each with its fixed points
 
-    def row_bits(v: int) -> int:
-        r = 0
-        av = adj[v]
-        for i, u in enumerate(placed):
-            if av >> u & 1:
-                r |= 1 << (n - 1 - i)
-        return r
+    def found(perm: tuple[int, ...]) -> None:
+        if perm not in automorphisms:
+            automorphisms[perm] = sum(1 << v for v in range(n) if perm[v] == v)
 
     def dfs(pos: int, used: int) -> None:
         nonlocal first
@@ -563,9 +612,10 @@ def _canonical_search(n: int,
                 perm = [0] * n
                 for u, v in zip(first, placed):
                     perm[u] = v
-                automorphisms.add(tuple(perm))
+                found(tuple(perm))
             return
-        scored = sorted((row_bits(v), v) for v in cell_of_pos[pos] if not used >> v & 1)
+        scored = sorted((acc[v], v) for v in cell_of_pos[pos] if not used >> v & 1)
+        bit = 1 << (n - 1 - pos)
         tried = 0
         for r, v in scored:
             if r > best[pos]:
@@ -575,8 +625,12 @@ def _canonical_search(n: int,
                 u = (twin & -twin).bit_length() - 1
                 perm = list(range(n))
                 perm[u], perm[v] = v, u
-                automorphisms.add(tuple(perm))
+                found(tuple(perm))
                 continue
+            if tried and automorphisms:
+                fixing = [p for p, fixed in automorphisms.items() if not used & ~fixed]
+                if _orbit_closure(tried, fixing) >> v & 1:
+                    continue
             tried |= 1 << v
             if r < best[pos]:
                 best[pos] = r
@@ -584,7 +638,11 @@ def _canonical_search(n: int,
                     best[j] = sentinel
                 first = None
             placed.append(v)
+            for u in nbrs[v]:
+                acc[u] |= bit
             dfs(pos + 1, used | 1 << v)
+            for u in nbrs[v]:
+                acc[u] ^= bit
             placed.pop()
 
     dfs(0, 0)

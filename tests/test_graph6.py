@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,16 +46,24 @@ def test_round_trip_full_desk_scale():
 
 
 def test_codec_agrees_with_networkx():
+    # enumerated classes, the atlas, and seeded random graphs up to n = 62
     nx = pytest.importorskip("networkx")
-    for n in range(1, 7):
-        for g in enumerate_graphs(n):
-            h = nx.Graph()
-            h.add_nodes_from(range(g.n))
-            h.add_edges_from(g.edges)
-            theirs = nx.to_graph6_bytes(h, header=False).decode().strip()
-            assert theirs == encode_graph6(g)
-            back = nx.from_graph6_bytes(encode_graph6(g).encode())
-            assert set(map(frozenset, back.edges())) == set(map(frozenset, g.edges))
+    rnd = random.Random(62)
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    graphs += [Graph(a.number_of_nodes(), a.edges()) for a in nx.graph_atlas_g()]
+    for _ in range(200):
+        n, p = rnd.randint(1, 62), rnd.random()
+        graphs.append(Graph(n, [e for e in itertools.combinations(range(n), 2)
+                                if rnd.random() < p]))
+    graphs += [Graph(62, itertools.combinations(range(62), 2)), Graph(62)]
+    for g in graphs:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        theirs = nx.to_graph6_bytes(h, header=False).decode().strip()
+        assert theirs == encode_graph6(g)
+        back = nx.from_graph6_bytes(encode_graph6(g).encode())
+        assert set(map(frozenset, back.edges())) == set(map(frozenset, g.edges))
 
 
 @settings(max_examples=50, deadline=None)

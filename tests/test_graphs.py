@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from kernelpaint import (
     graph_stats,
     make_named,
     ore_degree,
+    parse_graph6,
     to_dot,
 )
 from kernelpaint import graphs
@@ -310,6 +312,68 @@ def test_orbit_pruning_keys_fewer_children(monkeypatch, generate, n, classes, ca
     monkeypatch.setattr(graphs, "canonical_key", lambda *a: calls.append(a) or key(*a))
     assert sum(1 for _ in generate(n)) == classes
     assert len(calls) <= cap
+
+
+def _tuple_refine(nbrs) -> list[int]:
+    """Color refinement as defined: from one cell, rank the vertices by
+    (color, sorted neighbor colors) until no cell splits."""
+    colors, ncells = [0] * len(nbrs), 1
+    while True:
+        keys = [(c, tuple(sorted(colors[u] for u in nv))) for c, nv in zip(colors, nbrs)]
+        table = {k: i for i, k in enumerate(sorted(set(keys)))}
+        colors = [table[k] for k in keys]
+        if len(table) == ncells:
+            return colors
+        ncells = len(table)
+
+
+def test_refine_int_keys_match_tuple_refinement():
+    corpus = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    corpus += [g for n in range(1, 10) for g in enumerate_triangle_free(n)]
+    rnd = random.Random(40)
+    for _ in range(30):
+        # 30-40 vertices, degrees >= 16: a cell can hold 16 or more neighbors
+        # of a vertex, whose count needs a digit wider than 4 bits
+        n = rnd.randint(30, 40)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2)
+                      if rnd.random() < 0.8])
+        assert min(g.degrees) >= 16
+        corpus.append(g)
+        # a circulant of degree 2k >= 16 less a few edges: one big cell
+        # that splits over several rounds
+        k = rnd.randint(8, 12)
+        edges = {tuple(sorted((v, (v + d) % n))) for v in range(n) for d in range(1, k + 1)}
+        corpus.append(Graph(n, edges - set(rnd.sample(sorted(edges), rnd.randint(1, 3)))))
+    # x = 0 and y = 1 have degree 17; over the cells of degree 1, 3 and 4
+    # they count (1, 0, 16) and (0, 17, 0) neighbors, one key in 4-bit digits
+    b, c = list(range(3, 20)), list(range(20, 36))
+    edges = [(0, 2)] + [(0, v) for v in c] + [(1, v) for v in b]
+    edges += [(b[i - 1], b[i]) for i in range(17)] + [(c[i - 1], c[i]) for i in range(16)]
+    edges += [(c[i], c[i + 8]) for i in range(8)]
+    corpus.append(Graph(36, edges))
+    assert corpus[-1].degrees[:4] == (17, 17, 1, 3)
+    for g in corpus:
+        nbrs = [g.neighbors(v) for v in range(g.n)]
+        assert graphs._refine(nbrs) == _tuple_refine(nbrs)
+
+
+THREE_FIVE_CYCLES = "Nhc?GC@@G??@?@??_@G"  # a gallai-count forest: 3 disjoint C5
+
+
+def test_orbit_pruning_keys_three_five_cycles_fast():
+    # Refinement cannot split the 2-regular graph and no two vertices are
+    # twins, so without orbit pruning the search walks the orderings of the
+    # symmetric components (4.8 s on 2 vCPUs, Python 3.11).  The key below
+    # is the one that unpruned search returns.
+    g = parse_graph6(THREE_FIVE_CYCLES)
+    start = time.perf_counter()
+    key, automorphisms = graphs._canonical_search(g.n, g.adj)
+    assert time.perf_counter() - start < 1.0
+    assert key == (15, 0, 0, 0, 0, 0, 0, 512, 1024, 2048, 4160, 6144, 8320,
+                   9216, 16640, 16896)
+    assert canonical_key(graphs._from_key(key)) == key
+    assert all(_preserves_adjacency(g, p) for p in automorphisms)
+    assert _group_order(g.n, automorphisms) == 10 ** 3 * 6  # D5 wr S3
 
 
 def test_canonical_key_separates_same_degree_sequence():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -22,6 +23,7 @@ from kernelpaint import (
 )
 from kernelpaint import harness
 from kernelpaint.cli import main as cli_main
+from kernelpaint.graphs import clique_number
 from kernelpaint.harness import SUITE_NAMES
 from kernelpaint.orient import Digraph, OrientationResult
 
@@ -347,6 +349,19 @@ def test_cli_suite_jsonl_and_exit_codes(tmp_path, capsys):
     assert len(stdout_lines) == len(lines)
 
 
+def test_brooks_clique_test_matches_clique_number():
+    rnd = random.Random(11)
+    corpus = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    for _ in range(300):
+        n = rnd.randint(1, 12)
+        p = rnd.random()
+        corpus.append(Graph(n, [e for e in itertools.combinations(range(n), 2)
+                                if rnd.random() < p]))
+    for g in corpus:
+        expected = clique_number(g) > max(g.degrees)
+        assert harness._has_clique_above_max_degree(g) == expected
+
+
 def test_cli_suite_refuses_oversize(capsys):
     assert cli_main(["suite", "mic-basics", "--max-n", "9"]) == 2
     assert "ceiling" in capsys.readouterr().err
@@ -372,6 +387,27 @@ def test_cli_cert_validate(tmp_path, capsys):
     payload["certificate"]["arcs"] = [[h, t]] + payload["certificate"]["arcs"][1:]
     path.write_text(json.dumps(payload))
     assert cli_main(["cert", "validate", str(path)]) == 1
+
+
+def test_cli_cert_validate_names_what_is_missing(tmp_path, capsys):
+    c4 = make_named("cycle", [4])
+    payload = {
+        "graph6": encode_graph6(c4),
+        "f": {"0": 2, "1": 2, "3": 2},
+        "certificate": extract_reducible(c4, c4.degrees, [0, 2]).to_json(),
+    }
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(payload))
+    assert cli_main(["cert", "validate", str(path)]) == 2
+    assert "f gives no value for vertex 2" in capsys.readouterr().err
+    payload["f"] = [2, 2, 2, 2]
+    path.write_text(json.dumps(payload))
+    assert cli_main(["cert", "validate", str(path)]) == 2
+    assert "field 'f'" in capsys.readouterr().err
+    del payload["graph6"]
+    path.write_text(json.dumps(payload))
+    assert cli_main(["cert", "validate", str(path)]) == 2
+    assert "'graph6'" in capsys.readouterr().err
 
 
 def test_cli_entry_point_installed():
