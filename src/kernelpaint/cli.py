@@ -22,6 +22,7 @@ from .graph6 import encode_graph6, parse_graph6
 from .graphs import make_named, to_dot
 from .harness import SUITE_NAMES, run_suite, validate_certificate
 from .orient import _table
+from .reduce import Certificate
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,11 +108,17 @@ def _cmd_cert_validate(args) -> int:
     missing = [k for k in ("graph6", "f", "certificate") if k not in payload]
     if missing:
         raise ValueError("certificate file lacks " + ", ".join(map(repr, missing)))
+    if not isinstance(payload["graph6"], str):
+        raise ValueError("field 'graph6' must be a graph6 string")
     if not isinstance(payload["f"], dict):
         raise ValueError("field 'f' must be a JSON object from vertex to value")
     g = parse_graph6(payload["graph6"])
-    f = _table({int(k): int(v) for k, v in payload["f"].items()}, range(g.n))
-    ok, reason = validate_certificate(payload["certificate"], g, f)
+    try:
+        f = {int(k): int(v) for k, v in payload["f"].items()}
+    except TypeError:
+        raise ValueError("field 'f' must map vertices to integers") from None
+    cert = Certificate.from_json(payload["certificate"])
+    ok, reason = validate_certificate(cert, g, _table(f, range(g.n)))
     print(f"{'valid' if ok else 'invalid'}: {reason}")
     return 0 if ok else 1
 

@@ -80,17 +80,11 @@ class Graph:
     def m(self) -> int:
         return sum(self.degrees) // 2
 
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
     def neighbors(self, v: int) -> list[int]:
         return bits(self.adj[v])
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def __eq__(self, other) -> bool:
         return (
@@ -142,9 +136,6 @@ class Graph:
             comps.append(comp)
             todo &= ~comp
         return comps
-
-    def components(self) -> list[list[int]]:
-        return [bits(m) for m in self.component_masks()]
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.component_masks()) == 1
@@ -391,7 +382,6 @@ class BlockTree:
 
     blocks: tuple[frozenset[int], ...]
     cutvertices: frozenset[int]
-    incidence: dict[int, tuple[int, ...]]  # cutvertex -> indices into blocks
 
 
 def block_decomposition(g: Graph) -> BlockTree:
@@ -457,10 +447,7 @@ def block_decomposition(g: Graph) -> BlockTree:
 
     cutverts = frozenset(v for v in range(n) if is_cut[v])
     blocks_sorted = tuple(sorted(blocks, key=lambda b: sorted(b)))
-    incidence = {
-        v: tuple(i for i, b in enumerate(blocks_sorted) if v in b) for v in cutverts
-    }
-    return BlockTree(blocks=blocks_sorted, cutvertices=cutverts, incidence=incidence)
+    return BlockTree(blocks=blocks_sorted, cutvertices=cutverts)
 
 
 # ---------------------------------------------------------------------------

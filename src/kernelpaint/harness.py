@@ -22,15 +22,15 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from .bits import bits, mask_of
-from .errors import FormatError, HypothesisNotMetError, SizeLimitError
+from .errors import HypothesisNotMetError, SizeLimitError
 from .graph6 import encode_graph6, read_graph6_file
 from .graphs import (
     Graph,
     canonical_key,
+    clique_number,
     cut_size,
     enumerate_graphs,
     enumerate_triangle_free,
-    graph_stats,
     independence_number,
     make_named,
 )
@@ -154,25 +154,16 @@ def _per_graph(corpus, fn) -> Iterator[dict]:
 # ---------------------------------------------------------------------------
 
 
-def validate_certificate(cert, g: Graph, f) -> tuple[bool, str]:
+def validate_certificate(cert: Certificate, g: Graph, f) -> tuple[bool, str]:
     """Recheck every certificate invariant exhaustively.
 
-    Accepts a Certificate, a JSON dict, or a JSON string.  Checks: nonempty H
-    inside V(g); arcs confined to H and covering every edge of G[H] (extra
-    arcs and doubled pairs are allowed, the painting strategy tolerates
-    them); f_h(v) = f(v) + d_H(v) - d_G(v); out-degrees strictly below f_h;
-    and kernel-perfection of the digraph.
+    Takes a :class:`Certificate`; certificate JSON is read with
+    ``Certificate.from_json`` or ``Certificate.loads`` first.  Checks:
+    nonempty H inside V(g); arcs confined to H and covering every edge of
+    G[H] (extra arcs and doubled pairs are allowed, the painting strategy
+    tolerates them); f_h(v) = f(v) + d_H(v) - d_G(v); out-degrees strictly
+    below f_h; and kernel-perfection of the digraph.
     """
-    if isinstance(cert, str):
-        try:
-            cert = Certificate.loads(cert)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"unparseable certificate: {exc}") from exc
-    elif isinstance(cert, dict):
-        try:
-            cert = Certificate.from_json(cert)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"unparseable certificate: {exc}") from exc
     h = cert.h_vertices
     if not h:
         return False, "empty vertex set"
@@ -578,8 +569,8 @@ def _suite_ore_precursors(corpus: list[Graph], seed: int) -> Iterator[dict]:
             checks["sigma_bound"] = sigma(g) < (4 - Fraction(2, delta)) * nh
         else:
             detail["sigma_bound"] = "skipped: bound requires min degree >= 3"
-        if delta >= 6 and graph_stats(g).clique_number <= delta:
-            comps = len(g.induced(sorted(split.low)).component_masks())
+        if delta >= 6 and clique_number(g) <= delta:
+            comps = len(g.component_masks(within=mask_of(split.low)))
             bound = Fraction(delta * (delta - 3), (delta - 1) * (delta - 5))
             checks["component_bound"] = Fraction(nh) < bound * comps
         else:
@@ -649,7 +640,11 @@ def _resolve_corpus(spec: Optional[str], suite: _Suite, max_n: Optional[int],
         if max_n is not None:
             raise ValueError("this suite reads no corpus, so it takes no max_n")
         return []
+    if spec is not None and max_n is not None:
+        raise ValueError("a graph6 source sets the corpus, so it takes no max_n")
     n = suite.max_n if max_n is None else max_n
+    if n < 1:
+        raise ValueError(f"max_n must be at least 1, not {n}")
     if spec is None:
         if n > suite.max_n and not allow_large:
             raise ValueError(
@@ -679,8 +674,9 @@ def run_suite(
 
     ``source`` is a graph6 file path; without one the suite enumerates up to
     ``max_n``, by default its own ceiling, and asking for a larger corpus
-    requires ``allow_large``.  A suite that reads no corpus (gallai-count)
-    rejects a ``source`` and a ``max_n`` with ``ValueError``.  With
+    requires ``allow_large``.  ``ValueError`` rejects a ``max_n`` below 1, a
+    ``max_n`` given with a ``source``, and a suite that reads no corpus
+    (gallai-count) given either.  With
     ``timings`` the summary gains ``elapsed_s`` (the whole run) and
     ``corpus_s`` (its corpus construction), and each record ``elapsed_ms``,
     counted from the end of corpus construction.

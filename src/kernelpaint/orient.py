@@ -11,13 +11,13 @@ painting strategy in :mod:`kernelpaint.verify` consumes.
 
 In-degree-constrained orientations come from Hakimi's theorem by path
 reversal; an infeasible demand yields the largest vertex set of maximum
-deficiency.  Kernels are found three ways: ``_smallest_kernel`` searches one
-vertex set (:func:`find_kernel` on the whole digraph, the f-KP search on each
-subdigraph as soon as its arcs are decided); ``_kernel_table``
-gives the smallest kernel of every induced subdigraph from one sweep over
-the independent sets (:func:`is_kernel_perfect` and the kernel painter of
-:mod:`kernelpaint.verify`); the constructive ``find_kernel(d, a)`` path
-builds one for the composite shape.
+deficiency.  The job picks the kernel routine.  When every subset is asked
+(:func:`is_kernel_perfect`, the kernel painter of :mod:`kernelpaint.verify`),
+``_kernel_table`` gives the smallest kernel of every induced subdigraph from
+one sweep over the independent sets.  For one set at a time
+(:func:`find_kernel` on the whole digraph, the f-KP search on each
+subdigraph as soon as its arcs are decided), ``_smallest_kernel`` searches
+that set alone.
 """
 
 from __future__ import annotations
@@ -320,54 +320,12 @@ def _build_kp_masked(
 # ---------------------------------------------------------------------------
 
 
-def find_kernel(d: Digraph, a: Optional[Iterable[int]] = None) -> Optional[frozenset[int]]:
-    """A kernel of d, or None if none exists.
-
-    Without A: exhaustive search over vertex subsets, smallest bitmask
-    first (deterministic).  With A: constructive mode for digraphs of the
-    composite shape (A independent, every edge outside A doubled); repeatedly
-    absorb a vertex of B that has no out-arc into the current A, then discard
-    its closed neighborhood.
-    """
-    if a is None:
-        verts, und, out = _arc_masks(d)
-        kernel = _smallest_kernel(und, out, (1 << len(verts)) - 1)
-        return None if kernel is None else frozenset(verts[i] for i in bits(kernel))
-    a_set = frozenset(a) & d.vertex_set
-    _check_composite_shape(d, a_set)
-    out_nbrs = {v: set() for v in d.vertex_set}
-    und_nbrs = {v: set() for v in d.vertex_set}
-    for t, h in d.arcs:
-        out_nbrs[t].add(h)
-        und_nbrs[t].add(h)
-        und_nbrs[h].add(t)
-    kernel: set[int] = set()
-    alive = set(d.vertex_set)
-    while True:
-        a_alive = a_set & alive
-        stubborn = None
-        for v in sorted(alive - a_set):
-            if not (out_nbrs[v] & a_alive):
-                stubborn = v
-                break
-        if stubborn is None:
-            return frozenset(kernel | a_alive)
-        kernel.add(stubborn)
-        alive -= und_nbrs[stubborn] | {stubborn}
-
-
-def _check_composite_shape(d: Digraph, a_set: frozenset) -> None:
-    doubled = d.doubled_pairs()
-    for t, h in d.arcs:
-        if t in a_set and h in a_set:
-            raise ValueError("A is not independent in the digraph")
-        if t not in a_set and h not in a_set:
-            key = (t, h) if t < h else (h, t)
-            if key not in doubled:
-                raise ValueError(
-                    f"edge {key} outside A is not doubled; constructive mode "
-                    "requires the composite shape"
-                )
+def find_kernel(d: Digraph) -> Optional[frozenset[int]]:
+    """A kernel of d, or None if none exists: exhaustive search over vertex
+    subsets, smallest bitmask first (deterministic)."""
+    verts, und, out = _arc_masks(d)
+    kernel = _smallest_kernel(und, out, (1 << len(verts)) - 1)
+    return None if kernel is None else frozenset(verts[i] for i in bits(kernel))
 
 
 def _arc_masks(d: Digraph) -> tuple[list[int], list[int], list[int]]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .bits import bits, lex_key, mask_of
-from .errors import HypothesisNotMetError, SizeLimitError
+from .errors import FormatError, HypothesisNotMetError, SizeLimitError
 from .graphs import Graph, cut_size
 from .orient import DegreeTable, Digraph, _build_kp_masked, _check_kp_inputs, _table
 from .structure import mic
@@ -60,17 +60,28 @@ class Certificate:
 
     @staticmethod
     def from_json(obj: dict) -> "Certificate":
-        verts = tuple(int(v) for v in obj["vertices"])
-        arcs = [tuple(a) for a in obj["arcs"]]
-        f_h = {int(k): int(v) for k, v in obj["f_h"].items()}
-        return Certificate(verts, Digraph(verts, arcs), f_h)
+        """The certificate that ``to_json`` serialized; ``FormatError`` on any
+        other shape."""
+        if not isinstance(obj, dict):
+            raise FormatError(f"a certificate is a JSON object, not {type(obj).__name__}")
+        try:
+            verts = tuple(int(v) for v in obj["vertices"])
+            arcs = [(int(t), int(h)) for t, h in obj["arcs"]]
+            f_h = {int(k): int(v) for k, v in obj["f_h"].items()}
+            return Certificate(verts, Digraph(verts, arcs), f_h)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"malformed certificate: {exc!r}") from exc
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
 
     @staticmethod
     def loads(text: str) -> "Certificate":
-        return Certificate.from_json(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"unparseable certificate: {exc}") from exc
+        return Certificate.from_json(obj)
 
 
 def extract_reducible(

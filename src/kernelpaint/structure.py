@@ -28,7 +28,6 @@ from .graphs import (
 )
 
 __all__ = [
-    "BlockKind",
     "EvenCycleResult",
     "GallaiCheck",
     "LowHighSplit",
@@ -53,42 +52,27 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class BlockKind:
-    vertices: frozenset[int]
-    kind: str  # "clique" | "odd_cycle" | "other"
-
-
-@dataclass(frozen=True)
 class GallaiCheck:
     is_gallai: bool
-    blocks: tuple[BlockKind, ...]
-    offender: Optional[frozenset[int]]  # first non-conforming block
+    offender: Optional[frozenset[int]]  # first block neither a clique nor an odd cycle
 
     def __bool__(self) -> bool:
         return self.is_gallai
 
 
-def _classify_block(g: Graph, block: frozenset[int]) -> str:
+def _is_clique_or_odd_cycle(g: Graph, block: frozenset[int]) -> bool:
     k = len(block)
     bmask = mask_of(block)
-    inside = sum(g.deg_in(v, bmask) for v in block) // 2
-    if inside == k * (k - 1) // 2:
-        return "clique"
-    if k >= 3 and k % 2 == 1 and inside == k:
-        if all(g.deg_in(v, bmask) == 2 for v in block):
-            return "odd_cycle"
-    return "other"
+    degrees = [g.deg_in(v, bmask) for v in block]
+    # a block whose vertices all have degree 2 inside it is a cycle
+    return (sum(degrees) == k * (k - 1)
+            or k % 2 == 1 and all(d == 2 for d in degrees))
 
 
 def _gallai_check(g: Graph) -> GallaiCheck:
-    kinds = []
-    offender = None
-    for block in block_decomposition(g).blocks:
-        kind = _classify_block(g, block)
-        kinds.append(BlockKind(block, kind))
-        if kind == "other" and offender is None:
-            offender = block
-    return GallaiCheck(offender is None, tuple(kinds), offender)
+    offender = next((block for block in block_decomposition(g).blocks
+                     if not _is_clique_or_odd_cycle(g, block)), None)
+    return GallaiCheck(offender is None, offender)
 
 
 def is_gallai_tree(g: Graph) -> GallaiCheck:
@@ -350,34 +334,28 @@ def gallai_count_check(forest: Graph, k: int) -> GallaiCountCheck:
 # ---------------------------------------------------------------------------
 
 
-def random_gallai_tree(
-    block_count: int,
-    max_block_size: int,
-    seed: Optional[int] = None,
-    rng: Optional[random.Random] = None,
-) -> Graph:
+def random_gallai_tree(block_count: int, max_block_size: int, rng: random.Random) -> Graph:
     """Random connected graph whose blocks are cliques or odd cycles.
 
     Endblocks glue at uniformly random existing vertices; each block is an odd
-    cycle with probability 1/2 (when sizes allow), else a clique.
-    Reproducible from the seed.
+    cycle with probability 1/2 (when sizes allow), else a clique.  All
+    randomness comes from ``rng``, so a seeded one reproduces the tree.
     """
     if block_count < 1 or max_block_size < 2:
         raise ValueError("need block_count >= 1 and max_block_size >= 2")
-    r = rng if rng is not None else random.Random(seed)
     edges: list[tuple[int, int]] = []
     n = 1  # vertex 0 exists, blocks attach to existing vertices
     for _ in range(block_count):
-        attach = r.randrange(n)
+        attach = rng.randrange(n)
         odd_sizes = [s for s in range(3, max_block_size + 1, 2)]
-        use_cycle = bool(odd_sizes) and r.random() < 0.5
+        use_cycle = bool(odd_sizes) and rng.random() < 0.5
         if use_cycle:
-            size = r.choice(odd_sizes)
+            size = rng.choice(odd_sizes)
             ring = [attach] + [n + i for i in range(size - 1)]
             n += size - 1
             edges += [(ring[i], ring[(i + 1) % size]) for i in range(size)]
         else:
-            size = r.randint(2, max_block_size)
+            size = rng.randint(2, max_block_size)
             block = [attach] + [n + i for i in range(size - 1)]
             n += size - 1
             edges += list(itertools.combinations(block, 2))
@@ -395,7 +373,7 @@ def random_gallai_forest(
     r = random.Random(seed)
     while True:
         parts = [
-            random_gallai_tree(1 + r.randrange(block_count), max_block_size, rng=r)
+            random_gallai_tree(1 + r.randrange(block_count), max_block_size, r)
             for _ in range(tree_count)
         ]
         offset = 0

@@ -8,7 +8,10 @@ empties before any remaining vertex's budget reaches zero.  ``is_online_f_choosa
 evaluates this game exactly by memoized minimax; it is the oracle every
 constructive strategy in the package is checked against, so it stays
 self-contained (no SAT/ILP backends) and mirrors the recursive definition
-directly.
+directly.  ``play_paint_game`` plays one strategy per side, each a callable
+(greedy, the kernel painter, or the solver's own moves from
+``optimal_painter`` and ``optimal_lister``); Lister may instead be
+"exhaustive", which walks every line of play against the fixed Painter.
 """
 
 from __future__ import annotations
@@ -503,50 +506,35 @@ def scripted_lister(moves: Sequence[Iterable[int]]) -> ListerFn:
 def play_paint_game(
     g: Graph,
     f: DegreeTable,
-    painter: Union[str, PainterFn] = "greedy",
+    painter: PainterFn = greedy_painter,
     lister: Union[str, ListerFn] = "exhaustive",
 ) -> GameOutcome:
     """Play (or fully traverse) the painting game on g with budgets f.
 
-    ``painter`` is "greedy", "optimal", or a strategy callable (e.g. from
-    :func:`make_kernel_painter`).  ``lister`` is "exhaustive" (traverse every
-    Lister line against the fixed Painter; the outcome says whether Painter
-    survived all of them), "optimal", or a strategy callable.  Transcripts
-    record each round's S, I, and the budgets left after it; the exhaustive
-    mode's transcript is a losing line when one exists.
+    ``painter`` is a strategy callable: :func:`greedy_painter`, one from
+    :func:`make_kernel_painter` or :func:`optimal_painter`, or any other.
+    ``lister`` is "exhaustive" (traverse every Lister line against the fixed
+    Painter; the outcome says whether Painter survived all of them) or a
+    strategy callable (:func:`optimal_lister`, :func:`random_lister`,
+    :func:`scripted_lister`).  Anything else raises ``ValueError``.
+    Transcripts record each round's S, I, and the budgets left after it; the
+    exhaustive mode's transcript is a losing line when one exists.
 
     The budgets travel packed in one int, with fields one bit wider than the
     largest starting budget (and at least 4 bits); strategies see them as a
     tuple indexed by vertex.
     """
+    if not callable(painter):
+        raise ValueError(f"painter must be a strategy callable, not {painter!r}")
+    if lister != "exhaustive" and not callable(lister):
+        raise ValueError(
+            f"lister must be 'exhaustive' or a strategy callable, not {lister!r}")
     ftab = _table(f, range(g.n))
     packing = _Packing(max(4, max([0, *ftab.values()]).bit_length() + 1))
     mask = g.full_mask()
     packed = packing.pack(mask, ftab)
-
-    solver: Optional[PaintabilitySolver] = None
-    if painter == "optimal" or lister == "optimal":
-        solver = PaintabilitySolver(g)
-    painter_fn: PainterFn
-    if painter == "greedy":
-        painter_fn = greedy_painter
-    elif painter == "optimal":
-        painter_fn = optimal_painter(solver)
-    elif callable(painter):
-        painter_fn = painter
-    else:
-        raise ValueError(f"unknown painter {painter!r}")
-
     if lister == "exhaustive":
-        return _traverse_all_lines(g, packing, mask, packed, painter_fn)
-
-    lister_fn: ListerFn
-    if lister == "optimal":
-        lister_fn = optimal_lister(solver)
-    elif callable(lister):
-        lister_fn = lister
-    else:
-        raise ValueError(f"unknown lister {lister!r}")
+        return _traverse_all_lines(g, packing, mask, packed, painter)
 
     rounds: list[GameRound] = []
     independent: set[int] = set()
@@ -554,10 +542,10 @@ def play_paint_game(
         if packing.exhausted(mask, packed):
             return GameOutcome("lister", tuple(rounds))
         budgets = packing.unpack(packed, g.n)
-        smask = lister_fn(g, mask, budgets)
+        smask = lister(g, mask, budgets)
         if smask == 0 or smask & ~mask:
             raise ValueError("lister produced an invalid set")
-        imask = painter_fn(g, mask, budgets, smask)
+        imask = painter(g, mask, budgets, smask)
         _check_painter_move(g, smask, imask, independent)
         mask, packed = packing.after_round(mask, packed, smask, imask)
         rounds.append(_record(packing, mask, packed, smask, imask))

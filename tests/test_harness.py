@@ -35,9 +35,7 @@ def test_validate_good_certificate(c4):
     cert = extract_reducible(c4, c4.degrees, [0, 2])
     ok, why = validate_certificate(cert, c4, c4.degrees)
     assert ok, why
-    ok, _ = validate_certificate(cert.to_json(), c4, c4.degrees)
-    assert ok
-    ok, _ = validate_certificate(cert.dumps(), c4, c4.degrees)
+    ok, _ = validate_certificate(Certificate.loads(cert.dumps()), c4, c4.degrees)
     assert ok
 
 
@@ -73,11 +71,27 @@ def test_validate_rejects_missing_edge_and_wrong_f(c4):
     assert not ok and "f_h" in why
 
 
+# certificate JSON that is valid JSON of the wrong shape
+MALFORMED_CERTIFICATES = [
+    [],
+    {"vertices": [0]},
+    {"vertices": [0, 1], "arcs": [[0, 1]], "f_h": []},
+    {"vertices": [0, 1], "arcs": [[0, 1, 1]], "f_h": {"0": 2, "1": 2}},
+    {"vertices": [0, 1], "arcs": [5], "f_h": {"0": 2, "1": 2}},
+    {"vertices": [0, 1], "arcs": [[0, 0]], "f_h": {"0": 2, "1": 2}},
+    {"vertices": 3, "arcs": [], "f_h": {}},
+]
+
+
 def test_validate_malformed_json(c4):
-    with pytest.raises(FormatError):
-        validate_certificate("{not json", c4, c4.degrees)
-    with pytest.raises(FormatError):
-        validate_certificate({"vertices": [0]}, c4, c4.degrees)
+    # one parser reads certificate JSON; validation takes its Certificate
+    with pytest.raises(FormatError, match="unparseable"):
+        Certificate.loads("{not json")
+    for obj in MALFORMED_CERTIFICATES:
+        with pytest.raises(FormatError, match="certificate"):
+            Certificate.from_json(obj)
+        with pytest.raises(FormatError, match="certificate"):
+            Certificate.loads(json.dumps(obj))
 
 
 # -- suite runner ----------------------------------------------------------------
@@ -146,6 +160,28 @@ def test_timings_flag_controls_meta(capsys):
 
 def test_max_n_sets_corpus():
     assert len(run_suite("mic-basics", max_n=3).records) == 4
+
+
+@pytest.mark.parametrize("name", ["brooks-alpha", "cut-lemma"])
+def test_max_n_below_one_is_rejected(name, capsys):
+    # an empty corpus would pass with total 0
+    for max_n in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            run_suite(name, max_n=max_n)
+        assert cli_main(["suite", name, "--max-n", str(max_n)]) == 2
+        assert "at least 1" in capsys.readouterr().err
+
+
+def test_max_n_with_a_source_is_rejected(tmp_path, capsys):
+    # the file sets the corpus, so max_n would be silently ignored
+    from kernelpaint import write_graph6_file
+
+    path = tmp_path / "corpus.g6"
+    write_graph6_file(path, [make_named("complete", [8]), make_named("cycle", [6])])
+    with pytest.raises(ValueError, match="no max_n"):
+        run_suite("brooks-alpha", source=str(path), max_n=3)
+    assert cli_main(["suite", "brooks-alpha", "--source", str(path), "--max-n", "3"]) == 2
+    assert "no max_n" in capsys.readouterr().err
 
 
 def test_edges_4critical_coverage_needs_only_present_targets(tmp_path):
@@ -408,6 +444,28 @@ def test_cli_cert_validate_names_what_is_missing(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     assert cli_main(["cert", "validate", str(path)]) == 2
     assert "'graph6'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("certificate", [], "a certificate is a JSON object"),
+    ("certificate", {"vertices": [0, 2], "arcs": [], "f_h": []}, "malformed certificate"),
+    ("graph6", 5, "field 'graph6'"),
+    ("f", {"0": [2], "1": 2, "2": 2, "3": 2}, "field 'f'"),
+], ids=["certificate-list", "f_h-list", "graph6-int", "f-value-list"])
+def test_cli_cert_validate_rejects_malformed_files(tmp_path, capsys, field, value, message):
+    c4 = make_named("cycle", [4])
+    payload = {
+        "graph6": encode_graph6(c4),
+        "f": {str(v): 2 for v in range(4)},
+        "certificate": extract_reducible(c4, c4.degrees, [0, 2]).to_json(),
+    }
+    payload[field] = value
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(payload))
+    # a usage error (2), never a traceback read as a counterexample (1)
+    assert cli_main(["cert", "validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_cli_entry_point_installed():

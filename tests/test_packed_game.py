@@ -195,7 +195,7 @@ def test_solver_strategies_take_tuples_and_keep_the_cap(c5):
 def test_exhaustive_game_with_budgets_past_four_bits():
     k3 = make_named("complete", [3])
     f = [16, 31, 17]
-    out = play_paint_game(k3, f, painter="greedy", lister="exhaustive")
+    out = play_paint_game(k3, f, painter=greedy_painter, lister="exhaustive")
     assert out == tuple_state_walk(k3, f, greedy_painter)
     assert out.winner == "painter" and out.states_explored > 1
 
@@ -212,6 +212,6 @@ def test_exhaustive_game_with_budgets_past_four_bits():
 def test_game_with_an_empty_starting_budget(f):
     p3 = make_named("path", [3])
     for lister in ("exhaustive", random_lister(1)):
-        out = play_paint_game(p3, f, painter="greedy", lister=lister)
+        out = play_paint_game(p3, f, painter=greedy_painter, lister=lister)
         assert out.winner == "lister" and out.transcript == ()
         assert out.states_explored == 0

@@ -325,14 +325,15 @@ def test_gallai_count_on_seeded_forests():
 def test_random_gallai_tree_properties():
     seen_sizes = set()
     for seed in range(25):
-        t = random_gallai_tree(3, 5, seed=seed)
+        t = random_gallai_tree(3, 5, random.Random(seed))
         assert t.is_connected()
         assert is_gallai_tree(t)
         assert mic(t).value == t.n - 1
         seen_sizes.add(t.n)
     assert len(seen_sizes) > 1
-    assert random_gallai_tree(2, 3, seed=7) == random_gallai_tree(2, 3, seed=7)
-    single = random_gallai_tree(1, 4, seed=3)
+    assert random_gallai_tree(2, 3, random.Random(7)) == random_gallai_tree(
+        2, 3, random.Random(7))
+    single = random_gallai_tree(1, 4, random.Random(3))
     assert is_gallai_tree(single)
 
 

@@ -17,7 +17,13 @@ from kernelpaint import (
 )
 from kernelpaint.errors import SizeLimitError
 from kernelpaint.orient import Digraph
-from kernelpaint.verify import optimal_lister, random_lister, scripted_lister
+from kernelpaint.verify import (
+    greedy_painter,
+    optimal_lister,
+    optimal_painter,
+    random_lister,
+    scripted_lister,
+)
 
 
 # -- offline choosability -----------------------------------------------------
@@ -120,34 +126,37 @@ def test_solver_subgraph_queries_share_memo(c5):
 
 def test_game_k2_lister_wins():
     k2 = make_named("complete", [2])
-    for painter in ("greedy", "optimal"):
-        out = play_paint_game(k2, [1, 1], painter=painter, lister="optimal")
+    solver = PaintabilitySolver(k2)
+    for painter in (greedy_painter, optimal_painter(solver)):
+        out = play_paint_game(k2, [1, 1], painter=painter, lister=optimal_lister(solver))
         assert out.winner == "lister"
         assert out.transcript[0].listed == (0, 1)
 
 
 def test_game_greedy_painter_wins_with_slack(c4):
-    out = play_paint_game(c4, [3, 3, 3, 3], painter="greedy", lister=random_lister(9))
+    out = play_paint_game(c4, [3, 3, 3, 3], painter=greedy_painter, lister=random_lister(9))
     assert out.winner == "painter"
     assert sum(len(r.painted) for r in out.transcript) == 4
 
 
 def test_game_exhaustive_traversal(c4, c5):
-    out = play_paint_game(c4, [2] * 4, painter="optimal", lister="exhaustive")
+    painter = optimal_painter(PaintabilitySolver(c4))
+    out = play_paint_game(c4, [2] * 4, painter=painter, lister="exhaustive")
     assert out.winner == "painter" and out.all_lines
-    out = play_paint_game(c5, [2] * 5, painter="optimal", lister="exhaustive")
+    painter = optimal_painter(PaintabilitySolver(c5))
+    out = play_paint_game(c5, [2] * 5, painter=painter, lister="exhaustive")
     assert out.winner == "lister"
     assert out.transcript  # a concrete losing line comes back
 
 
 def test_game_scripted_lister(c4):
     out = play_paint_game(
-        c4, [2] * 4, painter="greedy",
+        c4, [2] * 4, painter=greedy_painter,
         lister=scripted_lister([[0, 1, 2, 3], [1, 3], [2], [3]]),
     )
     assert out.winner in ("painter", "lister")
     with pytest.raises(ValueError, match="subset"):
-        play_paint_game(c4, [2] * 4, painter="greedy", lister=scripted_lister([[9]]))
+        play_paint_game(c4, [2] * 4, painter=greedy_painter, lister=scripted_lister([[9]]))
 
 
 def test_kernel_painter_wins_on_c4(c4):
@@ -221,8 +230,20 @@ def test_optimal_lister_extracted_from_memo(c5):
     move = solver.lister_winning_move(c5.full_mask(), (2,) * 5)
     assert move is not None  # C5 with two tokens is a Lister win
     lister = optimal_lister(solver)
-    out = play_paint_game(c5, [2] * 5, painter="optimal", lister=lister)
+    out = play_paint_game(c5, [2] * 5, painter=optimal_painter(solver), lister=lister)
     assert out.winner == "lister"
+
+
+def test_game_takes_strategies_as_callables_only(c4):
+    # greedy_painter is the default; a strategy name is refused, not looked up
+    assert play_paint_game(c4, [2] * 4) == play_paint_game(
+        c4, [2] * 4, painter=greedy_painter, lister="exhaustive")
+    for painter in ("greedy", "optimal", None):
+        with pytest.raises(ValueError, match="painter must be"):
+            play_paint_game(c4, [2] * 4, painter=painter)
+    for lister in ("optimal", "random", None):
+        with pytest.raises(ValueError, match="lister must be"):
+            play_paint_game(c4, [2] * 4, lister=lister)
 
 
 # -- chromatic numbers --------------------------------------------------------
