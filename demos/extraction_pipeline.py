@@ -47,7 +47,6 @@ outcome = play_paint_game(
     g.induced(h_sorted),
     [cert.f_h[v] for v in h_sorted],
     painter=make_kernel_painter(cert.digraph.relabel(relabel)),
-    lister="exhaustive",
 )
 print(f"kernel painter vs exhaustive lister: {outcome.winner}",
       f"({outcome.states_explored} states)")

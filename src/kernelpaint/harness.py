@@ -271,7 +271,7 @@ def _suite_kernel_game(corpus: list[Graph], seed: int) -> Iterator[dict]:
         h = g.induced(h_sorted)
         d = cert.digraph.relabel(relabel)
         f_h = [cert.f_h[v] for v in h_sorted]
-        out = play_paint_game(h, f_h, painter=make_kernel_painter(d), lister="exhaustive")
+        out = play_paint_game(h, f_h, painter=make_kernel_painter(d))
         yield _rec(g, "pass" if out.winner == "painter" else "fail",
                    h=list(cert.h_vertices), states=out.states_explored,
                    losing_line=out.to_json() if out.winner != "painter" else None)
@@ -639,9 +639,13 @@ def _resolve_corpus(spec: Optional[str], suite: _Suite, max_n: Optional[int],
             raise ValueError("this suite reads no corpus, so it takes no source file")
         if max_n is not None:
             raise ValueError("this suite reads no corpus, so it takes no max_n")
+        if allow_large:
+            raise ValueError("this suite reads no corpus, so it takes no allow_large")
         return []
     if spec is not None and max_n is not None:
         raise ValueError("a graph6 source sets the corpus, so it takes no max_n")
+    if spec is not None and allow_large:
+        raise ValueError("a graph6 source sets the corpus, so it takes no allow_large")
     n = suite.max_n if max_n is None else max_n
     if n < 1:
         raise ValueError(f"max_n must be at least 1, not {n}")
@@ -675,8 +679,8 @@ def run_suite(
     ``source`` is a graph6 file path; without one the suite enumerates up to
     ``max_n``, by default its own ceiling, and asking for a larger corpus
     requires ``allow_large``.  ``ValueError`` rejects a ``max_n`` below 1, a
-    ``max_n`` given with a ``source``, and a suite that reads no corpus
-    (gallai-count) given either.  With
+    ``max_n`` or ``allow_large`` given with a ``source``, and a suite that
+    reads no corpus (gallai-count) given any of the three.  With
     ``timings`` the summary gains ``elapsed_s`` (the whole run) and
     ``corpus_s`` (its corpus construction), and each record ``elapsed_ms``,
     counted from the end of corpus construction.

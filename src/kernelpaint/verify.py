@@ -4,14 +4,14 @@ exact chromatic numbers.
 The painting game: Lister repeatedly presents a nonempty set S of remaining
 vertices, Painter commits an independent subset I of S and removes it, and
 every vertex of S - I loses one budget token.  Painter wins if the graph
-empties before any remaining vertex's budget reaches zero.  ``is_online_f_choosable``
-evaluates this game exactly by memoized minimax; it is the oracle every
+empties before any remaining vertex's budget reaches zero.  Two walkers ask
+the two questions the checker has about this game.  ``is_online_f_choosable``
+asks whether Painter wins at all, by memoized minimax; it is the oracle every
 constructive strategy in the package is checked against, so it stays
 self-contained (no SAT/ILP backends) and mirrors the recursive definition
-directly.  ``play_paint_game`` plays one strategy per side, each a callable
-(greedy, the kernel painter, or the solver's own moves from
-``optimal_painter`` and ``optimal_lister``); Lister may instead be
-"exhaustive", which walks every line of play against the fixed Painter.
+directly.  ``play_paint_game`` asks whether one fixed Painter (a callable:
+greedy, the kernel painter, or any other) survives every line Lister can
+play, and returns a losing line when it does not.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .bits import bits, lex_key, mask_of, submasks
+from .bits import bits, mask_of, submasks
 from .errors import SizeLimitError
 from .graphs import Graph
 from .orient import KP_CHECK_CAP, Digraph, DegreeTable, _arc_masks, _kernel_table, _table
@@ -36,11 +36,7 @@ __all__ = [
     "is_k_critical",
     "is_online_f_choosable",
     "make_kernel_painter",
-    "optimal_lister",
-    "optimal_painter",
     "play_paint_game",
-    "random_lister",
-    "scripted_lister",
 ]
 
 CHOOSABLE_VERTEX_CAP = 8
@@ -268,7 +264,7 @@ class PaintabilitySolver:
             raise SizeLimitError(f"online solver capped at budget {ONLINE_BUDGET_CAP}")
         return self._packing.pack(mask, budgets)
 
-    def maximal_independent_sets(self, smask: int) -> tuple[int, ...]:
+    def _maximal_independent_sets(self, smask: int) -> tuple[int, ...]:
         got = self._mis_cache.get(smask)
         if got is not None:
             return got
@@ -343,38 +339,10 @@ class PaintabilitySolver:
 
     def _painter_can_answer(self, mask: int, packed: int, smask: int) -> bool:
         after_round = self._packing.after_round
-        for imask in self.maximal_independent_sets(smask):
+        for imask in self._maximal_independent_sets(smask):
             if self._solve(*after_round(mask, packed, smask, imask)):
                 return True
         return False
-
-    # -- strategy extraction ----------------------------------------------
-
-    def _pack_position(self, mask: int, budgets: Sequence[int]) -> int:
-        packed = self._pack(mask, budgets)
-        if self._packing.exhausted(mask, packed):
-            raise ValueError("a remaining vertex has no budget left: the game is over")
-        return packed
-
-    def lister_winning_move(self, mask: int, budgets: Sequence[int]) -> Optional[int]:
-        """Lex-smallest S that defeats every Painter answer, if one exists.
-
-        ``budgets`` is indexed by vertex, and every vertex of mask must hold
-        at least one token."""
-        packed = self._pack_position(mask, budgets)
-        for smask in sorted(submasks(mask)):
-            if smask and not self._painter_can_answer(mask, packed, smask):
-                return smask
-        return None
-
-    def painter_winning_move(self, mask: int, budgets: Sequence[int], smask: int) -> Optional[int]:
-        """Lex-smallest independent I <= S whose successor state Painter wins."""
-        packed = self._pack_position(mask, budgets)
-        after_round = self._packing.after_round
-        for imask in sorted(self.maximal_independent_sets(smask), key=lex_key):
-            if self._solve(*after_round(mask, packed, smask, imask)):
-                return imask
-        return None
 
 
 def is_online_f_choosable(g: Graph, f: DegreeTable) -> bool:
@@ -383,7 +351,7 @@ def is_online_f_choosable(g: Graph, f: DegreeTable) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The painting game with pluggable strategies
+# One painter against every Lister line
 # ---------------------------------------------------------------------------
 
 
@@ -398,7 +366,6 @@ class GameRound:
 class GameOutcome:
     winner: str  # "painter" | "lister"
     transcript: tuple[GameRound, ...]
-    all_lines: bool = False       # True when every Lister line was traversed
     states_explored: int = 0
 
     def to_json(self) -> list[dict]:
@@ -410,7 +377,6 @@ class GameOutcome:
 
 
 PainterFn = Callable[[Graph, int, tuple[int, ...], int], int]
-ListerFn = Callable[[Graph, int, tuple[int, ...]], int]
 
 
 def greedy_painter(g: Graph, mask: int, budgets: tuple[int, ...], smask: int) -> int:
@@ -454,109 +420,34 @@ def make_kernel_painter(cert_digraph: Digraph) -> PainterFn:
     return painter
 
 
-def optimal_painter(solver: PaintabilitySolver) -> PainterFn:
-    def painter(g: Graph, mask: int, budgets: tuple[int, ...], smask: int) -> int:
-        move = solver.painter_winning_move(mask, budgets, smask)
-        if move is None:
-            move = min(solver.maximal_independent_sets(smask), key=lex_key)
-        return move
-
-    return painter
-
-
-def optimal_lister(solver: PaintabilitySolver) -> ListerFn:
-    def lister(g: Graph, mask: int, budgets: tuple[int, ...]) -> int:
-        move = solver.lister_winning_move(mask, budgets)
-        return move if move is not None else mask & -mask
-
-    return lister
-
-
-def random_lister(seed: int) -> ListerFn:
-    import random as _random
-
-    rng = _random.Random(seed)
-
-    def lister(g: Graph, mask: int, budgets: tuple[int, ...]) -> int:
-        vs = bits(mask)
-        pick = [v for v in vs if rng.random() < 0.5]
-        if not pick:
-            pick = [rng.choice(vs)]
-        return mask_of(pick)
-
-    return lister
-
-
-def scripted_lister(moves: Sequence[Iterable[int]]) -> ListerFn:
-    queue = [(mask_of(m)) for m in moves]
-    it = iter(queue)
-
-    def lister(g: Graph, mask: int, budgets: tuple[int, ...]) -> int:
-        try:
-            move = next(it)
-        except StopIteration:
-            raise ValueError("scripted lister ran out of moves")
-        if move & ~mask or move == 0:
-            raise ValueError("scripted move is not a nonempty subset of the remaining vertices")
-        return move
-
-    return lister
-
-
-def play_paint_game(
-    g: Graph,
-    f: DegreeTable,
-    painter: PainterFn = greedy_painter,
-    lister: Union[str, ListerFn] = "exhaustive",
-) -> GameOutcome:
-    """Play (or fully traverse) the painting game on g with budgets f.
+def play_paint_game(g: Graph, f: DegreeTable,
+                    painter: PainterFn = greedy_painter) -> GameOutcome:
+    """Walk every line Lister can play on g with budgets f against one fixed
+    Painter.
 
     ``painter`` is a strategy callable: :func:`greedy_painter`, one from
-    :func:`make_kernel_painter` or :func:`optimal_painter`, or any other.
-    ``lister`` is "exhaustive" (traverse every Lister line against the fixed
-    Painter; the outcome says whether Painter survived all of them) or a
-    strategy callable (:func:`optimal_lister`, :func:`random_lister`,
-    :func:`scripted_lister`).  Anything else raises ``ValueError``.
-    Transcripts record each round's S, I, and the budgets left after it; the
-    exhaustive mode's transcript is a losing line when one exists.
+    :func:`make_kernel_painter`, or any other; anything else raises
+    ``ValueError``.  The winner is "painter" when it survives every line,
+    and the transcript is then empty; otherwise the transcript is a losing
+    line, each round recording its S, I, and the budgets left after it.
 
     The budgets travel packed in one int, with fields one bit wider than the
-    largest starting budget (and at least 4 bits); strategies see them as a
-    tuple indexed by vertex.
+    largest starting budget (and at least 4 bits); the painter sees them as
+    a tuple indexed by vertex.
     """
     if not callable(painter):
         raise ValueError(f"painter must be a strategy callable, not {painter!r}")
-    if lister != "exhaustive" and not callable(lister):
-        raise ValueError(
-            f"lister must be 'exhaustive' or a strategy callable, not {lister!r}")
     ftab = _table(f, range(g.n))
     packing = _Packing(max(4, max([0, *ftab.values()]).bit_length() + 1))
     mask = g.full_mask()
-    packed = packing.pack(mask, ftab)
-    if lister == "exhaustive":
-        return _traverse_all_lines(g, packing, mask, packed, painter)
-
-    rounds: list[GameRound] = []
-    independent: set[int] = set()
-    while mask:
-        if packing.exhausted(mask, packed):
-            return GameOutcome("lister", tuple(rounds))
-        budgets = packing.unpack(packed, g.n)
-        smask = lister(g, mask, budgets)
-        if smask == 0 or smask & ~mask:
-            raise ValueError("lister produced an invalid set")
-        imask = painter(g, mask, budgets, smask)
-        _check_painter_move(g, smask, imask, independent)
-        mask, packed = packing.after_round(mask, packed, smask, imask)
-        rounds.append(_record(packing, mask, packed, smask, imask))
-    return GameOutcome("painter", tuple(rounds))
+    return _traverse_all_lines(g, packing, mask, packing.pack(mask, ftab), painter)
 
 
 def _check_painter_move(g: Graph, smask: int, imask: int,
                         independent: set[int]) -> None:
     """Raise unless imask is an independent subset of smask.  ``independent``
-    holds the sets this game has already found independent: whether I is
-    independent does not depend on S, so each is checked once per game."""
+    holds the sets this walk has already found independent: whether I is
+    independent does not depend on S, so each is checked once per walk."""
     if imask & ~smask:
         raise ValueError("painter's set must be a subset of S")
     if imask in independent:
@@ -621,8 +512,8 @@ def _traverse_all_lines(g: Graph, packing: _Packing, mask0: int, packed0: int,
 
     line = survive(mask0, packed0)
     if line is None:
-        return GameOutcome("painter", (), all_lines=True, states_explored=explored)
-    return GameOutcome("lister", tuple(line), all_lines=True, states_explored=explored)
+        return GameOutcome("painter", (), states_explored=explored)
+    return GameOutcome("lister", tuple(line), states_explored=explored)
 
 
 # ---------------------------------------------------------------------------

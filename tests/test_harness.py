@@ -184,6 +184,27 @@ def test_max_n_with_a_source_is_rejected(tmp_path, capsys):
     assert "no max_n" in capsys.readouterr().err
 
 
+def test_allow_large_with_a_source_is_rejected(tmp_path, capsys):
+    # the file sets the corpus, and a graph past a cap becomes a skip record
+    # whatever allow_large says, so it would be silently ignored
+    path = tmp_path / "k3.g6"
+    path.write_text("Bw\n")
+    with pytest.raises(ValueError, match="no allow_large"):
+        run_suite("mic-basics", source=str(path), allow_large=True)
+    assert cli_main(["suite", "mic-basics", "--source", str(path), "--allow-large"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert cli_main(["suite", "mic-basics", "--source", str(path)]) == 0
+
+
+def test_gallai_count_rejects_allow_large(capsys):
+    # it builds its own forests, so there is no corpus ceiling to lift
+    with pytest.raises(ValueError, match="no allow_large"):
+        run_suite("gallai-count", allow_large=True)
+    assert cli_main(["suite", "gallai-count", "--allow-large"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no allow_large" in err
+
+
 def test_edges_4critical_coverage_needs_only_present_targets(tmp_path):
     path = tmp_path / "c5.g6"
     path.write_text("Dhc\n")  # C5: no K4, no Moser spindle

@@ -1,14 +1,19 @@
-"""The packed game state at its edges.
+"""The packed game state at its edges, and the two game walkers against
+each other.
 
-Both game walkers carry a state as (remaining-vertex mask, packed budgets),
-one int field per vertex.  These tests pin the packing where it can go
-wrong: the solver's budget cap (4-bit fields), games whose budgets need
-wider fields, empty and negative starting budgets, and the decoding of
-budgets for strategies and transcripts.  The reference below is the
-exhaustive game walk by its definition, with budgets as tuples; the packed
-walk must agree with it on winner, states explored and transcript.
+Both game walkers, the solver and the walk of every Lister line against one
+painter, carry a state as (remaining-vertex mask, packed budgets), one int
+field per vertex.  These tests pin the packing where it can go wrong: the
+solver's budget cap (4-bit fields), games whose budgets need wider fields,
+empty and negative starting budgets, and the decoding of budgets for
+painters and transcripts.  The reference below is the exhaustive game walk
+by its definition, with budgets as tuples; the packed walk must agree with
+it on winner, states explored and transcript.  The walk and the solver must
+agree too: a painter that survives every line proves Painter wins, and no
+painter survives a game the solver gives to Lister.
 """
 
+import collections
 import random
 
 import pytest
@@ -17,6 +22,7 @@ from kernelpaint import (
     Digraph,
     Graph,
     PaintabilitySolver,
+    is_online_f_choosable,
     make_kernel_painter,
     make_named,
     play_paint_game,
@@ -27,7 +33,6 @@ from kernelpaint.verify import (
     GameOutcome,
     GameRound,
     greedy_painter,
-    random_lister,
 )
 
 
@@ -88,25 +93,7 @@ def tuple_state_walk(g: Graph, f, painter) -> GameOutcome:
 
     line = survive((1 << n) - 1, tuple(f))
     winner = "painter" if line is None else "lister"
-    return GameOutcome(winner, tuple(line or ()), all_lines=True, states_explored=explored)
-
-
-def tuple_state_rounds(g: Graph, f, painter, lister) -> GameOutcome:
-    """One game, round by round, with budgets as tuples."""
-    n = g.n
-    mask, budgets = (1 << n) - 1, tuple(f)
-    rounds = []
-    while mask:
-        if any(budgets[v] < 1 for v in _members(mask, n)):
-            return GameOutcome("lister", tuple(rounds))
-        smask = lister(g, mask, budgets)
-        imask = _checked_answer(g, painter, mask, budgets, smask)
-        nmask = mask & ~imask
-        budgets = _next_budgets(n, budgets, nmask, smask, imask)
-        mask = nmask
-        rounds.append(GameRound(_members(smask, n), _members(imask, n),
-                                {v: budgets[v] for v in _members(mask, n)}))
-    return GameOutcome("painter", tuple(rounds))
+    return GameOutcome(winner, tuple(line or ()), states_explored=explored)
 
 
 def budget_painter(g, mask, budgets, smask) -> int:
@@ -147,18 +134,16 @@ def test_packed_walks_match_the_tuple_state_walks():
     rng = random.Random(2015)
     winners = {"painter": 0, "lister": 0}
     wide = 0
-    for case in range(200):
+    for _ in range(200):
         g, f, d = _random_case(rng)
         wide += max(f) >= 8
         for painter in (greedy_painter, budget_painter, make_kernel_painter(d)):
             asked, asked_ref = [], []
-            got = play_paint_game(g, f, painter=_logged(painter, asked), lister="exhaustive")
+            got = play_paint_game(g, f, painter=_logged(painter, asked))
             ref = tuple_state_walk(g, f, _logged(painter, asked_ref))
             assert got == ref, (g.edges, f)
             assert asked == asked_ref  # the painter answers the same questions
             winners[got.winner] += 1
-            got = play_paint_game(g, f, painter=painter, lister=random_lister(case))
-            assert got == tuple_state_rounds(g, f, painter, random_lister(case)), (g.edges, f)
     # the sample decides games both ways and needs fields wider than 3 bits
     assert min(winners.values()) > 100 and wide > 20
 
@@ -178,31 +163,39 @@ def test_solver_at_the_budget_cap():
         solver.wins(k7.full_mask(), [8] + [7] * 6)
 
 
-def test_solver_strategies_take_tuples_and_keep_the_cap(c5):
-    solver = PaintabilitySolver(c5)
-    full = c5.full_mask()
-    smask = solver.lister_winning_move(full, (2,) * 5)
-    assert smask is not None
-    assert solver.painter_winning_move(full, (2,) * 5, smask) is None
-    assert solver.lister_winning_move(full, (3,) * 5) is None
-    assert solver.painter_winning_move(full, (3,) * 5, full) is not None
-    with pytest.raises(SizeLimitError, match="budget"):
-        solver.lister_winning_move(full, (8, 2, 2, 2, 2))
-    with pytest.raises(ValueError, match="no budget"):
-        solver.painter_winning_move(full, (2, 0, 2, 2, 2), full)
+def test_surviving_painters_agree_with_the_solver():
+    rng = random.Random(2015)
+    seen = collections.Counter()
+    for _ in range(200):
+        g, f, d = _random_case(rng)
+        # a budget above the degree is peeled by the solver before anything
+        # else, so capping it at the degree plus one decides the same game
+        # within the solver's budget cap
+        choosable = is_online_f_choosable(
+            g, [min(b, g.degrees[v] + 1) for v, b in enumerate(f)])
+        for painter in (greedy_painter, budget_painter, make_kernel_painter(d)):
+            out = play_paint_game(g, f, painter=painter)
+            if out.winner == "painter":
+                assert choosable, (g.edges, f)
+            else:
+                assert out.transcript, (g.edges, f)
+            seen[out.winner, choosable] += 1
+    # painters survive choosable games, and lose games the solver gives to
+    # Lister, many times each
+    assert seen["painter", True] > 100 and seen["lister", False] > 100, seen
 
 
 def test_exhaustive_game_with_budgets_past_four_bits():
     k3 = make_named("complete", [3])
     f = [16, 31, 17]
-    out = play_paint_game(k3, f, painter=greedy_painter, lister="exhaustive")
+    out = play_paint_game(k3, f, painter=greedy_painter)
     assert out == tuple_state_walk(k3, f, greedy_painter)
     assert out.winner == "painter" and out.states_explored > 1
 
     def idle(g, mask, budgets, smask):
         return 0  # the empty set is independent: every listed vertex pays
 
-    out = play_paint_game(Graph(2, [(0, 1)]), [16, 40], painter=idle, lister="exhaustive")
+    out = play_paint_game(Graph(2, [(0, 1)]), [16, 40], painter=idle)
     assert out.winner == "lister" and len(out.transcript) == 16
     assert [r.budgets for r in out.transcript[-2:]] == [{0: 1, 1: 25}, {0: 0, 1: 24}]
     assert out == tuple_state_walk(Graph(2, [(0, 1)]), [16, 40], idle)
@@ -210,8 +203,6 @@ def test_exhaustive_game_with_budgets_past_four_bits():
 
 @pytest.mark.parametrize("f", [[2, 0, 2], [2, -3, 2], [0, 0, 0]])
 def test_game_with_an_empty_starting_budget(f):
-    p3 = make_named("path", [3])
-    for lister in ("exhaustive", random_lister(1)):
-        out = play_paint_game(p3, f, painter=greedy_painter, lister=lister)
-        assert out.winner == "lister" and out.transcript == ()
-        assert out.states_explored == 0
+    out = play_paint_game(make_named("path", [3]), f, painter=greedy_painter)
+    assert out.winner == "lister" and out.transcript == ()
+    assert out.states_explored == 0
