@@ -43,7 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--out", default=None, help="write the JSONL report here")
     p_suite.add_argument("--format", choices=("jsonl", "summary"), default="summary")
     p_suite.add_argument("--allow-large", action="store_true",
-                         help="permit corpora beyond the suite's declared ceiling")
+                         help="permit --max-n beyond the suite's declared "
+                              "ceiling; refused within it")
     p_suite.add_argument("--timings", action="store_true",
                          help="include corpus and elapsed times in the summary "
                               "(breaks byte-identical reports)")

@@ -654,6 +654,11 @@ def _resolve_corpus(spec: Optional[str], suite: _Suite, max_n: Optional[int],
             raise ValueError(
                 f"suite ceiling is n = {suite.max_n}; pass allow_large to override"
             )
+        if n <= suite.max_n and allow_large:
+            raise ValueError(
+                f"n = {n} is within the suite ceiling n = {suite.max_n}, "
+                "so it takes no allow_large"
+            )
         gen = (enumerate_triangle_free if suite.corpus == "triangle_free"
                else enumerate_graphs)
         out: list[Graph] = []
@@ -679,8 +684,9 @@ def run_suite(
     ``source`` is a graph6 file path; without one the suite enumerates up to
     ``max_n``, by default its own ceiling, and asking for a larger corpus
     requires ``allow_large``.  ``ValueError`` rejects a ``max_n`` below 1, a
-    ``max_n`` or ``allow_large`` given with a ``source``, and a suite that
-    reads no corpus (gallai-count) given any of the three.  With
+    ``max_n`` or ``allow_large`` given with a ``source``, ``allow_large``
+    for a corpus within the ceiling, and a suite that reads no corpus
+    (gallai-count) given any of the three.  With
     ``timings`` the summary gains ``elapsed_s`` (the whole run) and
     ``corpus_s`` (its corpus construction), and each record ``elapsed_ms``,
     counted from the end of corpus construction.

@@ -147,24 +147,58 @@ def is_oc_reducible(g: Graph) -> Optional[tuple[tuple[int, ...], dict[int, int]]
     size, lexicographic within a size, and checked with the exact game solver,
     so the first hit is the deterministic witness.  Returns (vertices, f_H) or
     None when g is OC-irreducible.
+
+    Two sound cuts keep most candidates away from the solver:
+
+    - A candidate with f_H(v) <= 1 for some member v is never the first hit.
+      At 0 Painter loses at once.  At 1, Lister can open with v and its
+      neighbours in H; Painter must paint v alone, and the game goes on from
+      H - v with budgets f_H - 1 on the neighbours of v, which is f_{H - v}.
+      So if H wins, so does H - v, and it comes earlier in the scan.
+    - A candidate whose lists {1..f_H(v)} admit no proper colouring of H is
+      refuted: online choosable implies choosable, which implies colourable
+      from these lists in particular.
     """
     if g.n > OC_REDUCIBLE_CAP:
         raise SizeLimitError(f"OC-reducibility capped at n = {OC_REDUCIBLE_CAP}")
     if g.n == 0:
         return None
     delta = min(g.degrees)
+    adj, degrees = g.adj, g.degrees
     solver = PaintabilitySolver(g)
     for mask, members in _size_lex_candidates(g.n):
         f_h = {}
         for v in members:
-            fv = delta + g.deg_in(v, mask) - g.degrees[v]
-            if fv < 1:
+            fv = delta + (adj[v] & mask).bit_count() - degrees[v]
+            if fv < 2:
                 break
             f_h[v] = fv
         else:
-            if solver.wins(mask, f_h):
+            if _colourable_from_prefixes(adj, members, f_h) and solver.wins(mask, f_h):
                 return members, f_h
     return None
+
+
+def _colourable_from_prefixes(adj, members, f_h) -> bool:
+    """Can every member v take a colour below f_h[v], adjacent members taking
+    different colours?  Vertices with the shortest lists are coloured first."""
+    order = sorted(members, key=f_h.__getitem__)
+    classes = [0] * max(f_h.values())  # colour -> the members holding it
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        row = adj[v]
+        for c in range(f_h[v]):
+            if not row & classes[c]:
+                classes[c] |= 1 << v
+                if extend(i + 1):
+                    return True
+                classes[c] ^= 1 << v
+        return False
+
+    return extend(0)
 
 
 @functools.lru_cache(maxsize=None)

@@ -202,11 +202,6 @@ class _Packing:
                 out |= budgets[v] << self.width * v
         return out
 
-    def unpack(self, packed: int, n: int) -> tuple[int, ...]:
-        """The budgets of vertices 0..n-1, 0 for a vertex out of the game."""
-        width, fill = self.width, self.fill
-        return tuple(packed >> width * v & fill for v in range(n))
-
     def within(self, packed: int, mask: int) -> int:
         """The budgets of the vertices of mask alone."""
         return packed & self.fill * self.spread[mask]
@@ -232,13 +227,15 @@ class PaintabilitySolver:
 
     A state is (remaining-vertex mask, packed budgets): the budgets sit in one
     int with 4 bits per vertex (``ONLINE_BUDGET_CAP`` = 7 leaves each field a
-    spare top bit), and ``memo`` is keyed by that pair.  Callers may start
-    from any induced subgraph of the host, which lets a single memo table
-    serve every candidate subgraph of the same graph.  Three sound reductions
-    keep the search tractable: vertices whose budget exceeds their remaining
-    degree are removed (they can always be painted last), components are
-    solved independently, and Painter only ever uses maximal independent
-    subsets of S (painting more is never worse).
+    spare top bit), and ``memo`` maps every state the solver has entered to
+    its verdict, whichever rule below decided it, so no state is decided
+    twice.  Callers may start from any induced subgraph of the host, which
+    lets a single memo table serve every candidate subgraph of the same
+    graph.  Three sound reductions keep the search tractable: vertices whose
+    budget exceeds their remaining degree are removed (they can always be
+    painted last), components are solved independently, and Painter only
+    ever uses maximal independent subsets of S (painting more is never
+    worse).
     """
 
     def __init__(self, g: Graph):
@@ -290,6 +287,13 @@ class PaintabilitySolver:
     def _solve(self, mask: int, packed: int) -> bool:
         if not mask:
             return True
+        key = (mask, packed)
+        got = self.memo.get(key)
+        if got is None:
+            got = self.memo[key] = self._decide(mask, packed)
+        return got
+
+    def _decide(self, mask: int, packed: int) -> bool:
         packing = self._packing
         # a remaining vertex with no budget loses outright
         if packing.exhausted(mask, packed):
@@ -322,27 +326,21 @@ class PaintabilitySolver:
         comps = self.g.component_masks(within=mask)
         if len(comps) > 1:
             return all(self._solve(c, packing.within(packed, c)) for c in comps)
-        key = (mask, packed)
-        got = self.memo.get(key)
-        if got is not None:
-            return got
-        # rounds strictly shrink the state, so the recursion cannot revisit
-        # key; the full set comes first: it is usually Lister's sharpest move,
-        # so losses surface fast
-        result = True
-        for smask in submasks(mask):
-            if smask and not self._painter_can_answer(mask, packed, smask):
-                result = False
-                break
-        self.memo[key] = result
-        return result
-
-    def _painter_can_answer(self, mask: int, packed: int, smask: int) -> bool:
-        after_round = self._packing.after_round
-        for imask in self._maximal_independent_sets(smask):
-            if self._solve(*after_round(mask, packed, smask, imask)):
-                return True
-        return False
+        # Lister wins by some S that no answer of Painter survives.  Rounds
+        # strictly shrink the state, so the recursion cannot come back here;
+        # the full set comes first: it is usually Lister's sharpest move, so
+        # losses surface fast
+        solve, after_round = self._solve, packing.after_round
+        mis = self._maximal_independent_sets
+        smask = mask
+        while smask:
+            for imask in mis(smask):
+                if solve(*after_round(mask, packed, smask, imask)):
+                    break
+            else:
+                return False
+            smask = (smask - 1) & mask
+        return True
 
 
 def is_online_f_choosable(g: Graph, f: DegreeTable) -> bool:
@@ -445,13 +443,12 @@ def play_paint_game(g: Graph, f: DegreeTable,
 
 def _check_painter_move(g: Graph, smask: int, imask: int,
                         independent: set[int]) -> None:
-    """Raise unless imask is an independent subset of smask.  ``independent``
-    holds the sets this walk has already found independent: whether I is
-    independent does not depend on S, so each is checked once per walk."""
+    """Raise unless imask is an independent subset of smask, and add it to
+    ``independent``, the sets this walk has found independent.  Whether I is
+    independent does not depend on S, so the walk calls this only for an
+    answer outside S or not yet in that set."""
     if imask & ~smask:
         raise ValueError("painter's set must be a subset of S")
-    if imask in independent:
-        return
     adj = g.adj
     rest = imask
     while rest:
@@ -473,14 +470,19 @@ def _record(packing: _Packing, mask: int, packed: int, smask: int, imask: int) -
 
 def _traverse_all_lines(g: Graph, packing: _Packing, mask0: int, packed0: int,
                         painter_fn: PainterFn) -> GameOutcome:
-    """Painter's moves are fixed, so states repeat: cache each state, the
-    pair (remaining-vertex mask, packed budgets).  The budgets are decoded
-    for the painter once per visited state.  Every answer it gives is
-    checked to lie in S; independence is checked once per distinct answer."""
-    cache: dict[tuple[int, int], bool] = {}
+    """Painter's moves are fixed, so states repeat: each state, the pair
+    (remaining-vertex mask, packed budgets), is walked once.  Rounds strictly
+    shrink the state, so a state is never met again while it is walked, and
+    the first lost state ends the walk: every state met again was survived.
+    The budgets are decoded for the painter once per walked state.  Every
+    answer it gives is checked to lie in S; independence is checked once per
+    distinct answer."""
+    walked: set[tuple[int, int]] = set()
     independent: set[int] = set()
     explored = 0
     exhausted, after_round = packing.exhausted, packing.after_round
+    fill = packing.fill
+    shifts = range(0, packing.width * g.n, packing.width)
 
     def survive(mask: int, packed: int) -> Optional[list[GameRound]]:
         # None = painter survives every line; otherwise a losing line
@@ -489,25 +491,21 @@ def _traverse_all_lines(g: Graph, packing: _Packing, mask0: int, packed0: int,
             return None
         if exhausted(mask, packed):
             return []
-        key = (mask, packed)
-        if key in cache:
-            return None if cache[key] else []
-        cache[key] = True
+        walked.add((mask, packed))
         explored += 1
-        budgets = packing.unpack(packed, g.n)
-        for smask in submasks(mask):
-            if smask == 0:
-                continue
+        budgets = tuple([packed >> shift & fill for shift in shifts])
+        smask = mask  # every nonempty S, in descending numeric order
+        while smask:
             imask = painter_fn(g, mask, budgets, smask)
-            _check_painter_move(g, smask, imask, independent)
-            nmask, npacked = after_round(mask, packed, smask, imask)
-            # a finished game, or a state already survived: nothing to walk
-            if not nmask or cache.get((nmask, npacked)):
-                continue
-            line = survive(nmask, npacked)
-            if line is not None:
-                cache[key] = False
-                return [_record(packing, nmask, npacked, smask, imask)] + line
+            if imask & ~smask or imask not in independent:
+                _check_painter_move(g, smask, imask, independent)
+            state = after_round(mask, packed, smask, imask)
+            # a state already survived: nothing to walk
+            if state not in walked:
+                line = survive(*state)
+                if line is not None:
+                    return [_record(packing, *state, smask, imask)] + line
+            smask = (smask - 1) & mask
         return None
 
     line = survive(mask0, packed0)

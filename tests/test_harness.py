@@ -196,6 +196,19 @@ def test_allow_large_with_a_source_is_rejected(tmp_path, capsys):
     assert cli_main(["suite", "mic-basics", "--source", str(path)]) == 0
 
 
+def test_allow_large_within_the_ceiling_is_rejected(capsys):
+    # the enumerated corpus stays within the ceiling, so there is nothing to
+    # lift and the flag would be silently ignored
+    for max_n in (None, 3, 5):
+        with pytest.raises(ValueError, match="no allow_large"):
+            run_suite("in-orient-oracle", max_n=max_n, allow_large=True)
+    assert cli_main(["suite", "in-orient-oracle", "--allow-large", "--max-n", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no allow_large" in err
+    assert cli_main(["suite", "in-orient-oracle", "--allow-large"]) == 2
+    assert cli_main(["suite", "in-orient-oracle", "--max-n", "3"]) == 0
+
+
 def test_gallai_count_rejects_allow_large(capsys):
     # it builds its own forests, so there is no corpus ceiling to lift
     with pytest.raises(ValueError, match="no allow_large"):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -21,6 +22,7 @@ from kernelpaint import (
     mic,
 )
 from kernelpaint.errors import SizeLimitError
+from kernelpaint.reduce import _colourable_from_prefixes
 from kernelpaint.structure import is_gallai_forest
 
 
@@ -109,6 +111,105 @@ def test_oc_pendant_graphs_are_irreducible():
     # a pendant vertex forces f_H(v) <= 0 on every proper candidate
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     assert is_oc_reducible(g) is None
+
+
+def _f_h(g, members):
+    """f_H(v) = delta(G) + d_H(v) - d_G(v), from the edge list."""
+    delta = min(g.degrees)
+    return {v: delta + sum(1 for u in members if g.has_edge(u, v)) - g.degrees[v]
+            for v in members}
+
+
+def literal_oc_scan(g):
+    """is_oc_reducible by its definition: every candidate H in increasing
+    size, lexicographic within a size, asked of a fresh solver, with no
+    filter in front of it."""
+    for size in range(1, g.n + 1):
+        for members in itertools.combinations(range(g.n), size):
+            f_h = _f_h(g, members)
+            if PaintabilitySolver(g).wins(members, f_h):
+                return members, f_h
+    return None
+
+
+def literal_colourable(g, members, f_h) -> bool:
+    """Some choice of a colour in {1..f_H(v)} per member is proper."""
+    edges = [(u, v) for u, v in itertools.combinations(members, 2) if g.has_edge(u, v)]
+    for choice in itertools.product(*(range(1, f_h[v] + 1) for v in members)):
+        colour = dict(zip(members, choice))
+        if all(colour[u] != colour[v] for u, v in edges):
+            return True
+    return False
+
+
+def _oc_corpus():
+    """Every connected class on at most 6 vertices, then 200 seeded connected
+    labelled graphs on 7."""
+    for n in range(1, 7):
+        yield from enumerate_graphs(n, connected_only=True)
+    rng = random.Random(2017)
+    pairs = list(itertools.combinations(range(7), 2))
+    made = 0
+    while made < 200:
+        p = rng.uniform(0.3, 0.9)
+        g = Graph(7, [e for e in pairs if rng.random() < p])
+        if g.is_connected():
+            made += 1
+            yield g
+
+
+def test_oc_scan_matches_the_definition():
+    found = 0
+    for g in _oc_corpus():
+        got = is_oc_reducible(g)
+        assert got == literal_oc_scan(g), encode_graph6(g)
+        found += got is not None
+    assert found > 20
+
+
+def test_oc_refutation_is_the_colouring_test_and_sound():
+    # a candidate whose lists {1..f_H(v)} admit no proper colouring is not
+    # even f_H-choosable, so the solver must give it to Lister too; the
+    # colourings are listed one by one only up to 6 vertices, where there are
+    # few enough of them
+    refuted = kept = 0
+    for g in _oc_corpus():
+        solver = PaintabilitySolver(g)
+        for size in range(1, g.n + 1):
+            for members in itertools.combinations(range(g.n), size):
+                f_h = _f_h(g, members)
+                if min(f_h.values()) < 1:
+                    continue
+                colourable = _colourable_from_prefixes(g.adj, members, f_h)
+                if g.n <= 6:
+                    assert colourable == literal_colourable(g, members, f_h)
+                if colourable:
+                    kept += 1
+                else:
+                    assert not solver.wins(members, f_h), (encode_graph6(g), members)
+                    refuted += 1
+    assert refuted > 5000 and kept > 500, (refuted, kept)
+
+
+def test_a_one_token_vertex_peels_off_a_winning_game():
+    # the reason the OC scan skips candidates with f_H(v) = 1: if Painter
+    # wins on H, Painter wins on H - v with the neighbours of v one token
+    # poorer (Lister opens with v and its neighbours)
+    rng = random.Random(2017)
+    winners = 0
+    for _ in range(400):
+        n = rng.randint(2, 6)
+        p = rng.uniform(0.3, 0.9)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        f = [rng.randint(1, g.degrees[v] + 1) for v in range(n)]
+        v = rng.randrange(n)
+        f[v] = 1
+        solver = PaintabilitySolver(g)
+        if solver.wins(g.full_mask(), f):
+            rest = [u for u in range(n) if u != v]
+            assert solver.wins(rest, {u: f[u] - g.has_edge(u, v) for u in rest}), (g.edges, f)
+            winners += 1
+    assert winners > 50, winners
 
 
 def test_mic_strength_examples(c4, c5, k4):
