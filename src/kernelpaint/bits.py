@@ -2,16 +2,27 @@
 
 A vertex set over integer labels is an int whose bit v is set when v is in
 the set.  These helpers sit on the hot paths of enumeration and the
-exhaustive searches, so they stay plain loops over the lowest set bit.
+exhaustive searches, so they stay plain loops over the lowest set bit, and
+``bits`` reads the members of a small mask from a table.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+# _MEMBERS[m] is the ascending tuple of the members of m, for every m below
+# 2 ** _TABLE_WIDTH: the lowest member, then those of m without it.
+_TABLE_WIDTH = 10
+_MEMBERS: list[tuple[int, ...]] = [()]
+for _m in range(1, 1 << _TABLE_WIDTH):
+    _MEMBERS.append(((_m & -_m).bit_length() - 1, *_MEMBERS[_m & _m - 1]))
+del _m
+
 
 def bits(mask: int) -> list[int]:
-    """The members of mask in ascending order."""
+    """The members of mask in ascending order, as a new list."""
+    if not mask >> _TABLE_WIDTH:
+        return list(_MEMBERS[mask])
     out = []
     while mask:
         low = mask & -mask

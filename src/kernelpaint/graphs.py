@@ -63,10 +63,14 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        self.n = n
-        self.adj = tuple(adj)
-        self.degrees = tuple(m.bit_count() for m in adj)
-        self._hash = hash((n, self.adj))
+        self._set_rows(tuple(adj))
+
+    def _set_rows(self, adj: tuple[int, ...]) -> None:
+        """Set every slot from valid adjacency rows: symmetric, no loops."""
+        self.n = len(adj)
+        self.adj = adj
+        self.degrees = tuple(map(int.bit_count, adj))
+        self._hash = hash((self.n, adj))
 
     # -- basic accessors -------------------------------------------------
 
@@ -455,12 +459,19 @@ def block_decomposition(g: Graph) -> BlockTree:
 # ---------------------------------------------------------------------------
 
 
-def _refine(nbrs: Sequence[Sequence[int]]) -> list[int]:
+def _refine(nbrs: Sequence[Sequence[int]], twin_classes: int) -> list[int]:
     """Stable vertex coloring of the graph with neighbor lists nbrs:
     iterated (color, sorted neighbor colors) keys, ranked.
 
     The first round from the one-cell coloring ranks vertices by degree, so
-    the iteration starts there, and a discrete coloring is already stable.
+    the iteration starts there.  It stops at ``twin_classes`` cells, the
+    number of classes of twins (n bounds it), without the round that would
+    find the coloring stable.  Twins get one key in every round, so each
+    cell is a union of twin classes, and once there are as many cells as
+    classes each cell is one class of pairwise twins.  That coloring is
+    stable: twins u and v have the same neighbors outside {u, v}, so the
+    members of a cell count the same neighbors in every cell.
+
     Refinement only splits cells, so vertices of one color share a degree,
     and their sorted neighbor-color tuples share a length.  Tuples of one
     length compare like their count vectors read from color 0 up, a larger
@@ -476,7 +487,7 @@ def _refine(nbrs: Sequence[Sequence[int]]) -> list[int]:
     colors = [rank[d] for d in degrees]
     ncells = len(rank)
     w = n.bit_length()
-    while ncells < n:
+    while ncells < twin_classes:
         shift = w * ncells
         weight = [1 << shift - w * (c + 1) for c in colors]
         keys = [(c << shift) - sum(map(weight.__getitem__, nv))
@@ -522,16 +533,26 @@ def _canonical_search(n: int,
     """The canonical key of the graph with adjacency rows adj, and a list of
     automorphisms (``p[v]`` is the image of v) that generates its group.
 
-    Branch and bound on the row strings: row p of an ordering has bit
-    ``n - 1 - i`` set when positions i < p are adjacent.  When refinement
-    leaves every vertex its own color the ordering is forced, and the group
-    is trivial because automorphisms keep colors.  Otherwise, at each node
-    the search skips two kinds of candidate:
+    The key is the least tuple of row strings over the orderings that list
+    the refined colors in order: row p of an ordering has bit ``n - 1 - i``
+    set when positions i < p are adjacent.  u and v are twins when
+    ``adj[u] & ~(1 << v) == adj[v] & ~(1 << u)``; then the transposition
+    (u v) is an automorphism, and it keeps every color.
 
-    - a twin of one it already tried there: u and v are twins when
-      ``adj[u] & ~(1 << v) == adj[v] & ~(1 << u)``, so the transposition
-      (u v) is an automorphism that fixes the placed prefix and keeps every
-      color.  Each skipped pair is reported as that transposition.
+    Twin-cell shortcut: when every cell of the refined coloring is a class
+    of pairwise twins, there is no search.  A discrete coloring is the case
+    where every cell is a single vertex.  Swaps of twins are automorphisms
+    that keep colors, and they generate every permutation of a cell, so all
+    the orderings give the same rows: the key is the rows of the ordering
+    that lists each color's vertices by label.  Automorphisms keep colors,
+    so the group is exactly the product of the cells' symmetric groups,
+    generated by the swaps of consecutive members of each cell.
+
+    Otherwise a branch and bound on the rows.  At each node the search skips
+    two kinds of candidate:
+
+    - a twin of one it already tried there: their transposition fixes the
+      placed prefix.  Each skipped pair is reported as that transposition.
     - a candidate in the orbit of the tried ones under the automorphisms
       found so far that fix the placed prefix pointwise (orbit pruning).
 
@@ -555,29 +576,37 @@ def _canonical_search(n: int,
     if n == 0:
         return (0,), []
     nbrs = [bits(a) for a in adj]
-    colors = _refine(nbrs)
-    if max(colors) == n - 1:
-        rows = [0] * n
-        for v, c in enumerate(colors):
-            for u in nbrs[v]:
-                if colors[u] < c:
-                    rows[c] |= 1 << n - 1 - colors[u]
-        return (n, *rows), []
-    cells: dict[int, list[int]] = {}
+    # Twins share their open neighborhood when not adjacent and their closed
+    # one when adjacent.  No vertex has twins of both kinds (an open twin of
+    # v would be adjacent to v's closed twin, hence to v), so the twin
+    # classes number n less the merges of each kind.
+    twin_classes = len(set(adj)) + len({a | 1 << v for v, a in enumerate(adj)}) - n
+    colors = _refine(nbrs, twin_classes)
+    if max(colors) + 1 == twin_classes:  # the twin-cell shortcut
+        order = sorted(range(n), key=colors.__getitem__)
+        column = [0] * n  # the bit of each vertex's position in a row
+        for p, v in enumerate(order):
+            column[v] = 1 << n - 1 - p
+        rows = [sum(map(column.__getitem__, nbrs[v])) >> n - p << n - p
+                for p, v in enumerate(order)]
+        generators = []
+        for u, v in zip(order, order[1:]):
+            if colors[u] == colors[v]:
+                perm = list(range(n))
+                perm[u], perm[v] = v, u
+                generators.append(tuple(perm))
+        return (n, *rows), generators
+    cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
     for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    cell_of_pos: list[list[int]] = []
-    for c in sorted(cells):
-        cell_of_pos.extend([cells[c]] * len(cells[c]))
-    # Twins share their open neighborhood when not adjacent, their closed one
-    # when adjacent (kept under ~closed, apart from the open ones); either
-    # way refinement gives them one color.
-    same_nbhd: dict[int, int] = {}
-    for v, a in enumerate(adj):
-        for key in (a, ~(a | 1 << v)):
-            same_nbhd[key] = same_nbhd.get(key, 0) | 1 << v
-    twins = [(same_nbhd[a] | same_nbhd[~(a | 1 << v)]) & ~(1 << v)
-             for v, a in enumerate(adj)]
+        cells[c].append(v)
+    # Twins have one color, so only pairs inside a cell are tested.
+    twins = [0] * n
+    for cell in cells:
+        for u, v in itertools.combinations(cell, 2):
+            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                twins[u] |= 1 << v
+                twins[v] |= 1 << u
+    cell_of_pos = [cell for cell in cells for _ in cell]
 
     sentinel = 1 << (n + 1)
     best = [sentinel] * n
@@ -660,10 +689,19 @@ def _from_key(key: tuple) -> Graph:
 
     Row p of a key has bit ``n - 1 - i`` set when position p is adjacent to
     the earlier position i, so the result is the class in canonical labeling.
+    Those rows are loop-free and each pair is met once, so the symmetric
+    rows are set directly, without ``Graph``'s checks of each pair.
     """
     n = key[0]
-    return Graph(n, [(i, p) for p, row in enumerate(key[1:])
-                     for i in range(p) if row >> (n - 1 - i) & 1])
+    adj = [0] * n
+    for p, row in enumerate(key[1:]):
+        for b in bits(row):
+            i = n - 1 - b
+            adj[p] |= 1 << i
+            adj[i] |= 1 << p
+    g = Graph.__new__(Graph)
+    g._set_rows(tuple(adj))
+    return g
 
 
 def _children(parent: Graph, admits: Admits) -> Iterator[list[int]]:

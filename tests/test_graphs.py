@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,7 @@ from kernelpaint import (
     to_dot,
 )
 from kernelpaint import graphs
-from kernelpaint.bits import lex_key, lex_less
+from kernelpaint.bits import bits, lex_key, lex_less
 from kernelpaint.errors import SizeLimitError
 
 
@@ -111,6 +113,31 @@ def test_lex_less_orders_masks_like_their_member_tuples():
     for a in range(1 << 7):
         for b in range(1 << 7):
             assert lex_less(a, b) == (lex_key(a) < lex_key(b))
+
+
+def _lowest_bit_members(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def test_bits_matches_the_lowest_bit_loop():
+    # every mask the table holds and past it, then wide seeded masks
+    rnd = random.Random(64)
+    masks = list(range(1 << 12)) + [rnd.getrandbits(64) for _ in range(1000)]
+    for m in masks:
+        assert bits(m) == _lowest_bit_members(m)
+
+
+def test_bits_returns_a_new_list_each_call():
+    for m in (0, 0b1011, (1 << 10) - 1, 1 << 10 | 5):
+        first = bits(m)
+        first.append(99)
+        assert bits(m) == _lowest_bit_members(m)
+        assert bits(m) is not bits(m)
 
 
 def test_max_weight_independent_set_matches_definition():
@@ -354,7 +381,77 @@ def test_refine_int_keys_match_tuple_refinement():
     assert corpus[-1].degrees[:4] == (17, 17, 1, 3)
     for g in corpus:
         nbrs = [g.neighbors(v) for v in range(g.n)]
-        assert graphs._refine(nbrs) == _tuple_refine(nbrs)
+        stable = _tuple_refine(nbrs)
+        assert graphs._refine(nbrs, g.n) == stable
+        # stopping at as many cells as twin classes leaves the same coloring
+        assert graphs._refine(nbrs, _twin_class_count(g)) == stable
+
+
+def _twins(g: Graph, u: int, v: int) -> bool:
+    return g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u)
+
+
+def _twin_class_count(g: Graph) -> int:
+    """Classes of the twin relation, one representative at a time."""
+    reps: list[int] = []
+    for v in range(g.n):
+        if not any(_twins(g, u, v) for u in reps):
+            reps.append(v)
+    return len(reps)
+
+
+def _refined_cells(g: Graph) -> list[list[int]]:
+    colors = graphs._refine([g.neighbors(v) for v in range(g.n)], g.n)
+    return [[v for v in range(g.n) if colors[v] == c] for c in range(max(colors) + 1)]
+
+
+def _least_rows_over_color_orderings(g: Graph, cells) -> tuple:
+    """The key by definition: the smallest row tuple over every ordering that
+    lists the cells in color order, each cell in every order."""
+    n = g.n
+    best = None
+    for parts in itertools.product(*(itertools.permutations(c) for c in cells)):
+        order = [v for part in parts for v in part]
+        rows = tuple(sum(1 << n - 1 - i for i in range(p) if g.has_edge(order[i], v))
+                     for p, v in enumerate(order))
+        if best is None or rows < best:
+            best = rows
+    return (n, *best)
+
+
+def test_canonical_keys_match_the_least_rows_over_color_orderings():
+    rnd = random.Random(19)
+    corpus = []
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            perm = list(range(n))
+            rnd.shuffle(perm)
+            corpus += [g, Graph(n, [(perm[u], perm[v]) for u, v in g.edges])]
+    corpus += [g for g in enumerate_graphs(7)
+               if math.prod(math.factorial(len(c)) for c in _refined_cells(g)) <= 720]
+    kinds = Counter()
+    for g in corpus:
+        cells = _refined_cells(g)
+        assert graphs._canonical_search(g.n, g.adj)[0] == _least_rows_over_color_orderings(g, cells)
+        if len(cells) == g.n:
+            kinds["discrete"] += 1
+        elif all(_twins(g, u, v) for c in cells for u, v in itertools.combinations(c, 2)):
+            kinds["twin cells"] += 1
+        else:
+            kinds["searched"] += 1
+    # the shortcut covers graphs with twin cells that are not discrete, and
+    # the search still runs on the others
+    assert min(kinds["discrete"], kinds["twin cells"], kinds["searched"]) > 0, kinds
+
+
+def test_from_key_builds_the_graph_of_the_key_rows():
+    for n in range(1, 8):
+        for key in {canonical_key(g) for g in enumerate_graphs(n)}:
+            pairs = [(i, p) for p, row in enumerate(key[1:]) for i in range(p)
+                     if row >> (n - 1 - i) & 1]
+            built, expected = graphs._from_key(key), Graph(n, pairs)
+            assert built == expected and hash(built) == hash(expected)
+            assert built.n == n and built.degrees == expected.degrees
 
 
 THREE_FIVE_CYCLES = "Nhc?GC@@G??@?@??_@G"  # a gallai-count forest: 3 disjoint C5
