@@ -7,6 +7,7 @@ triangle of the adjacency matrix follows in column order (pairs (0,1), (0,2),
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import Iterable, Union
 
@@ -48,14 +49,26 @@ def parse_graph6(text: str) -> Graph:
     if bits & ((1 << pad) - 1):
         raise FormatError("nonzero padding bits at end of vector")
     bits >>= pad
-    edges = []
-    idx = nbits
-    for j in range(1, n):
-        for i in range(j):
-            idx -= 1
-            if bits >> idx & 1:
-                edges.append((i, j))
-    return Graph(n, edges)
+    # each set bit of the vector marks one pair, met once: set both rows
+    pairs = _pairs_by_bit(n)
+    adj = [0] * n
+    while bits:
+        low = bits & -bits
+        i, j = pairs[low.bit_length() - 1]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+        bits ^= low
+    g = Graph.__new__(Graph)
+    g._set_rows(tuple(adj))
+    return g
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs_by_bit(n: int) -> tuple[tuple[int, int], ...]:
+    """Index k holds the pair (i, j) that bit k of an n-vertex vector stands
+    for, padding removed: the vector lists the pairs in column order from its
+    top bit down."""
+    return tuple(reversed([(i, j) for j in range(1, n) for i in range(j)]))
 
 
 def encode_graph6(g: Graph) -> str:

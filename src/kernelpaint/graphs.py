@@ -252,7 +252,8 @@ def max_weight_independent_set(g_or_n, weights: Sequence[int],
 
     Takes a graph, or a vertex count and its adjacency rows.  Exhaustive
     branch and bound; the bound on a subtree is the weight of the vertices
-    still available, a bit count when every weight is 1.  Among
+    still available, carried down the search: a branch subtracts the weight
+    of the vertices it removes, a bit count when every weight is 1.  Among
     maximum-weight sets the witness is the one whose sorted vertex tuple is
     lexicographically smallest, which keeps downstream expectations
     deterministic.  Weights must be nonnegative.
@@ -272,19 +273,23 @@ def max_weight_independent_set(g_or_n, weights: Sequence[int],
 
     rest_weight = int.bit_count if all(w == 1 for w in weights) else weight_of
 
-    def dfs(avail: int, cur_w: int, cur_set: int) -> None:
+    def dfs(avail: int, rest: int, cur_w: int, cur_set: int) -> None:
+        # rest is the weight of avail
         nonlocal best_w, best_set
         if not avail:
             if cur_w > best_w or cur_w == best_w and lex_less(cur_set, best_set):
                 best_w, best_set = cur_w, cur_set
             return
-        if cur_w + rest_weight(avail) < best_w:
+        if cur_w + rest < best_w:
             return
-        v = (avail & -avail).bit_length() - 1
-        dfs(avail & ~(adj[v] | (1 << v)), cur_w + weights[v], cur_set | (1 << v))
-        dfs(avail & ~(1 << v), cur_w, cur_set)
+        bit = avail & -avail
+        v = bit.bit_length() - 1
+        gone = avail & (adj[v] | bit)
+        dfs(avail ^ gone, rest - rest_weight(gone), cur_w + weights[v], cur_set | bit)
+        dfs(avail ^ bit, rest - weights[v], cur_w, cur_set)
 
-    dfs((1 << g_or_n) - 1, 0, 0)
+    full = (1 << g_or_n) - 1
+    dfs(full, rest_weight(full), 0, 0)
     return best_w, best_set
 
 
@@ -389,69 +394,66 @@ class BlockTree:
 
 
 def block_decomposition(g: Graph) -> BlockTree:
-    """Hopcroft-Tarjan biconnected components; isolated vertices become singleton blocks."""
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    is_cut = [False] * n
-    edge_stack: list[tuple[int, int]] = []
-    blocks: list[frozenset[int]] = []
-    timer = itertools.count()
+    """Hopcroft-Tarjan biconnected components; isolated vertices become singleton blocks.
 
-    def pop_block(u: int, v: int) -> None:
-        comp = set()
-        while True:
-            e = edge_stack.pop()
-            comp.update(e)
-            if e == (u, v):
-                break
-        blocks.append(frozenset(comp))
+    The blocks are those of ``_block_masks``, sorted by their sorted member
+    lists; the cutvertices are the vertices in two or more blocks.
+    """
+    masks = _block_masks(g.adj)
+    seen = twice = 0
+    for b in masks:
+        twice |= seen & b
+        seen |= b
+    return BlockTree(blocks=tuple(frozenset(b) for b in sorted(map(bits, masks))),
+                     cutvertices=frozenset(bits(twice)))
 
-    for root in range(n):
-        if disc[root] != -1:
+
+def _block_masks(adj: Sequence[int]) -> list[int]:
+    """The blocks of the graph with adjacency rows adj, as vertex masks.
+
+    One iterative Hopcroft-Tarjan search, with Tarjan's low numbers kept as
+    masks.  A depth-first search of an undirected graph leaves no cross
+    edges, so the neighbours of the subtree of a child u of p lie in that
+    subtree, at p, or on the path above p.  reach[u] collects them, and u's
+    subtree reaches above p exactly when reach[u] meets the path less p;
+    when it does not, p separates it, and its block is p with every vertex
+    stacked from u up: ``stacked ^ below[u]``.
+    """
+    blocks = []
+    reach = list(adj)  # reach[v]: the neighbours of v's subtree so far
+    below = [0] * len(adj)  # below[v]: the stacked vertices when v was reached
+    seen = 0
+    for root, row in enumerate(adj):
+        if seen >> root & 1:
             continue
-        if g.degrees[root] == 0:
-            disc[root] = next(timer)
-            blocks.append(frozenset([root]))
+        seen |= 1 << root
+        if not row:
+            blocks.append(1 << root)
             continue
-        # iterative DFS: stack of (vertex, neighbor iterator)
-        disc[root] = low[root] = next(timer)
-        stack = [(root, iter(g.neighbors(root)))]
-        root_children = 0
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for v in it:
-                if disc[v] == -1:
-                    parent[v] = u
-                    edge_stack.append((u, v))
-                    disc[v] = low[v] = next(timer)
-                    stack.append((v, iter(g.neighbors(v))))
-                    if u == root:
-                        root_children += 1
-                    advanced = True
-                    break
-                if v != parent[u] and disc[v] < disc[u]:
-                    edge_stack.append((u, v))
-                    low[u] = min(low[u], disc[v])
-            if advanced:
+        path = [root]
+        on_path = stacked = 1 << root
+        while path:
+            u = path[-1]
+            fresh = adj[u] & ~seen
+            if fresh:
+                bit = fresh & -fresh
+                w = bit.bit_length() - 1
+                below[w] = stacked
+                seen |= bit
+                on_path |= bit
+                stacked |= bit
+                path.append(w)
                 continue
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[u])
-                if low[u] >= disc[p]:
-                    if p != root or root_children > 0:
-                        pop_block(p, u)
-                    if p != root:
-                        is_cut[p] = True
-        if root_children > 1:
-            is_cut[root] = True
-
-    cutverts = frozenset(v for v in range(n) if is_cut[v])
-    blocks_sorted = tuple(sorted(blocks, key=lambda b: sorted(b)))
-    return BlockTree(blocks=blocks_sorted, cutvertices=cutverts)
+            path.pop()
+            on_path ^= 1 << u
+            if path:
+                p = path[-1]
+                if reach[u] & on_path & ~(1 << p):
+                    reach[p] |= reach[u]
+                else:
+                    blocks.append(stacked ^ below[u] | 1 << p)
+                    stacked = below[u]
+    return blocks
 
 
 # ---------------------------------------------------------------------------

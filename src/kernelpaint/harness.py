@@ -159,21 +159,32 @@ def validate_certificate(cert: Certificate, g: Graph, f) -> tuple[bool, str]:
 
     Takes a :class:`Certificate`; certificate JSON is read with
     ``Certificate.from_json`` or ``Certificate.loads`` first.  Checks:
-    nonempty H inside V(g); arcs confined to H and covering every edge of
-    G[H] (extra arcs and doubled pairs are allowed, the painting strategy
-    tolerates them); f_h(v) = f(v) + d_H(v) - d_G(v); out-degrees strictly
-    below f_h; and kernel-perfection of the digraph.
+    nonempty H inside V(g), no vertex listed twice; f_h defined on H alone;
+    arcs confined to H and covering every edge of G[H] (extra arcs and
+    doubled pairs are allowed, the painting strategy tolerates them);
+    f_h(v) = f(v) + d_H(v) - d_G(v); out-degrees strictly below f_h; and
+    kernel-perfection of the digraph.
     """
     h = cert.h_vertices
     if not h:
         return False, "empty vertex set"
     if not all(0 <= v < g.n for v in h):
         return False, "vertices outside the host graph"
-    if cert.digraph.vertex_set != frozenset(h):
+    h_set = frozenset(h)
+    if len(h_set) != len(h):
+        return False, "h_vertices lists a vertex twice"
+    if cert.digraph.vertex_set != h_set:
         return False, "digraph vertex set differs from h_vertices"
+    stray = cert.f_h.keys() - h_set
+    if stray:
+        return False, f"f_h gives a value to vertex {min(stray)} outside H"
     hmask = mask_of(h)
-    induced_edges = {(u, v) for u in h for v in bits(g.adj[u] & hmask) if u < v}
-    if not induced_edges <= cert.digraph.underlying_edges():
+    # the underlying rows of the digraph, over the labels of g
+    und = [0] * g.n
+    for t, w in cert.digraph.arcs:
+        und[t] |= 1 << w
+        und[w] |= 1 << t
+    if any(g.adj[v] & hmask & ~und[v] for v in h):
         return False, "some edge of G[H] carries no arc"
     for v in h:
         expect = f[v] + g.deg_in(v, hmask) - g.degrees[v]

@@ -10,25 +10,32 @@ kernel-perfect with out-degrees bounded by f(v) - 1, which is exactly what the
 painting strategy in :mod:`kernelpaint.verify` consumes.
 
 In-degree-constrained orientations come from Hakimi's theorem by path
-reversal; an infeasible demand yields the largest vertex set of maximum
-deficiency.  The job picks the kernel routine.  When every subset is asked
-(:func:`is_kernel_perfect`, the kernel painter of :mod:`kernelpaint.verify`),
-``_kernel_table`` gives the smallest kernel of every induced subdigraph from
-one sweep over the independent sets.  For one set at a time
-(:func:`find_kernel` on the whole digraph, the f-KP search on each
-subdigraph as soon as its arcs are decided), ``_smallest_kernel`` searches
-that set alone.
+reversal on adjacency rows; an infeasible demand yields the largest vertex set
+of maximum deficiency.  Kernels have three jobs, each with one routine, and
+all rest on one lemma: an independent I is a kernel of D[S] exactly when
+I <= S <= I | Absorb(I), Absorb(I) being the vertices with an arc into I.
+
+- The table, ``_kernel_table``: which kernel every induced subdigraph has,
+  the smallest, for the kernel painter of :mod:`kernelpaint.verify`.
+- The cover, ``_kernel_cover``: whether every induced subdigraph has a
+  kernel, for :func:`is_kernel_perfect`.
+- The search, ``_smallest_kernel``: the smallest kernel of one set, for
+  :func:`find_kernel` and for the f-KP search, which checks each subdigraph
+  as soon as its arcs are decided.
+
+The table and the cover read the same sweep over the independent sets.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .bits import bits, mask_of
 from .errors import SizeLimitError
-from .graphs import Graph, cut_size
+from .graphs import Graph
 
 __all__ = [
     "ATCount",
@@ -94,6 +101,24 @@ class Digraph:
         self.arcs = tuple(sorted(arc_list))
         self._out = dict(out)
         self._in = dict(inc)
+
+    @classmethod
+    def _from_rows(cls, vertices: Sequence[int], out: Sequence[int]) -> "Digraph":
+        """The digraph with an arc t -> h for every bit h of out[t].
+
+        The vertices come sorted, and the rows are valid: loop-free, every
+        head a vertex.  The arcs are then listed in sorted order directly,
+        without ``__init__``'s checks of each arc.
+        """
+        d = cls.__new__(cls)
+        d.vertex_set = frozenset(vertices)
+        d.arcs = tuple([(t, h) for t in vertices for h in bits(out[t])])
+        d._out = {t: out[t].bit_count() for t in vertices if out[t]}
+        inc: dict[int, int] = {}
+        for _, h in d.arcs:
+            inc[h] = inc.get(h, 0) + 1
+        d._in = inc
+        return d
 
     @property
     def n(self) -> int:
@@ -179,29 +204,37 @@ def orient_with_indegrees(g: Graph, demand: DegreeTable) -> OrientationResult:
     dem = _table(demand, range(g.n))
     if any(val < 0 for val in dem.values()):
         raise ValueError("demands must be nonnegative")
-    return _orient_masked(g, g.full_mask(), dem)
+    out, x, deficiency = _orient_masked(g.adj, g.full_mask(), dem)
+    if out is None:
+        return OrientationResult(None, x, deficiency)
+    return OrientationResult(Digraph._from_rows(range(g.n), out), None)
 
 
-def _orient_masked(g: Graph, mask: int, dem: Mapping[int, int]) -> OrientationResult:
-    """orient_with_indegrees restricted to the induced subgraph on a vertex mask,
-    keeping original labels."""
+def _orient_masked(
+    adj: Sequence[int], mask: int, dem: Mapping[int, int]
+) -> tuple[Optional[list[int]], Optional[frozenset[int]], int]:
+    """Path reversal on the subgraph with adjacency rows adj induced on a
+    vertex mask, keeping labels; dem gives the demand of every vertex of mask.
+
+    Returns the out-rows of an orientation meeting every demand, or None with
+    the violating set and its deficiency.
+    """
     verts = bits(mask)
     # out[v]: out-neighbours of v; spare[v]: in-degree minus demand.  Every
     # edge starts at its smaller end.
-    out = [0] * g.n
-    spare = [0] * g.n
+    out = [0] * len(adj)
+    spare = [0] * len(adj)
     for v in verts:
-        nbrs = g.adj[v] & mask
+        nbrs = adj[v] & mask
         out[v] = nbrs >> (v + 1) << (v + 1)
-        spare[v] = (nbrs ^ out[v]).bit_count() - dem.get(v, 0)
+        spare[v] = (nbrs ^ out[v]).bit_count() - dem[v]
     # A vertex that reaches no surplus vertex stays short for good: later
     # reversals only flip arcs among vertices that do reach one.
     for v in verts:
         while spare[v] < 0 and _reverse_path_to_surplus(out, spare, v):
             pass
     if all(spare[v] >= 0 for v in verts):
-        arcs = [(t, h) for t in verts for h in bits(out[t])]
-        return OrientationResult(Digraph(verts, arcs), None)
+        return out, None, 0
 
     # X is every vertex with no directed path to a surplus vertex: search
     # backwards from the surplus vertices along in-arcs.
@@ -209,15 +242,17 @@ def _orient_masked(g: Graph, mask: int, dem: Mapping[int, int]) -> OrientationRe
     reach = mask_of(stack)
     while stack:
         y = stack.pop()
-        fresh = g.adj[y] & mask & ~out[y] & ~reach
+        fresh = adj[y] & mask & ~out[y] & ~reach
         reach |= fresh
         stack.extend(bits(fresh))
-    x = frozenset(v for v in verts if not reach >> v & 1)
-    deficiency = sum(dem.get(v, 0) for v in x) - (
-        cut_size(g, x, x) // 2 + cut_size(g, x, set(verts) - x)
-    )
+    xmask = mask & ~reach
+    x = bits(xmask)
+    # the edges inside X, counted from both ends, and those leaving X
+    inside = sum((adj[v] & xmask).bit_count() for v in x)
+    leaving = sum((adj[v] & mask & ~xmask).bit_count() for v in x)
+    deficiency = sum(dem[v] for v in x) - (inside // 2 + leaving)
     assert deficiency > 0, "X must genuinely violate the demand bound"
-    return OrientationResult(None, x, deficiency)
+    return None, frozenset(x), deficiency
 
 
 def _reverse_path_to_surplus(out: list[int], spare: list[int], v: int) -> bool:
@@ -273,7 +308,7 @@ def build_kernel_perfect(g: Graph, a: Iterable[int], f: DegreeTable) -> KernelPe
     a_set = frozenset(a)
     ftab = _table(f, range(g.n))
     _check_kp_inputs(g, a_set, ftab, g.full_mask())
-    return _build_kp_masked(g, g.full_mask(), a_set, ftab)
+    return _build_kp_masked(g, g.full_mask(), mask_of(a_set), ftab)
 
 
 def _check_kp_inputs(g: Graph, a_set: frozenset, ftab: Mapping[int, int], mask: int) -> None:
@@ -292,27 +327,27 @@ def _check_kp_inputs(g: Graph, a_set: frozenset, ftab: Mapping[int, int], mask: 
 
 
 def _build_kp_masked(
-    g: Graph, mask: int, a_set: frozenset, ftab: Mapping[int, int]
+    g: Graph, mask: int, amask: int, ftab: Mapping[int, int]
 ) -> KernelPerfectResult:
+    """build_kernel_perfect on the subgraph induced on a vertex mask, keeping
+    labels, with A given as a mask."""
+    adj = g.adj
     verts = bits(mask)
-    amask = mask_of(a_set) & mask
-    # Bipartite part: edges meeting A, listed from their end in A (A is
-    # independent).  Demands are d(v) + 1 - f(v) in the induced subgraph,
-    # clamped at 0.
-    bip_edges = [(u, v) for u in bits(amask) for v in bits(g.adj[u] & mask)]
-    bip = Graph(g.n, bip_edges)  # same labels, only the A-incident edges
-    dem = {v: max(0, g.deg_in(v, mask) + 1 - ftab[v]) for v in verts}
-    res = _orient_masked(bip, mask, dem)
-    if not res.ok:
-        return KernelPerfectResult(None, res.violating_set)
-    arcs = list(res.orientation.arcs)
+    amask &= mask
+    # Bipartite part: the edges meeting A, as rows (A is independent).
+    # Demands are d(v) + 1 - f(v) in the induced subgraph, clamped at 0.
+    bip = [row & (mask if amask >> v & 1 else amask) for v, row in enumerate(adj)]
+    dem = {v: max(0, (adj[v] & mask).bit_count() + 1 - ftab[v]) for v in verts}
+    out, x, _ = _orient_masked(bip, mask, dem)
+    if out is None:
+        return KernelPerfectResult(None, x)
+    # every edge with both ends outside A, from each end: a doubled pair
     rest = mask & ~amask
-    # every edge with both ends outside A, once from each end: a doubled pair
-    arcs += [(u, v) for u in bits(rest) for v in bits(g.adj[u] & rest)]
-    d = Digraph(verts, arcs)
+    for v in bits(rest):
+        out[v] |= adj[v] & rest
     for v in verts:
-        assert d.out_degree(v) <= ftab[v] - 1, "construction must bound out-degrees"
-    return KernelPerfectResult(d, None)
+        assert out[v].bit_count() <= ftab[v] - 1, "construction must bound out-degrees"
+    return KernelPerfectResult(Digraph._from_rows(verts, out), None)
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +368,13 @@ def _arc_masks(d: Digraph) -> tuple[list[int], list[int], list[int]]:
     vertex as bitmasks over positions in that list."""
     verts = sorted(d.vertex_set)
     idx = {v: i for i, v in enumerate(verts)}
-    und = [0] * len(verts)
     out = [0] * len(verts)
+    into = [0] * len(verts)
     for t, h in d.arcs:
-        und[idx[t]] |= 1 << idx[h]
-        und[idx[h]] |= 1 << idx[t]
-        out[idx[t]] |= 1 << idx[h]
-    return verts, und, out
+        i, j = idx[t], idx[h]
+        out[i] |= 1 << j
+        into[j] |= 1 << i
+    return verts, [o | n for o, n in zip(out, into)], out
 
 
 def _smallest_kernel(und: Sequence[int], out: Sequence[int], sub: int) -> Optional[int]:
@@ -361,33 +396,36 @@ def _smallest_kernel(und: Sequence[int], out: Sequence[int], sub: int) -> Option
         pick = (pick - sub) & sub
 
 
-def _kernel_table(und: Sequence[int], out: Sequence[int]) -> list[Optional[int]]:
-    """The smallest kernel mask of every induced subdigraph, indexed by its
-    vertex mask; None where that subdigraph has no kernel.
+def _independent_sets(und: Sequence[int], out: Sequence[int]) -> list[tuple[int, int]]:
+    """Every independent set I of the digraph with Absorb(I), the vertices
+    with an arc into I, as (I, Absorb(I)) in ascending order of I.
 
-    An independent I is a kernel of D[S] exactly when I <= S <= I | Absorb(I),
-    Absorb(I) being the vertices with an out-arc into I.  One sweep over the
-    independent sets in ascending mask order records each I for every such S
-    not yet reached, so the entry of S is what ``_smallest_kernel(und, out, S)``
-    returns.
+    The sets without vertex v all come before those with it, so appending
+    I | {v} for each listed I that misses N(v), in list order, keeps the
+    order.  No arc joins two vertices of an independent I, so Absorb(I)
+    misses I.
     """
-    size = 1 << len(und)
     into = [0] * len(und)  # into[h]: the vertices with an arc to h
     for t, heads in enumerate(out):
         for h in bits(heads):
             into[h] |= 1 << t
-    table: list[Optional[int]] = [None] * size
-    absorb = [0] * size  # Absorb(i), or -1 when i is not independent
-    table[0] = 0
-    for i in range(1, size):
-        low = i & -i
-        v = low.bit_length() - 1
-        rest = i ^ low
-        if absorb[rest] < 0 or und[v] & rest:
-            absorb[i] = -1
-            continue
-        # no arc joins two vertices of an independent i, so free misses i
-        free = absorb[i] = absorb[rest] | into[v]
+    sweep = [(0, 0)]
+    for v, row in enumerate(und):
+        bit, arcs_in = 1 << v, into[v]
+        sweep += [(i | bit, free | arcs_in) for i, free in sweep if not i & row]
+    return sweep
+
+
+def _kernel_table(und: Sequence[int], out: Sequence[int]) -> list[Optional[int]]:
+    """The smallest kernel mask of every induced subdigraph, indexed by its
+    vertex mask; None where that subdigraph has no kernel.
+
+    Each independent I, in ascending order, is recorded for every S with
+    I <= S <= I | Absorb(I) not yet reached, so the entry of S is what
+    ``_smallest_kernel(und, out, S)`` returns.
+    """
+    table: list[Optional[int]] = [None] * (1 << len(und))
+    for i, free in _independent_sets(und, out):
         sub = free
         while True:
             if table[i | sub] is None:
@@ -396,6 +434,31 @@ def _kernel_table(und: Sequence[int], out: Sequence[int]) -> list[Optional[int]]
                 break
             sub = (sub - 1) & free
     return table
+
+
+@functools.lru_cache(maxsize=None)
+def _cube(n: int) -> tuple[int, ...]:
+    """cube[f], for every mask f on n vertices, has bit s set for every
+    submask s of f: a 2^n-bit indicator, built once per n."""
+    cube = [1]
+    for v in range(n):
+        cube += [c | c << (1 << v) for c in cube]
+    return tuple(cube)
+
+
+def _kernel_cover(und: Sequence[int], out: Sequence[int]) -> int:
+    """A 2^n-bit mask with bit S set exactly when the subdigraph induced on S
+    has a kernel.
+
+    An independent I is a kernel of D[S] for every S = I | s, s a submask of
+    Absorb(I), so it sets the bits of ``cube[Absorb(I)] << I``; s misses I,
+    so I | s = I + s.
+    """
+    cube = _cube(len(und))
+    cover = 0
+    for i, free in _independent_sets(und, out):
+        cover |= cube[free] << i
+    return cover
 
 
 @dataclass(frozen=True)
@@ -411,16 +474,16 @@ def is_kernel_perfect(d: Digraph) -> KernelPerfectCheck:
     """Exhaustively check that every induced subdigraph has a kernel (n <= 10).
 
     The offending set, if any, is the kernel-free vertex set of smallest
-    mask, read off the kernel table.
+    mask: the lowest bit the kernel cover leaves clear.
     """
     if d.n > KP_CHECK_CAP:
         raise SizeLimitError(f"kernel-perfection check capped at {KP_CHECK_CAP} vertices")
     verts, und, out = _arc_masks(d)
-    table = _kernel_table(und, out)
-    if None not in table:
+    cover = _kernel_cover(und, out)
+    if cover == (1 << (1 << len(verts))) - 1:
         return KernelPerfectCheck(True, None)
-    sub = table.index(None)
-    return KernelPerfectCheck(False, frozenset(verts[i] for i in bits(sub)))
+    first = (~cover & (cover + 1)).bit_length() - 1  # the lowest clear bit
+    return KernelPerfectCheck(False, frozenset(verts[i] for i in bits(first)))
 
 
 # ---------------------------------------------------------------------------

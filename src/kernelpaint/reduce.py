@@ -112,11 +112,11 @@ def extract_reducible(
 
     # demands are d_H(v) + 1 - f_H(v) = d_G(v) + 1 - f(v): invariant under peeling
     mask = g.full_mask()
+    amask = mask_of(a_set)
     while True:
         assert mask, "peeling can never empty H"
-        h_a = frozenset(v for v in bits(mask) if v in a_set)
         f_h = {v: ftab[v] + g.deg_in(v, mask) - g.degrees[v] for v in bits(mask)}
-        res = _build_kp_masked(g, mask, h_a, f_h)
+        res = _build_kp_masked(g, mask, amask, f_h)
         if res.ok:
             return Certificate(tuple(bits(mask)), res.digraph, f_h)
         x = res.violating_set

@@ -22,6 +22,7 @@ from .bits import bits, mask_of
 from .errors import UndefinedStatisticError
 from .graphs import (
     Graph,
+    _block_masks,
     block_decomposition,
     independence_number,
     max_weight_independent_set,
@@ -60,19 +61,20 @@ class GallaiCheck:
         return self.is_gallai
 
 
-def _is_clique_or_odd_cycle(g: Graph, block: frozenset[int]) -> bool:
-    k = len(block)
-    bmask = mask_of(block)
-    degrees = [g.deg_in(v, bmask) for v in block]
-    # a block whose vertices all have degree 2 inside it is a cycle
-    return (sum(degrees) == k * (k - 1)
-            or k % 2 == 1 and all(d == 2 for d in degrees))
-
-
 def _gallai_check(g: Graph) -> GallaiCheck:
-    offender = next((block for block in block_decomposition(g).blocks
-                     if not _is_clique_or_odd_cycle(g, block)), None)
-    return GallaiCheck(offender is None, offender)
+    """The offender is the first bad block in ``block_decomposition`` order,
+    that is, by sorted member list."""
+    adj = g.adj
+    bad = []
+    for b in _block_masks(adj):
+        k = b.bit_count()
+        degrees = {(adj[v] & b).bit_count() for v in bits(b)}
+        # a block whose vertices all have degree 2 inside it is a cycle
+        if degrees != {k - 1} and not (k % 2 and degrees == {2}):
+            bad.append(b)
+    if not bad:
+        return GallaiCheck(True, None)
+    return GallaiCheck(False, frozenset(min(map(bits, bad))))
 
 
 def is_gallai_tree(g: Graph) -> GallaiCheck:

@@ -202,6 +202,37 @@ def test_blocks_partition_edges_and_isolated_vertices():
         assert covered == set(range(g.n))
 
 
+def _gallai_count_forests():
+    """The forests gallai-count checks at its default seed, read back from
+    its report."""
+    from kernelpaint import run_suite
+
+    report = run_suite("gallai-count")
+    return [parse_graph6(r["graph6"]) for r in report.records if "index" in r]
+
+
+def test_block_masks_match_networkx():
+    """_block_masks gives networkx's biconnected components plus one block per
+    isolated vertex, on every atlas graph and on gallai-count's forests, and
+    block_decomposition is its sorted view, cutvertices included."""
+    nx = pytest.importorskip("networkx")
+    atlas = [Graph(a.number_of_nodes(), a.edges()) for a in nx.graph_atlas_g()]
+    forests = _gallai_count_forests()
+    assert len(forests) == 3000
+    for g in atlas + forests:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        want = {frozenset(c) for c in nx.biconnected_components(h)}
+        want |= {frozenset([v]) for v in range(g.n) if not g.degrees[v]}
+        masks = graphs._block_masks(g.adj)
+        assert len(masks) == len(want)
+        assert {frozenset(bits(b)) for b in masks} == want
+        bt = block_decomposition(g)
+        assert list(bt.blocks) == sorted(want, key=sorted)
+        assert bt.cutvertices == set(nx.articulation_points(h))
+
+
 def test_enumeration_counts():
     assert sum(1 for _ in enumerate_graphs(1)) == 1
     assert sum(1 for _ in enumerate_graphs(4, connected_only=True)) == 6

@@ -71,6 +71,37 @@ def test_validate_rejects_missing_edge_and_wrong_f(c4):
     assert not ok and "f_h" in why
 
 
+def _malformed_c4_certificates():
+    """Two C4 certificates that once validated: one lists vertex 0 twice in
+    h_vertices, one gives f_h a value at vertex 99, outside H."""
+    c4 = make_named("cycle", [4])
+    cert = extract_reducible(c4, c4.degrees, [0, 2])
+    twice = Certificate(cert.h_vertices + (cert.h_vertices[0],), cert.digraph, cert.f_h)
+    stray = Certificate(cert.h_vertices, cert.digraph, {**cert.f_h, 99: 5})
+    return c4, [(twice, "twice"), (stray, "vertex 99 outside H")]
+
+
+def test_validate_rejects_repeated_vertex_and_stray_f_h():
+    c4, cases = _malformed_c4_certificates()
+    for cert, reason in cases:
+        ok, why = validate_certificate(cert, c4, c4.degrees)
+        assert not ok and reason in why
+
+
+def test_cli_cert_validate_rejects_repeated_vertex_and_stray_f_h(tmp_path, capsys):
+    c4, cases = _malformed_c4_certificates()
+    for cert, reason in cases:
+        obj = {"vertices": list(cert.h_vertices),
+               "arcs": [list(a) for a in cert.digraph.arcs],
+               "f_h": {str(v): val for v, val in cert.f_h.items()}}
+        payload = {"graph6": encode_graph6(c4), "f": {str(v): 2 for v in range(4)},
+                   "certificate": obj}
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(payload))
+        assert cli_main(["cert", "validate", str(path)]) == 1
+        assert "invalid: " in capsys.readouterr().out
+
+
 # certificate JSON that is valid JSON of the wrong shape
 MALFORMED_CERTIFICATES = [
     [],

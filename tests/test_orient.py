@@ -21,7 +21,7 @@ from kernelpaint import (
 from kernelpaint.bits import bits
 from kernelpaint.errors import SizeLimitError
 from kernelpaint.graphs import cut_size
-from kernelpaint.orient import _arc_masks, _kernel_table
+from kernelpaint.orient import _arc_masks, _kernel_cover, _kernel_table, _smallest_kernel
 
 
 # -- digraph basics -----------------------------------------------------------
@@ -254,6 +254,73 @@ def test_kernel_table_matches_definition_on_random_digraphs():
             s = frozenset(verts[i] for i in bits(sub))
             got = None if kernel is None else frozenset(verts[i] for i in bits(kernel))
             assert got == _first_kernel_by_definition(arcs, s)
+
+
+def _mixed_digraphs(count, max_n, seed):
+    """Seeded random digraphs whose vertex pairs carry no arc, one arc either
+    way, or a doubled pair; labels are sparse, drawn from 0..2 * max_n."""
+    import random
+
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, max_n)
+        verts = sorted(rng.sample(range(2 * max_n + 1), n))
+        weights = [rng.random() for _ in range(4)]  # none, forward, back, doubled
+        arcs = set()
+        for u, v in itertools.combinations(verts, 2):
+            pick = rng.choices(range(4), weights)[0]
+            if pick in (1, 3):
+                arcs.add((u, v))
+            if pick in (2, 3):
+                arcs.add((v, u))
+        yield verts, arcs
+
+
+def test_kernel_cover_agrees_with_the_kernel_table():
+    """The cover sets exactly the bits of the subsets the table gives a
+    kernel, and is_kernel_perfect names the table's first kernel-free set.
+    The two read one sweep, so the table is held to the one-set search."""
+    failing = 0
+    for verts, arcs in _mixed_digraphs(2000, 8, seed=20):
+        d = Digraph(verts, arcs)
+        _, und, out = _arc_masks(d)
+        table = _kernel_table(und, out)
+        assert table == [_smallest_kernel(und, out, s) for s in range(len(table))]
+        cover = _kernel_cover(und, out)
+        assert cover == sum(1 << s for s, k in enumerate(table) if k is not None)
+        check = is_kernel_perfect(d)
+        assert bool(check) == (None not in table)
+        if not check:
+            failing += 1
+            first = table.index(None)
+            assert check.offending == frozenset(verts[i] for i in bits(first))
+    assert failing >= 100  # the sample holds many digraphs that are not kernel-perfect
+
+
+def _has_kernel_by_definition(arcs, sub):
+    """Some subset of sub is independent and absorbs every other vertex of sub."""
+    return any(
+        all((u, v) not in arcs for u in k for v in k)
+        and all(any((v, w) in arcs for w in k) for v in sub - set(k))
+        for r in range(len(sub) + 1)
+        for k in itertools.combinations(sorted(sub), r)
+    )
+
+
+def test_kernel_cover_matches_definition_n5():
+    """Bit S of the cover is set iff D[S] has a kernel, by brute force over
+    every S and every candidate kernel, for n <= 5."""
+    seen = set()
+    for verts, arcs in _mixed_digraphs(400, 5, seed=21):
+        _, und, out = _arc_masks(Digraph(verts, arcs))
+        cover = _kernel_cover(und, out)
+        for sub in range(1 << len(verts)):
+            s = {verts[i] for i in bits(sub)}
+            assert (cover >> sub & 1) == _has_kernel_by_definition(arcs, s)
+        perfect = cover == (1 << (1 << len(verts))) - 1
+        assert bool(is_kernel_perfect(Digraph(verts, arcs))) == perfect
+        seen.add(perfect)
+    assert seen == {True, False}
 
 
 # -- Alon-Tarsi counting ------------------------------------------------------

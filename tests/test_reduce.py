@@ -20,8 +20,11 @@ from kernelpaint import (
     is_oc_reducible,
     make_named,
     mic,
+    orient_with_indegrees,
 )
+from kernelpaint.bits import bits, mask_of
 from kernelpaint.errors import SizeLimitError
+from kernelpaint.orient import Digraph
 from kernelpaint.reduce import _colourable_from_prefixes
 from kernelpaint.structure import is_gallai_forest
 
@@ -85,6 +88,71 @@ def test_certificates_confirmed_by_game_solver():
             cert = extract_reducible(g, g.degrees)
             solver = PaintabilitySolver(g)
             assert solver.wins(cert.h_vertices, cert.f_h), g
+
+
+def _extract_by_the_graph_route(g, f, a=None):
+    """extract_reducible built from public parts: each round relabels H onto
+    0..k-1 in sorted order, orients a bipartite Graph of H's edges meeting A
+    with orient_with_indegrees, and lists the composite's arcs for
+    Digraph(verts, arcs).  The relabeling keeps vertex order, so the path
+    reversal takes the same steps as on H's rows."""
+    a_set = frozenset(a) if a is not None else mic(g).witness
+    if sum(g.degrees[v] for v in a_set) < sum(g.degrees[v] + 1 - f[v] for v in range(g.n)):
+        raise HypothesisNotMetError("independent cover too small")
+    mask = (1 << g.n) - 1
+    while True:
+        verts = bits(mask)
+        pos = {v: i for i, v in enumerate(verts)}
+        f_h = {v: f[v] + g.deg_in(v, mask) - g.degrees[v] for v in verts}
+        bip = Graph(len(verts), [(pos[u], pos[w]) for u in verts if u in a_set
+                                 for w in bits(g.adj[u] & mask)])
+        dem = [max(0, g.deg_in(v, mask) + 1 - f_h[v]) for v in verts]
+        res = orient_with_indegrees(bip, dem)
+        if res.ok:
+            arcs = [(verts[t], verts[h]) for t, h in res.orientation.arcs]
+            rest = [v for v in verts if v not in a_set]
+            arcs += [(u, w) for u in rest for w in rest if g.has_edge(u, w)]
+            return Certificate(tuple(verts), Digraph(verts, arcs), f_h)
+        mask &= ~mask_of(verts[i] for i in res.violating_set)
+
+
+def _random_budget_and_cover(g, rng):
+    """A random f <= d + 1, f >= 1, and a random maximal independent set A,
+    the demands of f mostly fitting what A covers."""
+    a = 0
+    for v in rng.sample(range(g.n), g.n):
+        if not g.adj[v] & (a | 1 << v):
+            a |= 1 << v
+    budget = sum(g.degrees[v] for v in bits(a)) + rng.choice((0, 0, 0, 1))
+    short = [rng.randint(0, g.degrees[v]) for v in range(g.n)]
+    while sum(short) > budget:
+        short[rng.choice([v for v in range(g.n) if short[v]])] -= 1
+    return [g.degrees[v] + 1 - short[v] for v in range(g.n)], bits(a)
+
+
+def test_extraction_matches_the_graph_route():
+    """The same Certificate, degrees included, on every connected class with
+    n <= 7, with f = d and A the mic witness, and with seeded A and f."""
+    rng = random.Random(22)
+    compared = 0
+    for n in range(1, 8):
+        for g in enumerate_graphs(n, connected_only=True):
+            cases = [(g.degrees, None)]
+            cases += [_random_budget_and_cover(g, rng) for _ in range(2)]
+            for f, a in cases:
+                try:
+                    want = _extract_by_the_graph_route(g, f, a)
+                except HypothesisNotMetError:
+                    with pytest.raises(HypothesisNotMetError):
+                        extract_reducible(g, f, a)
+                    continue
+                got = extract_reducible(g, f, a)
+                assert got == want
+                d, e = got.digraph, want.digraph
+                for v in got.h_vertices:
+                    assert (d.out_degree(v), d.in_degree(v)) == (e.out_degree(v), e.in_degree(v))
+                compared += 1
+    assert compared > 2000
 
 
 def test_certificate_json_round_trip(c4):

@@ -42,6 +42,38 @@ def test_gallai_examples(c4, c5, k4e, bowtie):
     assert is_gallai_tree(make_named("path", [4]))
 
 
+def _is_clique_or_odd_cycle_by_definition(g, block):
+    """Every pair adjacent, or an odd number of vertices joined in one ring."""
+    if all(g.has_edge(u, v) for u, v in itertools.combinations(block, 2)):
+        return True
+    if len(block) % 2 == 0 or any(len(set(g.neighbors(v)) & block) != 2 for v in block):
+        return False
+    ring, prev, cur = [min(block)], None, min(block)
+    while True:  # walk the ring; it must close after visiting every vertex
+        prev, cur = cur, next(w for w in g.neighbors(cur) if w in block and w != prev)
+        if cur == ring[0]:
+            return len(ring) == len(block)
+        ring.append(cur)
+
+
+def test_gallai_offender_is_the_first_bad_block():
+    """On every atlas graph (disconnected ones through is_gallai_forest) the
+    verdict and the offender are those of a literal test of each block of
+    block_decomposition, in its order."""
+    nx = pytest.importorskip("networkx")
+    verdicts = set()
+    for a in nx.graph_atlas_g():
+        g = Graph(a.number_of_nodes(), a.edges())
+        want = next((b for b in block_decomposition(g).blocks
+                     if not _is_clique_or_odd_cycle_by_definition(g, b)), None)
+        check = is_gallai_forest(g)
+        assert (bool(check), check.offender) == (want is None, want)
+        if g.n and g.is_connected():
+            assert is_gallai_tree(g) == check
+        verdicts.add(bool(check))
+    assert verdicts == {True, False}
+
+
 def test_gallai_tree_requires_connected():
     two = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(ValueError, match="forest"):
