@@ -57,14 +57,3 @@ def lex_less(a: int, b: int) -> bool:
         return bool(b & -(low << 1))
     return bool(low) and not a & -(low << 1)
 
-
-def submasks(mask: int) -> list[int]:
-    """Every subset of mask in descending numeric order, full set first."""
-    out = []
-    sub = mask
-    while True:
-        out.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
-    return out

@@ -366,15 +366,37 @@ def find_kernel(d: Digraph) -> Optional[frozenset[int]]:
 def _arc_masks(d: Digraph) -> tuple[list[int], list[int], list[int]]:
     """Sorted labels of d, with the underlying and out-neighbourhoods of each
     vertex as bitmasks over positions in that list."""
+    verts, out, into = _arc_rows(d)
+    return verts, [o | i for o, i in zip(out, into)], out
+
+
+def _arc_rows(d: Digraph) -> tuple[list[int], list[int], list[int]]:
+    """Sorted labels of d, with the out- and in-neighbourhoods of each vertex
+    as bitmasks over positions in that list, from one pass over the arcs.
+    Where the labels are 0..n-1 they are the positions."""
     verts = sorted(d.vertex_set)
-    idx = {v: i for i, v in enumerate(verts)}
     out = [0] * len(verts)
     into = [0] * len(verts)
-    for t, h in d.arcs:
-        i, j = idx[t], idx[h]
-        out[i] |= 1 << j
-        into[j] |= 1 << i
-    return verts, [o | n for o, n in zip(out, into)], out
+    if verts and verts[-1] != len(verts) - 1:
+        idx = {v: i for i, v in enumerate(verts)}
+        for t, h in d.arcs:
+            i, j = idx[t], idx[h]
+            out[i] |= 1 << j
+            into[j] |= 1 << i
+    else:
+        for t, h in d.arcs:
+            out[t] |= 1 << h
+            into[h] |= 1 << t
+    return verts, out, into
+
+
+def _in_rows(out: Sequence[int]) -> list[int]:
+    """into[h]: the vertices with an arc to h, from the out-rows."""
+    into = [0] * len(out)
+    for t, heads in enumerate(out):
+        for h in bits(heads):
+            into[h] |= 1 << t
+    return into
 
 
 def _smallest_kernel(und: Sequence[int], out: Sequence[int], sub: int) -> Optional[int]:
@@ -396,19 +418,16 @@ def _smallest_kernel(und: Sequence[int], out: Sequence[int], sub: int) -> Option
         pick = (pick - sub) & sub
 
 
-def _independent_sets(und: Sequence[int], out: Sequence[int]) -> list[tuple[int, int]]:
-    """Every independent set I of the digraph with Absorb(I), the vertices
-    with an arc into I, as (I, Absorb(I)) in ascending order of I.
+def _independent_sets(und: Sequence[int], into: Sequence[int]) -> list[tuple[int, int]]:
+    """Every independent set I of the digraph with underlying rows und and
+    in-rows into, with Absorb(I), the vertices with an arc into I, as
+    (I, Absorb(I)) in ascending order of I.
 
     The sets without vertex v all come before those with it, so appending
     I | {v} for each listed I that misses N(v), in list order, keeps the
     order.  No arc joins two vertices of an independent I, so Absorb(I)
     misses I.
     """
-    into = [0] * len(und)  # into[h]: the vertices with an arc to h
-    for t, heads in enumerate(out):
-        for h in bits(heads):
-            into[h] |= 1 << t
     sweep = [(0, 0)]
     for v, row in enumerate(und):
         bit, arcs_in = 1 << v, into[v]
@@ -425,7 +444,7 @@ def _kernel_table(und: Sequence[int], out: Sequence[int]) -> list[Optional[int]]
     ``_smallest_kernel(und, out, S)`` returns.
     """
     table: list[Optional[int]] = [None] * (1 << len(und))
-    for i, free in _independent_sets(und, out):
+    for i, free in _independent_sets(und, _in_rows(out)):
         sub = free
         while True:
             if table[i | sub] is None:
@@ -446,9 +465,11 @@ def _cube(n: int) -> tuple[int, ...]:
     return tuple(cube)
 
 
-def _kernel_cover(und: Sequence[int], out: Sequence[int]) -> int:
+def _kernel_cover(und: Sequence[int], out: Sequence[int],
+                  into: Optional[Sequence[int]] = None) -> int:
     """A 2^n-bit mask with bit S set exactly when the subdigraph induced on S
-    has a kernel.
+    has a kernel.  The in-rows ``into`` are built from ``out`` unless the
+    caller has them.
 
     An independent I is a kernel of D[S] for every S = I | s, s a submask of
     Absorb(I), so it sets the bits of ``cube[Absorb(I)] << I``; s misses I,
@@ -456,7 +477,7 @@ def _kernel_cover(und: Sequence[int], out: Sequence[int]) -> int:
     """
     cube = _cube(len(und))
     cover = 0
-    for i, free in _independent_sets(und, out):
+    for i, free in _independent_sets(und, _in_rows(out) if into is None else into):
         cover |= cube[free] << i
     return cover
 
@@ -476,10 +497,17 @@ def is_kernel_perfect(d: Digraph) -> KernelPerfectCheck:
     The offending set, if any, is the kernel-free vertex set of smallest
     mask: the lowest bit the kernel cover leaves clear.
     """
-    if d.n > KP_CHECK_CAP:
+    verts, out, into = _arc_rows(d)
+    return _kernel_perfect_rows(verts, [o | i for o, i in zip(out, into)], out, into)
+
+
+def _kernel_perfect_rows(verts: Sequence[int], und: Sequence[int], out: Sequence[int],
+                         into: Sequence[int]) -> KernelPerfectCheck:
+    """:func:`is_kernel_perfect` on the rows of ``_arc_rows``, for a caller
+    that has built them, with ``und`` the underlying rows."""
+    if len(verts) > KP_CHECK_CAP:
         raise SizeLimitError(f"kernel-perfection check capped at {KP_CHECK_CAP} vertices")
-    verts, und, out = _arc_masks(d)
-    cover = _kernel_cover(und, out)
+    cover = _kernel_cover(und, out, into)
     if cover == (1 << (1 << len(verts))) - 1:
         return KernelPerfectCheck(True, None)
     first = (~cover & (cover + 1)).bit_length() - 1  # the lowest clear bit

@@ -164,6 +164,10 @@ def is_oc_reducible(g: Graph) -> Optional[tuple[tuple[int, ...], dict[int, int]]
     if g.n == 0:
         return None
     delta = min(g.degrees)
+    if delta <= 1:
+        # f_H(v) <= delta for every candidate and member: the first cut
+        # below refutes every candidate
+        return None
     adj, degrees = g.adj, g.degrees
     solver = PaintabilitySolver(g)
     for mask, members in _size_lex_candidates(g.n):

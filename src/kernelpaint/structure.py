@@ -61,12 +61,12 @@ class GallaiCheck:
         return self.is_gallai
 
 
-def _gallai_check(g: Graph) -> GallaiCheck:
+def _gallai_check(g: Graph, blocks: list[int]) -> GallaiCheck:
     """The offender is the first bad block in ``block_decomposition`` order,
     that is, by sorted member list."""
     adj = g.adj
     bad = []
-    for b in _block_masks(adj):
+    for b in blocks:
         k = b.bit_count()
         degrees = {(adj[v] & b).bit_count() for v in bits(b)}
         # a block whose vertices all have degree 2 inside it is a cycle
@@ -78,16 +78,23 @@ def _gallai_check(g: Graph) -> GallaiCheck:
 
 
 def is_gallai_tree(g: Graph) -> GallaiCheck:
-    """True iff g is connected and every block is a clique or odd cycle."""
-    if not g.is_connected():
+    """True iff g is connected and every block is a clique or odd cycle.
+
+    The block search settles connectivity as well: each component with c
+    vertices has blocks whose sizes less one sum to c - 1 (an isolated
+    vertex is a block of one), so the blocks of g sum to n - 1 exactly when
+    g is connected.
+    """
+    blocks = _block_masks(g.adj)
+    if g.n > 1 and sum(b.bit_count() - 1 for b in blocks) != g.n - 1:
         raise ValueError("is_gallai_tree requires a connected graph; "
                          "use is_gallai_forest for disconnected input")
-    return _gallai_check(g)
+    return _gallai_check(g, blocks)
 
 
 def is_gallai_forest(g: Graph) -> GallaiCheck:
     """Disconnected-friendly variant: every component must be a Gallai tree."""
-    return _gallai_check(g)
+    return _gallai_check(g, _block_masks(g.adj))
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +375,15 @@ def random_gallai_forest(
     tree_count: int,
     block_count: int,
     max_block_size: int,
-    seed: Optional[int] = None,
+    rng: random.Random,
     max_degree: Optional[int] = None,
 ) -> Graph:
-    """Disjoint union of random Gallai trees, optionally degree-capped by rejection."""
-    r = random.Random(seed)
+    """Disjoint union of random Gallai trees, optionally degree-capped by
+    rejection.  All randomness comes from ``rng``, so a seeded one
+    reproduces the forest."""
     while True:
         parts = [
-            random_gallai_tree(1 + r.randrange(block_count), max_block_size, r)
+            random_gallai_tree(1 + rng.randrange(block_count), max_block_size, rng)
             for _ in range(tree_count)
         ]
         offset = 0

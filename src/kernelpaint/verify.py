@@ -12,15 +12,23 @@ self-contained (no SAT/ILP backends) and mirrors the recursive definition
 directly.  ``play_paint_game`` asks whether one fixed Painter (a callable:
 greedy, the kernel painter, or any other) survives every line Lister can
 play, and returns a losing line when it does not.
+
+Both walkers carry a state as (remaining-vertex mask, packed budgets), and
+both build what does not depend on the budgets once.  The solver keeps, per
+mask, the constants of its tests on the packed budgets and the components,
+and per S, Painter's maximal independent answers with their moves.  The
+walk asks the kernel painter once per (mask, S), since its answer, the
+smallest kernel of the certificate digraph on S, depends on S alone; every
+other painter may read the budgets, so it is asked every round.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .bits import bits, mask_of, submasks
+from .bits import bits, mask_of
 from .errors import SizeLimitError
 from .graphs import Graph
 from .orient import KP_CHECK_CAP, Digraph, DegreeTable, _arc_masks, _kernel_table, _table
@@ -183,7 +191,7 @@ class _Packing:
     (remaining-vertex mask, packed budgets), and serves as a memo key as it
     stands.  Budgets never rise, and no round is played from a state with an
     empty field, so a field never borrows from the next one: a round is one
-    subtraction and one and-mask.
+    subtraction and one and-mask, which :meth:`move` computes.
     """
 
     __slots__ = ("width", "fill", "spread")
@@ -202,10 +210,6 @@ class _Packing:
                 out |= budgets[v] << self.width * v
         return out
 
-    def within(self, packed: int, mask: int) -> int:
-        """The budgets of the vertices of mask alone."""
-        return packed & self.fill * self.spread[mask]
-
     def exhausted(self, mask: int, packed: int) -> bool:
         """Has some vertex of mask no budget left?  Taking 1 from every field
         of mask sets the top bit of the lowest empty field, and newly sets no
@@ -213,13 +217,15 @@ class _Packing:
         ones = self.spread[mask]
         return bool((packed - ones) & ~packed & ones << self.width - 1)
 
-    def after_round(self, mask: int, packed: int, smask: int,
-                    imask: int) -> tuple[int, int]:
-        """The state after Painter answers S with I: I leaves the game and
-        every vertex of S - I spends one token."""
+    def move(self, smask: int, imask: int) -> tuple[int, int]:
+        """Painter answers S with I: I leaves the game and every vertex of
+        S - I spends one token.  Returns the decrement and the keep-mask that
+        take the packed budgets of any state whose remaining vertices
+        include S to the next state as ``(packed - dec) & keep``; the
+        remaining vertices become ``mask & ~imask``.  Neither depends on the
+        state, so a walker can build them once per (S, I)."""
         spread = self.spread
-        nmask = mask & ~imask
-        return nmask, (packed - spread[smask & ~imask]) & self.fill * spread[nmask]
+        return spread[smask & ~imask], ~(self.fill * spread[imask])
 
 
 class PaintabilitySolver:
@@ -236,14 +242,22 @@ class PaintabilitySolver:
     painted last), components are solved independently, and Painter only
     ever uses maximal independent subsets of S (painting more is never
     worse).
+
+    What does not depend on the budgets is built once and kept for the
+    solver's life: per remaining-vertex mask, the constants of the tests on
+    the packed budgets and the components; per S, Painter's answers, each
+    with its move from :meth:`_Packing.move`.
     """
 
     def __init__(self, g: Graph):
         self.g = g
         self.adj = g.adj
         self.memo: dict[tuple[int, int], bool] = {}
-        self._mis_cache: dict[int, tuple[int, ...]] = {}
         self._packing = _Packing(4)
+        self._tests: dict[int, tuple[int, int, int]] = {}
+        self._components: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._answers: dict[int, tuple[tuple[int, int, int], ...]] = {}
+        self._mis: dict[int, tuple[int, ...]] = {0: (0,)}
 
     # -- public entry points ---------------------------------------------
 
@@ -261,28 +275,47 @@ class PaintabilitySolver:
             raise SizeLimitError(f"online solver capped at budget {ONLINE_BUDGET_CAP}")
         return self._packing.pack(mask, budgets)
 
+    def _answers_to(self, smask: int) -> tuple[tuple[int, int, int], ...]:
+        """Painter's answers to S, each as (~I, dec, keep)."""
+        move = self._packing.move
+        got = self._answers[smask] = tuple(
+            [(~i, *move(smask, i)) for i in self._maximal_independent_sets(smask)])
+        return got
+
     def _maximal_independent_sets(self, smask: int) -> tuple[int, ...]:
-        got = self._mis_cache.get(smask)
-        if got is not None:
-            return got
-        adj = self.adj
-        members = bits(smask)
-        sets = []
-        for pick in submasks(smask):
-            ok = True
-            for v in members:
-                if pick >> v & 1:
-                    if adj[v] & pick:
-                        ok = False
-                        break
-                elif not adj[v] & pick:
-                    ok = False
-                    break
-            if ok and pick:
-                sets.append(pick)
-        out = tuple(sets)
-        self._mis_cache[smask] = out
-        return out
+        """The maximal independent subsets of S, in descending numeric order.
+
+        With v the top vertex of S and S' = S - v, they are J + v for every
+        maximal independent J of S' - N(v) (v covers its neighbours), then
+        every maximal independent I of S' that meets N(v) (so covers v)."""
+        got = self._mis.get(smask)
+        if got is None:
+            top = 1 << smask.bit_length() - 1
+            rest = smask ^ top
+            near = self.adj[top.bit_length() - 1]
+            got = self._mis[smask] = (
+                *[j | top for j in self._maximal_independent_sets(rest & ~near)],
+                *[i for i in self._maximal_independent_sets(rest) if i & near])
+        return got
+
+    def _mask_tests(self, mask: int) -> tuple[int, int, int]:
+        """The constants of the three tests on the packed budgets of mask: a
+        1 at the bottom of every field, a 1 at the top of every field, and
+        d(v) + 1 in v's field, d(v) its degree in mask (at most 8, which no
+        budget reaches)."""
+        ones = self._packing.spread[mask]
+        room = 0
+        for v in bits(mask):
+            room |= min((self.adj[v] & mask).bit_count() + 1, 8) << 4 * v
+        got = self._tests[mask] = (ones, ones << 3, room)
+        return got
+
+    def _mask_components(self, mask: int) -> tuple[tuple[int, int], ...]:
+        """The components of the subgraph on mask, each with its fields."""
+        fill, spread = self._packing.fill, self._packing.spread
+        got = self._components[mask] = tuple(
+            (c, fill * spread[c]) for c in self.g.component_masks(within=mask))
+        return got
 
     def _solve(self, mask: int, packed: int) -> bool:
         if not mask:
@@ -294,48 +327,53 @@ class PaintabilitySolver:
         return got
 
     def _decide(self, mask: int, packed: int) -> bool:
-        packing = self._packing
+        ones, tops, room = self._tests.get(mask) or self._mask_tests(mask)
         # a remaining vertex with no budget loses outright
-        if packing.exhausted(mask, packed):
+        if (packed - ones) & ~packed & tops:
             return False
-        # peel: budget above remaining degree means the vertex is always safe;
-        # the same pass collects the vertices holding one token
-        adj = self.adj
-        width, fill = packing.width, packing.fill
-        keep = mask
-        ones = 0
-        v = mask
-        while v:
-            low = v & -v
-            u = low.bit_length() - 1
-            budget = packed >> width * u & fill
-            if budget > (adj[u] & mask).bit_count():
-                keep ^= low
-            elif budget == 1:
-                ones |= low
-            v ^= low
-        if keep != mask:
-            return self._solve(keep, packing.within(packed, keep))
-        # quick Lister win: an edge whose two endpoints both hold one token
-        v = ones
-        while v:
-            low = v & -v
-            if adj[low.bit_length() - 1] & ones:
-                return False
-            v ^= low
-        comps = self.g.component_masks(within=mask)
+        # peel: budget above remaining degree means the vertex is always
+        # safe.  Every field of (packed | tops) - room is 8 + budget - room,
+        # between 1 and 14, so its top bit is set exactly when budget >= room.
+        over = ((packed | tops) - room) & tops
+        if over:
+            gone = over >> 3
+            keep = mask
+            v = gone
+            while v:
+                low = v & -v
+                keep ^= 1 << (low.bit_length() >> 2)
+                v ^= low
+            return self._solve(keep, packed & ~(gone * 15))
+        # quick Lister win: an edge whose two endpoints both hold one token.
+        # A field holding 1 is 0 in packed ^ ones, the only field of it whose
+        # top bit stays clear after (packed ^ ones | tops) - ones.
+        single = ~(((packed ^ ones) | tops) - ones) & tops
+        if single:
+            single >>= 3
+            adj, spread = self.adj, self._packing.spread
+            v = single
+            while v:
+                low = v & -v
+                if spread[adj[low.bit_length() >> 2]] & single:
+                    return False
+                v ^= low
+        comps = self._components.get(mask) or self._mask_components(mask)
         if len(comps) > 1:
-            return all(self._solve(c, packing.within(packed, c)) for c in comps)
+            return all(self._solve(c, packed & fields) for c, fields in comps)
         # Lister wins by some S that no answer of Painter survives.  Rounds
         # strictly shrink the state, so the recursion cannot come back here;
         # the full set comes first: it is usually Lister's sharpest move, so
-        # losses surface fast
-        solve, after_round = self._solve, packing.after_round
-        mis = self._maximal_independent_sets
+        # losses surface fast.  No vertex was peeled, so every vertex has a
+        # neighbour in mask and no answer empties it.
+        memo, decide, answers = self.memo, self._decide, self._answers
         smask = mask
         while smask:
-            for imask in mis(smask):
-                if solve(*after_round(mask, packed, smask, imask)):
+            for not_i, dec, keep in answers.get(smask) or self._answers_to(smask):
+                key = (mask & not_i, (packed - dec) & keep)
+                got = memo.get(key)
+                if got is None:
+                    got = memo[key] = decide(*key)
+                if got:
                     break
             else:
                 return False
@@ -397,6 +435,9 @@ def make_kernel_painter(cert_digraph: Digraph) -> PainterFn:
     ignored); all of them come from one kernel table, built when the painter
     is made, so each move is a lookup.  The table has 2^n entries, so n is
     capped as in :func:`kernelpaint.orient.is_kernel_perfect`.
+
+    The answer depends on S alone, and the painter says so to
+    :func:`play_paint_game`, which then asks it once per (mask, S).
     """
     if cert_digraph.n > KP_CHECK_CAP:
         raise SizeLimitError(f"kernel painter capped at {KP_CHECK_CAP} vertices")
@@ -415,6 +456,8 @@ def make_kernel_painter(cert_digraph: Digraph) -> PainterFn:
             raise ValueError("certificate digraph is not kernel-perfect on S")
         return kernel
 
+    # functools.wraps copies this marker onto a wrapper of the painter
+    painter._answers_by_set = True
     return painter
 
 
@@ -432,6 +475,16 @@ def play_paint_game(g: Graph, f: DegreeTable,
     The budgets travel packed in one int, with fields one bit wider than the
     largest starting budget (and at least 4 bits); the painter sees them as
     a tuple indexed by vertex.
+
+    A painter from :func:`make_kernel_painter`, or a wrapper of one made with
+    ``functools.wraps``, is asked once per (remaining-vertex mask, S), at
+    the first state with that mask the walk enters.  That is sound because
+    its answer is the smallest kernel of the digraph on S, whatever the
+    budgets: the walk meets the same answers in the same order as when
+    asking every round, so it visits the same states and returns the same
+    outcome, and a kernel-free S or an answer that is no independent subset
+    of S raises its ``ValueError`` at the same round.  Any other painter is
+    asked every round, with the budgets of that round.
     """
     if not callable(painter):
         raise ValueError(f"painter must be a strategy callable, not {painter!r}")
@@ -468,46 +521,91 @@ def _record(packing: _Packing, mask: int, packed: int, smask: int, imask: int) -
     )
 
 
+_Move = tuple[int, int, int, int, int]  # (S, I, next mask, dec, keep)
+
+
+def _then_raise(moves: list[_Move], error: ValueError) -> Iterator[_Move]:
+    """The moves before a painter error, then the error."""
+    yield from moves
+    raise error
+
+
 def _traverse_all_lines(g: Graph, packing: _Packing, mask0: int, packed0: int,
                         painter_fn: PainterFn) -> GameOutcome:
     """Painter's moves are fixed, so states repeat: each state, the pair
     (remaining-vertex mask, packed budgets), is walked once.  Rounds strictly
     shrink the state, so a state is never met again while it is walked, and
     the first lost state ends the walk: every state met again was survived.
-    The budgets are decoded for the painter once per walked state.  Every
-    answer it gives is checked to lie in S; independence is checked once per
-    distinct answer."""
-    walked: set[tuple[int, int]] = set()
+    A walked state has no empty field, so its packed budgets alone name it.
+
+    A state's moves, one per nonempty S in descending numeric order, come
+    from asking the painter with the state's budgets, or, for a painter
+    whose answer depends on S alone, from a table with one row of moves per
+    mask, built from the answers at the first state with that mask.  A
+    painter error met while the rows are built is raised where the walk
+    reaches that S.  Every answer is checked to lie in S; independence is
+    checked once per distinct answer.  A round leaves a field empty exactly
+    when it takes a token from a vertex holding one."""
+    walked = {0}  # the empty state: Painter has won
     independent: set[int] = set()
     explored = 0
-    exhausted, after_round = packing.exhausted, packing.after_round
-    fill = packing.fill
+    move, spread, fill = packing.move, packing.spread, packing.fill
+    top = packing.width - 1
     shifts = range(0, packing.width * g.n, packing.width)
 
-    def survive(mask: int, packed: int) -> Optional[list[GameRound]]:
-        # None = painter survives every line; otherwise a losing line
-        nonlocal explored
-        if not mask:
-            return None
-        if exhausted(mask, packed):
-            return []
-        walked.add((mask, packed))
-        explored += 1
+    def asked(mask: int, packed: int) -> Iterator[_Move]:
         budgets = tuple([packed >> shift & fill for shift in shifts])
-        smask = mask  # every nonempty S, in descending numeric order
+        smask = mask
         while smask:
             imask = painter_fn(g, mask, budgets, smask)
             if imask & ~smask or imask not in independent:
                 _check_painter_move(g, smask, imask, independent)
-            state = after_round(mask, packed, smask, imask)
-            # a state already survived: nothing to walk
-            if state not in walked:
-                line = survive(*state)
-                if line is not None:
-                    return [_record(packing, *state, smask, imask)] + line
+            yield (smask, imask, mask & ~imask, *move(smask, imask))
             smask = (smask - 1) & mask
+
+    moves_of = asked
+    if getattr(painter_fn, "_answers_by_set", False):
+        table: dict[int, Union[list[_Move], tuple[list[_Move], ValueError]]] = {}
+
+        def moves_of(mask: int, packed: int) -> Iterable[_Move]:
+            got = table.get(mask)
+            if got is None:
+                rows: list[_Move] = []
+                try:
+                    for row in asked(mask, packed):
+                        rows.append(row)
+                    got = rows
+                except ValueError as exc:
+                    got = (rows, exc)
+                table[mask] = got
+            return got if isinstance(got, list) else _then_raise(*got)
+
+    def survive(mask: int, packed: int) -> Optional[list[GameRound]]:
+        # None = painter survives every line; otherwise a losing line
+        nonlocal explored
+        walked.add(packed)
+        explored += 1
+        ones = spread[mask]
+        tops = ones << top
+        # a 1 at the bottom of each field holding one token: the only fields
+        # of packed ^ ones that are 0, and the only ones whose top bit
+        # (packed ^ ones | tops) - ones clears
+        lone = (~(((packed ^ ones) | tops) - ones) & tops) >> top
+        for smask, imask, nmask, dec, keep in moves_of(mask, packed):
+            child = (packed - dec) & keep
+            if dec & lone:  # a vertex of S - I spent its last token
+                return [_record(packing, nmask, child, smask, imask)]
+            # a state already survived, or the empty one: nothing to walk
+            if child not in walked:
+                line = survive(nmask, child)
+                if line is not None:
+                    return [_record(packing, nmask, child, smask, imask)] + line
         return None
 
+    if not mask0:
+        return GameOutcome("painter", (), states_explored=0)
+    if packing.exhausted(mask0, packed0):
+        return GameOutcome("lister", (), states_explored=0)
     line = survive(mask0, packed0)
     if line is None:
         return GameOutcome("painter", (), states_explored=explored)

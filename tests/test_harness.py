@@ -23,6 +23,7 @@ from kernelpaint import (
 )
 from kernelpaint import harness
 from kernelpaint.cli import main as cli_main
+from kernelpaint.errors import HypothesisNotMetError
 from kernelpaint.graphs import clique_number
 from kernelpaint.harness import SUITE_NAMES
 from kernelpaint.orient import Digraph, OrientationResult
@@ -69,6 +70,39 @@ def test_validate_rejects_missing_edge_and_wrong_f(c4):
                           {v: cert.f_h[v] + 1 for v in cert.h_vertices})
     ok, why = validate_certificate(wrong_f, c4, c4.degrees)
     assert not ok and "f_h" in why
+
+
+def test_validate_certificates_whose_labels_are_not_positions():
+    """Peeled certificates keep the host's labels, so H is not 0..k-1.  On
+    each: it validates; dropping an arc fails the edge check exactly when no
+    arc is left on that edge; and parallel arcs count toward the out-degree
+    bound, though they add nothing to the digraph's rows."""
+    rng = random.Random(22)
+    checked = 0
+    for n in range(3, 7):
+        for g, _ in itertools.product(enumerate_graphs(n, connected_only=True), range(8)):
+            # tables near the degree: extraction peels often there
+            f = [rng.randint(max(1, d - 1), d + 1) for d in g.degrees]
+            try:
+                cert = extract_reducible(g, f)
+            except HypothesisNotMetError:
+                continue
+            h = cert.h_vertices
+            if h == tuple(range(len(h))):
+                continue
+            checked += 1
+            assert validate_certificate(cert, g, f) == (True, "ok")
+            arcs = cert.digraph.arcs
+            for arc in arcs:
+                rest = [a for a in arcs if a != arc]
+                ok, why = validate_certificate(Certificate(h, Digraph(h, rest), cert.f_h), g, f)
+                assert ("carries no arc" in why) == ((arc[1], arc[0]) not in rest)
+            t, head = arcs[0]
+            spare = cert.f_h[t] - cert.digraph.out_degree(t)
+            parallel = Digraph(h, list(arcs) + [(t, head)] * spare)
+            ok, why = validate_certificate(Certificate(h, parallel, cert.f_h), g, f)
+            assert not ok and why == f"out-degree bound violated at {t}"
+    assert checked > 100
 
 
 def _malformed_c4_certificates():

@@ -8,12 +8,16 @@ solver's budget cap (4-bit fields), games whose budgets need wider fields,
 empty and negative starting budgets, and the decoding of budgets for
 painters and transcripts.  The reference below is the exhaustive game walk
 by its definition, with budgets as tuples; the packed walk must agree with
-it on winner, states explored and transcript.  The walk and the solver must
-agree too: a painter that survives every line proves Painter wins, and no
-painter survives a game the solver gives to Lister.
+it on winner, states explored and transcript, whether it asks the painter
+every round or, for the kernel painter, once per (mask, S).  The walk and
+the solver must agree too: a painter that survives every line proves
+Painter wins, and no painter survives a game the solver gives to Lister.
+The solver is held to the game's definition as well: a minimax over every
+S and every independent I of S, with none of the solver's cuts.
 """
 
 import collections
+import functools
 import random
 
 import pytest
@@ -21,6 +25,7 @@ import pytest
 from kernelpaint import (
     Digraph,
     Graph,
+    enumerate_graphs,
     PaintabilitySolver,
     is_online_f_choosable,
     make_kernel_painter,
@@ -146,6 +151,140 @@ def test_packed_walks_match_the_tuple_state_walks():
             winners[got.winner] += 1
     # the sample decides games both ways and needs fields wider than 3 bits
     assert min(winners.values()) > 100 and wide > 20
+
+
+def _logged_by_wraps(painter, asked: list):
+    """As _logged, but the wrapper carries the painter's attributes, as a
+    tracing wrapper made with functools.wraps does."""
+    @functools.wraps(painter)
+    def logged(g, mask, budgets, smask):
+        asked.append((mask, smask))
+        return painter(g, mask, budgets, smask)
+
+    return logged
+
+
+def test_kernel_painter_walk_asks_once_per_mask_and_set():
+    rng = random.Random(2015)
+    winners = collections.Counter()
+    for _ in range(200):
+        g, f, d = _random_case(rng)
+        painter = make_kernel_painter(d)
+        got = play_paint_game(g, f, painter=painter)
+        assert got == tuple_state_walk(g, f, painter), (g.edges, f)
+        winners[got.winner] += 1
+        # through a functools.wraps wrapper the walk is the same, and no
+        # question is asked twice
+        asked = []
+        assert play_paint_game(g, f, painter=_logged_by_wraps(painter, asked)) == got
+        assert len(asked) == len(set(asked))
+    assert min(winners.values()) > 50, winners
+
+
+def _walk_or_error(g, f, painter):
+    asked = []
+    try:
+        return play_paint_game(g, f, painter=painter(asked)), asked
+    except ValueError as exc:
+        return str(exc), asked
+
+
+@pytest.mark.parametrize("arcs, error", [
+    # every vertex points to 3, and 0 -> 1 -> 2 -> 0 has no kernel: the
+    # first answer leaves {0, 1, 2}, where the painter fails
+    ([(0, 3), (1, 3), (2, 3), (0, 1), (1, 2), (2, 0)],
+     "certificate digraph is not kernel-perfect on S"),
+    # the digraph misses the edge 01 of K4: the kernel {0, 1} of {0, 1, 2}
+    # is not independent in the game's graph
+    ([(0, 3), (1, 3), (2, 3), (2, 0), (2, 1)], "painter's set must be independent"),
+])
+def test_kernel_painter_errors_surface_at_the_same_round(arcs, error):
+    k4 = make_named("complete", [4])
+    painter = make_kernel_painter(Digraph(range(4), arcs))
+    for f in ([3, 3, 3, 3], [1, 3, 3, 3], [3, 3, 1, 3]):
+        per_round, asked_ref = _walk_or_error(k4, f, lambda asked: _logged(painter, asked))
+        per_mask, asked = _walk_or_error(k4, f, lambda asked: _logged_by_wraps(painter, asked))
+        assert per_mask == per_round, f
+        # both walks reach the same masks: the per-mask walk raises where
+        # the walk meets the failing set, not where it first sees it
+        assert {m for m, _ in asked} == {m for m, _ in asked_ref}, f
+        if f == [3, 3, 3, 3]:
+            assert per_round == error
+        else:
+            # Lister wins before the walk meets the failing set
+            assert per_round.winner == "lister"
+            assert len(asked) > len(set(asked_ref))
+
+
+def minimax_wins(g: Graph, f) -> bool:
+    """The painting game by its definition: Painter wins on a state when it
+    has no vertex left, and, with no remaining vertex out of tokens, when
+    for every nonempty S of the remaining vertices some independent I of S
+    (the empty set included) leads to a state Painter wins."""
+    n = g.n
+    independent = [i for i in range(1 << n)
+                   if not any(g.has_edge(u, v) for u in _members(i, n) for v in _members(i, n))]
+
+    @functools.lru_cache(maxsize=None)
+    def wins(mask, budgets):
+        if not mask:
+            return True
+        if any(budgets[v] < 1 for v in _members(mask, n)):
+            return False
+        for smask in range(1, mask + 1):
+            if smask & ~mask:
+                continue
+            if not any(
+                wins(mask & ~imask, _next_budgets(n, budgets, mask & ~imask, smask, imask))
+                for imask in independent if not imask & ~smask
+            ):
+                return False
+        return True
+
+    return wins((1 << n) - 1, tuple(f))
+
+
+def test_solver_matches_the_definition_literal_minimax():
+    rng = random.Random(22)
+    seen = collections.Counter()
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        p = rng.random()
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        # budgets 1..d + 1, where games are decided, and now and then 0, the
+        # cap 7, or d + 2
+        f = [rng.choice([0, 7, rng.randint(1, g.degrees[v] + 2)]) if rng.random() < 0.2
+             else rng.randint(1, g.degrees[v] + 1) for v in range(n)]
+        expect = minimax_wins(g, f)
+        assert PaintabilitySolver(g).wins(g.full_mask(), f) == expect, (g.edges, f)
+        assert is_online_f_choosable(g, f) == expect
+        seen[expect] += 1
+        seen["budget 0"] += 0 in f
+        seen["budget 7"] += 7 in f
+        seen["1 on both ends of an edge"] += any(f[u] == f[v] == 1 for u, v in g.edges)
+        seen["above the degree"] += any(f[v] > g.degrees[v] for v in range(n))
+    assert min(seen.values()) > 30, seen
+
+
+def test_solver_answers_are_the_maximal_independent_sets():
+    """Painter's answers to S are the maximal independent subsets of S by
+    definition, in descending numeric order, on every S of every graph on
+    at most 5 vertices and on 200 seeded graphs on 6 or 7."""
+    rng = random.Random(23)
+    graphs = [g for n in range(1, 6) for g in enumerate_graphs(n, connected_only=False)]
+    for _ in range(200):
+        n = rng.randint(6, 7)
+        p = rng.random()
+        graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < p]))
+    for g in graphs:
+        solver = PaintabilitySolver(g)
+        independent = [i for i in range(1 << g.n)
+                       if not any(g.adj[v] & i for v in _members(i, g.n))]
+        for smask in range(1, 1 << g.n):
+            expect = [i for i in reversed(independent) if not i & ~smask
+                      and all(g.adj[v] & i for v in _members(smask & ~i, g.n))]
+            assert list(solver._maximal_independent_sets(smask)) == expect, (g.edges, smask)
 
 
 def test_solver_at_the_budget_cap():

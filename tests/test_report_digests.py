@@ -18,14 +18,17 @@ cut-lemma, which samples the corpus by index; its verdict counts held.
 
 Corpora stay small so the whole gate runs in a few seconds: graphs on at most
 5 vertices, at most 4 for in-orient-oracle, and gallai-count, which builds its
-own random forests, at its default.
+own random forests, at its default.  The game suites are also pinned where
+their game walks are long: kernel-game and mic-strength at their default
+ceilings, and kernel-game on a seeded graph6 file of labelled graphs.
 """
 
 import hashlib
+import random
 
 import pytest
 
-from kernelpaint import SUITE_NAMES, run_suite
+from kernelpaint import SUITE_NAMES, Graph, encode_graph6, run_suite
 
 MAX_N = {"in-orient-oracle": 4, "gallai-count": None}
 
@@ -55,3 +58,45 @@ def test_default_seed_report_is_byte_identical(name):
     report = run_suite(name, max_n=MAX_N.get(name, 5))
     digest = hashlib.sha256(report.to_jsonl().encode("ascii")).hexdigest()
     assert digest == DIGESTS[name]
+
+
+DEFAULT_CEILING_DIGESTS = {
+    "kernel-game": "e05246e53cc23532ed798b47ff4034239491aa802185a9d3a930f1005a04c42a",
+    "mic-strength": "e2fbb70ae5cb75a64b6d417b9fce3fc6b987997e2330c5a07ada2d9e04ca88f7",
+}
+SEEDED_KERNEL_GAME_DIGEST = "e87d04e6d726292447a3fb2220f0c42939735ff23e0fcdff42a7a9ebffde87f6"
+
+
+def _digest(report) -> str:
+    return hashlib.sha256(report.to_jsonl().encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_CEILING_DIGESTS))
+def test_default_ceiling_report_is_byte_identical(name):
+    assert _digest(run_suite(name)) == DEFAULT_CEILING_DIGESTS[name]
+
+
+def _seeded_graphs(count: int, n: int, seed: int) -> list[Graph]:
+    """Connected labelled graphs on n vertices, graph i with about
+    (0.3 + 0.5 i / count) n(n-1)/2 edges placed at random."""
+    rng = random.Random(seed)
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    out = []
+    for i in range(count):
+        m = round((0.3 + 0.5 * (i + rng.random()) / count) * len(pairs))
+        while True:
+            g = Graph(n, rng.sample(pairs, m))
+            if g.is_connected():
+                out.append(g)
+                break
+    return out
+
+
+def test_kernel_game_on_a_seeded_graph6_file(tmp_path, monkeypatch):
+    # a relative path, since the report records its source
+    monkeypatch.chdir(tmp_path)
+    lines = [encode_graph6(g) + "\n" for g in _seeded_graphs(20, 7, seed=2015)]
+    (tmp_path / "seeded.g6").write_text("".join(lines), encoding="ascii")
+    report = run_suite("kernel-game", source="seeded.g6")
+    assert report.counts()["fail"] == 0
+    assert _digest(report) == SEEDED_KERNEL_GAME_DIGEST

@@ -81,6 +81,20 @@ def test_gallai_tree_requires_connected():
     assert is_gallai_forest(two)
 
 
+def test_gallai_tree_rejects_exactly_the_disconnected_graphs():
+    """is_gallai_tree reads connectivity off its block search: on every
+    nonempty atlas graph it raises exactly when networkx finds the graph
+    disconnected."""
+    nx = pytest.importorskip("networkx")
+    for a in nx.graph_atlas_g()[1:]:
+        g = Graph(a.number_of_nodes(), a.edges())
+        if nx.is_connected(a):
+            assert is_gallai_tree(g) == is_gallai_forest(g)
+        else:
+            with pytest.raises(ValueError, match="forest"):
+                is_gallai_tree(g)
+
+
 # -- Rubin's block lemma ------------------------------------------------------
 
 
@@ -346,7 +360,7 @@ def test_gallai_count_on_seeded_forests():
         for i in range(40):
             forest = random_gallai_forest(
                 tree_count=1 + i % 3, block_count=3, max_block_size=k - 1,
-                seed=1000 * k + i, max_degree=k - 1,
+                rng=random.Random(1000 * k + i), max_degree=k - 1,
             )
             assert gallai_count_check(forest, k).holds
 
@@ -371,9 +385,17 @@ def test_random_gallai_tree_properties():
 
 def test_random_gallai_forest_caps_degree():
     for seed in range(10):
-        f = random_gallai_forest(2, 3, 5, seed=seed, max_degree=5)
+        f = random_gallai_forest(2, 3, 5, random.Random(seed), max_degree=5)
         assert max(f.degrees) <= 5
         assert is_gallai_forest(f)
+
+
+def test_random_gallai_forest_draws_from_its_rng_alone():
+    rng = random.Random(11)
+    first = random_gallai_forest(3, 3, 5, rng, max_degree=5)
+    second = random_gallai_forest(3, 3, 5, rng, max_degree=5)
+    assert random_gallai_forest(3, 3, 5, random.Random(11), max_degree=5) == first
+    assert first != second
 
 
 # -- triangle-free mic bound --------------------------------------------------
