@@ -198,7 +198,7 @@ def validate_certificate(cert: Certificate, g: Graph, f) -> tuple[bool, str]:
         # the digraph's own count: parallel arcs share a bit of a row
         if cert.digraph.out_degree(v) + 1 > cert.f_h[v]:
             return False, f"out-degree bound violated at {v}"
-    kp = _kernel_perfect_rows(verts, und, out, into)
+    kp = _kernel_perfect_rows(verts, und, into)
     if not kp:
         return False, f"digraph not kernel-perfect (witness {sorted(kp.offending)})"
     return True, "ok"

@@ -358,16 +358,10 @@ def _build_kp_masked(
 def find_kernel(d: Digraph) -> Optional[frozenset[int]]:
     """A kernel of d, or None if none exists: exhaustive search over vertex
     subsets, smallest bitmask first (deterministic)."""
-    verts, und, out = _arc_masks(d)
+    verts, out, into = _arc_rows(d)
+    und = [o | i for o, i in zip(out, into)]
     kernel = _smallest_kernel(und, out, (1 << len(verts)) - 1)
     return None if kernel is None else frozenset(verts[i] for i in bits(kernel))
-
-
-def _arc_masks(d: Digraph) -> tuple[list[int], list[int], list[int]]:
-    """Sorted labels of d, with the underlying and out-neighbourhoods of each
-    vertex as bitmasks over positions in that list."""
-    verts, out, into = _arc_rows(d)
-    return verts, [o | i for o, i in zip(out, into)], out
 
 
 def _arc_rows(d: Digraph) -> tuple[list[int], list[int], list[int]]:
@@ -388,15 +382,6 @@ def _arc_rows(d: Digraph) -> tuple[list[int], list[int], list[int]]:
             out[t] |= 1 << h
             into[h] |= 1 << t
     return verts, out, into
-
-
-def _in_rows(out: Sequence[int]) -> list[int]:
-    """into[h]: the vertices with an arc to h, from the out-rows."""
-    into = [0] * len(out)
-    for t, heads in enumerate(out):
-        for h in bits(heads):
-            into[h] |= 1 << t
-    return into
 
 
 def _smallest_kernel(und: Sequence[int], out: Sequence[int], sub: int) -> Optional[int]:
@@ -435,16 +420,17 @@ def _independent_sets(und: Sequence[int], into: Sequence[int]) -> list[tuple[int
     return sweep
 
 
-def _kernel_table(und: Sequence[int], out: Sequence[int]) -> list[Optional[int]]:
+def _kernel_table(und: Sequence[int], into: Sequence[int]) -> list[Optional[int]]:
     """The smallest kernel mask of every induced subdigraph, indexed by its
-    vertex mask; None where that subdigraph has no kernel.
+    vertex mask; None where that subdigraph has no kernel.  ``und`` and
+    ``into`` are the underlying rows and the in-rows.
 
     Each independent I, in ascending order, is recorded for every S with
     I <= S <= I | Absorb(I) not yet reached, so the entry of S is what
-    ``_smallest_kernel(und, out, S)`` returns.
+    ``_smallest_kernel`` returns for S.
     """
     table: list[Optional[int]] = [None] * (1 << len(und))
-    for i, free in _independent_sets(und, _in_rows(out)):
+    for i, free in _independent_sets(und, into):
         sub = free
         while True:
             if table[i | sub] is None:
@@ -465,11 +451,10 @@ def _cube(n: int) -> tuple[int, ...]:
     return tuple(cube)
 
 
-def _kernel_cover(und: Sequence[int], out: Sequence[int],
-                  into: Optional[Sequence[int]] = None) -> int:
+def _kernel_cover(und: Sequence[int], into: Sequence[int]) -> int:
     """A 2^n-bit mask with bit S set exactly when the subdigraph induced on S
-    has a kernel.  The in-rows ``into`` are built from ``out`` unless the
-    caller has them.
+    has a kernel; ``und`` and ``into`` are the underlying rows and the
+    in-rows.
 
     An independent I is a kernel of D[S] for every S = I | s, s a submask of
     Absorb(I), so it sets the bits of ``cube[Absorb(I)] << I``; s misses I,
@@ -477,7 +462,7 @@ def _kernel_cover(und: Sequence[int], out: Sequence[int],
     """
     cube = _cube(len(und))
     cover = 0
-    for i, free in _independent_sets(und, _in_rows(out) if into is None else into):
+    for i, free in _independent_sets(und, into):
         cover |= cube[free] << i
     return cover
 
@@ -498,16 +483,16 @@ def is_kernel_perfect(d: Digraph) -> KernelPerfectCheck:
     mask: the lowest bit the kernel cover leaves clear.
     """
     verts, out, into = _arc_rows(d)
-    return _kernel_perfect_rows(verts, [o | i for o, i in zip(out, into)], out, into)
+    return _kernel_perfect_rows(verts, [o | i for o, i in zip(out, into)], into)
 
 
-def _kernel_perfect_rows(verts: Sequence[int], und: Sequence[int], out: Sequence[int],
+def _kernel_perfect_rows(verts: Sequence[int], und: Sequence[int],
                          into: Sequence[int]) -> KernelPerfectCheck:
     """:func:`is_kernel_perfect` on the rows of ``_arc_rows``, for a caller
     that has built them, with ``und`` the underlying rows."""
     if len(verts) > KP_CHECK_CAP:
         raise SizeLimitError(f"kernel-perfection check capped at {KP_CHECK_CAP} vertices")
-    cover = _kernel_cover(und, out, into)
+    cover = _kernel_cover(und, into)
     if cover == (1 << (1 << len(verts))) - 1:
         return KernelPerfectCheck(True, None)
     first = (~cover & (cover + 1)).bit_length() - 1  # the lowest clear bit

@@ -16,22 +16,22 @@ play, and returns a losing line when it does not.
 Both walkers carry a state as (remaining-vertex mask, packed budgets), and
 both build what does not depend on the budgets once.  The solver keeps, per
 mask, the constants of its tests on the packed budgets and the components,
-and per S, Painter's maximal independent answers with their moves.  The
-walk asks the kernel painter once per (mask, S), since its answer, the
-smallest kernel of the certificate digraph on S, depends on S alone; every
-other painter may read the budgets, so it is asked every round.
+and per S, Painter's maximal independent answers with their moves.  A
+painter answers S alone, as the Kernel Lemma's Painter does with a kernel
+of the certificate digraph on S, so the walk asks it once per S and keeps
+the move.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .bits import bits, mask_of
 from .errors import SizeLimitError
 from .graphs import Graph
-from .orient import KP_CHECK_CAP, Digraph, DegreeTable, _arc_masks, _kernel_table, _table
+from .orient import KP_CHECK_CAP, Digraph, DegreeTable, _arc_rows, _kernel_table, _table
 
 __all__ = [
     "ChoosabilityResult",
@@ -217,15 +217,14 @@ class _Packing:
         ones = self.spread[mask]
         return bool((packed - ones) & ~packed & ones << self.width - 1)
 
-    def move(self, smask: int, imask: int) -> tuple[int, int]:
+    def move(self, smask: int, imask: int) -> tuple[int, int, int]:
         """Painter answers S with I: I leaves the game and every vertex of
-        S - I spends one token.  Returns the decrement and the keep-mask that
-        take the packed budgets of any state whose remaining vertices
-        include S to the next state as ``(packed - dec) & keep``; the
-        remaining vertices become ``mask & ~imask``.  Neither depends on the
-        state, so a walker can build them once per (S, I)."""
+        S - I spends one token.  Returns (~I, dec, keep), which take any
+        state (mask, packed) whose remaining vertices include S to the next
+        state, (mask & ~I, (packed - dec) & keep).  None of the three depends
+        on the state, so a walker can build them once per (S, I)."""
         spread = self.spread
-        return spread[smask & ~imask], ~(self.fill * spread[imask])
+        return ~imask, spread[smask & ~imask], ~(self.fill * spread[imask])
 
 
 class PaintabilitySolver:
@@ -262,8 +261,11 @@ class PaintabilitySolver:
     # -- public entry points ---------------------------------------------
 
     def wins(self, vertices: Union[int, Iterable[int]], f: DegreeTable) -> bool:
-        """Does Painter win the game on the induced subgraph with budgets f?"""
+        """Does Painter win the game on the induced subgraph with budgets f?
+        A vertex outside the host graph raises ``ValueError``."""
         mask = vertices if isinstance(vertices, int) else mask_of(vertices)
+        if mask < 0 or mask >> self.g.n:
+            raise ValueError("vertices outside the host graph")
         if mask.bit_count() > ONLINE_VERTEX_CAP:
             raise SizeLimitError(f"online solver capped at {ONLINE_VERTEX_CAP} vertices")
         return self._solve(mask, self._pack(mask, _table(f, bits(mask))))
@@ -276,10 +278,10 @@ class PaintabilitySolver:
         return self._packing.pack(mask, budgets)
 
     def _answers_to(self, smask: int) -> tuple[tuple[int, int, int], ...]:
-        """Painter's answers to S, each as (~I, dec, keep)."""
+        """Painter's answers to S, each as its move (~I, dec, keep)."""
         move = self._packing.move
         got = self._answers[smask] = tuple(
-            [(~i, *move(smask, i)) for i in self._maximal_independent_sets(smask)])
+            [move(smask, i) for i in self._maximal_independent_sets(smask)])
         return got
 
     def _maximal_independent_sets(self, smask: int) -> tuple[int, ...]:
@@ -412,10 +414,10 @@ class GameOutcome:
         ]
 
 
-PainterFn = Callable[[Graph, int, tuple[int, ...], int], int]
+PainterFn = Callable[[Graph, int], int]
 
 
-def greedy_painter(g: Graph, mask: int, budgets: tuple[int, ...], smask: int) -> int:
+def greedy_painter(g: Graph, smask: int) -> int:
     """Maximal independent subset of S grown in ascending vertex order."""
     imask = 0
     for v in bits(smask):
@@ -435,29 +437,25 @@ def make_kernel_painter(cert_digraph: Digraph) -> PainterFn:
     ignored); all of them come from one kernel table, built when the painter
     is made, so each move is a lookup.  The table has 2^n entries, so n is
     capped as in :func:`kernelpaint.orient.is_kernel_perfect`.
-
-    The answer depends on S alone, and the painter says so to
-    :func:`play_paint_game`, which then asks it once per (mask, S).
     """
     if cert_digraph.n > KP_CHECK_CAP:
         raise SizeLimitError(f"kernel painter capped at {KP_CHECK_CAP} vertices")
-    verts, und, out = _arc_masks(cert_digraph)
+    verts, out, into = _arc_rows(cert_digraph)
+    und = [o | i for o, i in zip(out, into)]
     labels = [0] * (1 << len(verts))  # position mask -> vertex-label mask
     for pos in range(1, len(labels)):
         low = pos & -pos
         labels[pos] = labels[pos ^ low] | 1 << verts[low.bit_length() - 1]
     kernels = {labels[sub]: None if kernel is None else labels[kernel]
-               for sub, kernel in enumerate(_kernel_table(und, out))}
+               for sub, kernel in enumerate(_kernel_table(und, into))}
     vmask = labels[-1]
 
-    def painter(g: Graph, mask: int, budgets: tuple[int, ...], smask: int) -> int:
+    def painter(g: Graph, smask: int) -> int:
         kernel = kernels[smask & vmask]
         if kernel is None:
             raise ValueError("certificate digraph is not kernel-perfect on S")
         return kernel
 
-    # functools.wraps copies this marker onto a wrapper of the painter
-    painter._answers_by_set = True
     return painter
 
 
@@ -466,25 +464,18 @@ def play_paint_game(g: Graph, f: DegreeTable,
     """Walk every line Lister can play on g with budgets f against one fixed
     Painter.
 
-    ``painter`` is a strategy callable: :func:`greedy_painter`, one from
+    ``painter`` is a strategy callable ``painter(g, S) -> I``, S and I
+    vertex masks: :func:`greedy_painter`, one from
     :func:`make_kernel_painter`, or any other; anything else raises
-    ``ValueError``.  The winner is "painter" when it survives every line,
-    and the transcript is then empty; otherwise the transcript is a losing
-    line, each round recording its S, I, and the budgets left after it.
+    ``ValueError``.  Its answer depends on S alone, so it is asked once per
+    S, the first time the walk lists S, and an error it raises, or an answer
+    that is no independent subset of S, surfaces as a ``ValueError`` at
+    that round.  The winner is "painter" when it survives every line, and
+    the transcript is then empty; otherwise the transcript is a losing line,
+    each round recording its S, I, and the budgets left after it.
 
     The budgets travel packed in one int, with fields one bit wider than the
-    largest starting budget (and at least 4 bits); the painter sees them as
-    a tuple indexed by vertex.
-
-    A painter from :func:`make_kernel_painter`, or a wrapper of one made with
-    ``functools.wraps``, is asked once per (remaining-vertex mask, S), at
-    the first state with that mask the walk enters.  That is sound because
-    its answer is the smallest kernel of the digraph on S, whatever the
-    budgets: the walk meets the same answers in the same order as when
-    asking every round, so it visits the same states and returns the same
-    outcome, and a kernel-free S or an answer that is no independent subset
-    of S raises its ``ValueError`` at the same round.  Any other painter is
-    asked every round, with the budgets of that round.
+    largest starting budget (and at least 4 bits).
     """
     if not callable(painter):
         raise ValueError(f"painter must be a strategy callable, not {painter!r}")
@@ -494,12 +485,8 @@ def play_paint_game(g: Graph, f: DegreeTable,
     return _traverse_all_lines(g, packing, mask, packing.pack(mask, ftab), painter)
 
 
-def _check_painter_move(g: Graph, smask: int, imask: int,
-                        independent: set[int]) -> None:
-    """Raise unless imask is an independent subset of smask, and add it to
-    ``independent``, the sets this walk has found independent.  Whether I is
-    independent does not depend on S, so the walk calls this only for an
-    answer outside S or not yet in that set."""
+def _check_painter_move(g: Graph, smask: int, imask: int) -> None:
+    """Raise unless imask is an independent subset of smask."""
     if imask & ~smask:
         raise ValueError("painter's set must be a subset of S")
     adj = g.adj
@@ -509,7 +496,6 @@ def _check_painter_move(g: Graph, smask: int, imask: int,
         if adj[low.bit_length() - 1] & imask:
             raise ValueError("painter's set must be independent")
         rest ^= low
-    independent.add(imask)
 
 
 def _record(packing: _Packing, mask: int, packed: int, smask: int, imask: int) -> GameRound:
@@ -521,15 +507,6 @@ def _record(packing: _Packing, mask: int, packed: int, smask: int, imask: int) -
     )
 
 
-_Move = tuple[int, int, int, int, int]  # (S, I, next mask, dec, keep)
-
-
-def _then_raise(moves: list[_Move], error: ValueError) -> Iterator[_Move]:
-    """The moves before a painter error, then the error."""
-    yield from moves
-    raise error
-
-
 def _traverse_all_lines(g: Graph, packing: _Packing, mask0: int, packed0: int,
                         painter_fn: PainterFn) -> GameOutcome:
     """Painter's moves are fixed, so states repeat: each state, the pair
@@ -538,47 +515,22 @@ def _traverse_all_lines(g: Graph, packing: _Packing, mask0: int, packed0: int,
     the first lost state ends the walk: every state met again was survived.
     A walked state has no empty field, so its packed budgets alone name it.
 
-    A state's moves, one per nonempty S in descending numeric order, come
-    from asking the painter with the state's budgets, or, for a painter
-    whose answer depends on S alone, from a table with one row of moves per
-    mask, built from the answers at the first state with that mask.  A
-    painter error met while the rows are built is raised where the walk
-    reaches that S.  Every answer is checked to lie in S; independence is
-    checked once per distinct answer.  A round leaves a field empty exactly
-    when it takes a token from a vertex holding one."""
+    A state's moves are one per nonempty S, in descending numeric order.
+    The painter is asked for S, and its answer checked, the first time the
+    walk lists S, and the move is kept as :meth:`_Packing.move` gives it, as
+    the solver keeps its answers.  A round leaves a field empty exactly when
+    it takes a token from a vertex holding one."""
     walked = {0}  # the empty state: Painter has won
-    independent: set[int] = set()
+    answers: dict[int, tuple[int, int, int]] = {}
     explored = 0
-    move, spread, fill = packing.move, packing.spread, packing.fill
+    move, spread = packing.move, packing.spread
     top = packing.width - 1
-    shifts = range(0, packing.width * g.n, packing.width)
 
-    def asked(mask: int, packed: int) -> Iterator[_Move]:
-        budgets = tuple([packed >> shift & fill for shift in shifts])
-        smask = mask
-        while smask:
-            imask = painter_fn(g, mask, budgets, smask)
-            if imask & ~smask or imask not in independent:
-                _check_painter_move(g, smask, imask, independent)
-            yield (smask, imask, mask & ~imask, *move(smask, imask))
-            smask = (smask - 1) & mask
-
-    moves_of = asked
-    if getattr(painter_fn, "_answers_by_set", False):
-        table: dict[int, Union[list[_Move], tuple[list[_Move], ValueError]]] = {}
-
-        def moves_of(mask: int, packed: int) -> Iterable[_Move]:
-            got = table.get(mask)
-            if got is None:
-                rows: list[_Move] = []
-                try:
-                    for row in asked(mask, packed):
-                        rows.append(row)
-                    got = rows
-                except ValueError as exc:
-                    got = (rows, exc)
-                table[mask] = got
-            return got if isinstance(got, list) else _then_raise(*got)
+    def answer(smask: int) -> tuple[int, int, int]:
+        imask = painter_fn(g, smask)
+        _check_painter_move(g, smask, imask)
+        got = answers[smask] = move(smask, imask)
+        return got
 
     def survive(mask: int, packed: int) -> Optional[list[GameRound]]:
         # None = painter survives every line; otherwise a losing line
@@ -591,15 +543,18 @@ def _traverse_all_lines(g: Graph, packing: _Packing, mask0: int, packed0: int,
         # of packed ^ ones that are 0, and the only ones whose top bit
         # (packed ^ ones | tops) - ones clears
         lone = (~(((packed ^ ones) | tops) - ones) & tops) >> top
-        for smask, imask, nmask, dec, keep in moves_of(mask, packed):
+        smask = mask
+        while smask:
+            not_i, dec, keep = answers.get(smask) or answer(smask)
             child = (packed - dec) & keep
             if dec & lone:  # a vertex of S - I spent its last token
-                return [_record(packing, nmask, child, smask, imask)]
+                return [_record(packing, mask & not_i, child, smask, ~not_i)]
             # a state already survived, or the empty one: nothing to walk
             if child not in walked:
-                line = survive(nmask, child)
+                line = survive(mask & not_i, child)
                 if line is not None:
-                    return [_record(packing, nmask, child, smask, imask)] + line
+                    return [_record(packing, mask & not_i, child, smask, ~not_i)] + line
+            smask = (smask - 1) & mask
         return None
 
     if not mask0:

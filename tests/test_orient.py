@@ -21,7 +21,7 @@ from kernelpaint import (
 from kernelpaint.bits import bits
 from kernelpaint.errors import SizeLimitError
 from kernelpaint.graphs import cut_size
-from kernelpaint.orient import _arc_masks, _kernel_cover, _kernel_table, _smallest_kernel
+from kernelpaint.orient import _arc_rows, _kernel_cover, _kernel_table, _smallest_kernel
 
 
 # -- digraph basics -----------------------------------------------------------
@@ -247,8 +247,8 @@ def test_kernel_search_matches_definition_on_random_digraphs():
 
 def test_kernel_table_matches_definition_on_random_digraphs():
     for verts, arcs in _random_digraphs(300):
-        _, und, out = _arc_masks(Digraph(verts, arcs))
-        table = _kernel_table(und, out)
+        _, out, into = _arc_rows(Digraph(verts, arcs))
+        table = _kernel_table([o | i for o, i in zip(out, into)], into)
         assert len(table) == 1 << len(verts)
         for sub, kernel in enumerate(table):
             s = frozenset(verts[i] for i in bits(sub))
@@ -283,10 +283,11 @@ def test_kernel_cover_agrees_with_the_kernel_table():
     failing = 0
     for verts, arcs in _mixed_digraphs(2000, 8, seed=20):
         d = Digraph(verts, arcs)
-        _, und, out = _arc_masks(d)
-        table = _kernel_table(und, out)
+        _, out, into = _arc_rows(d)
+        und = [o | i for o, i in zip(out, into)]
+        table = _kernel_table(und, into)
         assert table == [_smallest_kernel(und, out, s) for s in range(len(table))]
-        cover = _kernel_cover(und, out)
+        cover = _kernel_cover(und, into)
         assert cover == sum(1 << s for s, k in enumerate(table) if k is not None)
         check = is_kernel_perfect(d)
         assert bool(check) == (None not in table)
@@ -312,8 +313,8 @@ def test_kernel_cover_matches_definition_n5():
     every S and every candidate kernel, for n <= 5."""
     seen = set()
     for verts, arcs in _mixed_digraphs(400, 5, seed=21):
-        _, und, out = _arc_masks(Digraph(verts, arcs))
-        cover = _kernel_cover(und, out)
+        _, out, into = _arc_rows(Digraph(verts, arcs))
+        cover = _kernel_cover([o | i for o, i in zip(out, into)], into)
         for sub in range(1 << len(verts)):
             s = {verts[i] for i in bits(sub)}
             assert (cover >> sub & 1) == _has_kernel_by_definition(arcs, s)

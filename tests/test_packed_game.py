@@ -6,14 +6,15 @@ painter, carry a state as (remaining-vertex mask, packed budgets), one int
 field per vertex.  These tests pin the packing where it can go wrong: the
 solver's budget cap (4-bit fields), games whose budgets need wider fields,
 empty and negative starting budgets, and the decoding of budgets for
-painters and transcripts.  The reference below is the exhaustive game walk
-by its definition, with budgets as tuples; the packed walk must agree with
-it on winner, states explored and transcript, whether it asks the painter
-every round or, for the kernel painter, once per (mask, S).  The walk and
-the solver must agree too: a painter that survives every line proves
-Painter wins, and no painter survives a game the solver gives to Lister.
-The solver is held to the game's definition as well: a minimax over every
-S and every independent I of S, with none of the solver's cuts.
+transcripts.  The reference below is the exhaustive game walk by its
+definition, with budgets as tuples, asking the painter every round; the
+packed walk asks it once per listed set, and must agree with the reference
+on winner, states explored, transcript and the round a painter error
+surfaces at.  The walk and the solver must agree too: a painter that
+survives every line proves Painter wins, and no painter survives a game the
+solver gives to Lister.  The solver is held to the game's definition as
+well: a minimax over every S and every independent I of S, with none of the
+solver's cuts.
 """
 
 import collections
@@ -53,11 +54,12 @@ def _next_budgets(n, budgets, nmask, smask, imask) -> tuple[int, ...]:
     )
 
 
-def _checked_answer(g, painter, mask, budgets, smask) -> int:
-    imask = painter(g, mask, budgets, smask)
-    assert not imask & ~smask
-    assert all(not g.has_edge(u, v) for u in _members(imask, g.n)
-               for v in _members(imask, g.n) if u < v)
+def _checked_answer(g, painter, smask) -> int:
+    imask = painter(g, smask)
+    if imask & ~smask:
+        raise ValueError("painter's set must be a subset of S")
+    if any(g.has_edge(u, v) for u in _members(imask, g.n) for v in _members(imask, g.n)):
+        raise ValueError("painter's set must be independent")
     return imask
 
 
@@ -85,7 +87,7 @@ def tuple_state_walk(g: Graph, f, painter) -> GameOutcome:
         for smask in range(mask, 0, -1):
             if smask & ~mask:
                 continue
-            imask = _checked_answer(g, painter, mask, budgets, smask)
+            imask = _checked_answer(g, painter, smask)
             nmask = mask & ~imask
             nb = _next_budgets(n, budgets, nmask, smask, imask)
             line = survive(nmask, nb)
@@ -101,21 +103,20 @@ def tuple_state_walk(g: Graph, f, painter) -> GameOutcome:
     return GameOutcome(winner, tuple(line or ()), states_explored=explored)
 
 
-def budget_painter(g, mask, budgets, smask) -> int:
-    """Maximal independent subset of S grown from the poorest vertex up: its
-    answers depend on every budget it is handed."""
+def top_down_painter(g, smask) -> int:
+    """Maximal independent subset of S grown from its top vertex down."""
     imask = 0
-    for v in sorted(_members(smask, g.n), key=lambda v: (budgets[v], v)):
+    for v in reversed(_members(smask, g.n)):
         if not g.adj[v] & imask:
             imask |= 1 << v
     return imask
 
 
 def _logged(painter, asked: list):
-    """The painter, with each (mask, S) it is asked appended to asked."""
-    def logged(g, mask, budgets, smask):
-        asked.append((mask, smask))
-        return painter(g, mask, budgets, smask)
+    """The painter, with each S it is asked appended to asked."""
+    def logged(g, smask):
+        asked.append(smask)
+        return painter(g, smask)
 
     return logged
 
@@ -135,6 +136,10 @@ def _random_case(rng: random.Random):
     return g, f, d
 
 
+def _painters(d):
+    return greedy_painter, top_down_painter, make_kernel_painter(d)
+
+
 def test_packed_walks_match_the_tuple_state_walks():
     rng = random.Random(2015)
     winners = {"painter": 0, "lister": 0}
@@ -142,49 +147,37 @@ def test_packed_walks_match_the_tuple_state_walks():
     for _ in range(200):
         g, f, d = _random_case(rng)
         wide += max(f) >= 8
-        for painter in (greedy_painter, budget_painter, make_kernel_painter(d)):
-            asked, asked_ref = [], []
-            got = play_paint_game(g, f, painter=_logged(painter, asked))
-            ref = tuple_state_walk(g, f, _logged(painter, asked_ref))
-            assert got == ref, (g.edges, f)
-            assert asked == asked_ref  # the painter answers the same questions
+        for painter in _painters(d):
+            got = play_paint_game(g, f, painter=painter)
+            assert got == tuple_state_walk(g, f, painter), (g.edges, f)
             winners[got.winner] += 1
     # the sample decides games both ways and needs fields wider than 3 bits
     assert min(winners.values()) > 100 and wide > 20
 
 
-def _logged_by_wraps(painter, asked: list):
-    """As _logged, but the wrapper carries the painter's attributes, as a
-    tracing wrapper made with functools.wraps does."""
-    @functools.wraps(painter)
-    def logged(g, mask, budgets, smask):
-        asked.append((mask, smask))
-        return painter(g, mask, budgets, smask)
-
-    return logged
-
-
-def test_kernel_painter_walk_asks_once_per_mask_and_set():
+def test_walk_asks_each_listed_set_once():
     rng = random.Random(2015)
-    winners = collections.Counter()
+    calls = collections.Counter()
     for _ in range(200):
         g, f, d = _random_case(rng)
-        painter = make_kernel_painter(d)
-        got = play_paint_game(g, f, painter=painter)
-        assert got == tuple_state_walk(g, f, painter), (g.edges, f)
-        winners[got.winner] += 1
-        # through a functools.wraps wrapper the walk is the same, and no
-        # question is asked twice
-        asked = []
-        assert play_paint_game(g, f, painter=_logged_by_wraps(painter, asked)) == got
-        assert len(asked) == len(set(asked))
-    assert min(winners.values()) > 50, winners
+        for painter in _painters(d):
+            asked, asked_ref = [], []
+            play_paint_game(g, f, painter=_logged(painter, asked))
+            tuple_state_walk(g, f, _logged(painter, asked_ref))
+            # no set is asked twice, and the sets come in the order the
+            # reference first lists them
+            assert len(asked) == len(set(asked)), (g.edges, f)
+            assert asked == list(dict.fromkeys(asked_ref)), (g.edges, f)
+            calls["walk"] += len(asked)
+            calls["reference"] += len(asked_ref)
+    # the reference asks over ten times as often
+    assert calls["reference"] > 5 * calls["walk"], calls
 
 
-def _walk_or_error(g, f, painter):
+def _walk_or_error(walk, g, f, painter):
     asked = []
     try:
-        return play_paint_game(g, f, painter=painter(asked)), asked
+        return walk(g, f, _logged(painter, asked)), asked
     except ValueError as exc:
         return str(exc), asked
 
@@ -202,18 +195,16 @@ def test_kernel_painter_errors_surface_at_the_same_round(arcs, error):
     k4 = make_named("complete", [4])
     painter = make_kernel_painter(Digraph(range(4), arcs))
     for f in ([3, 3, 3, 3], [1, 3, 3, 3], [3, 3, 1, 3]):
-        per_round, asked_ref = _walk_or_error(k4, f, lambda asked: _logged(painter, asked))
-        per_mask, asked = _walk_or_error(k4, f, lambda asked: _logged_by_wraps(painter, asked))
-        assert per_mask == per_round, f
-        # both walks reach the same masks: the per-mask walk raises where
-        # the walk meets the failing set, not where it first sees it
-        assert {m for m, _ in asked} == {m for m, _ in asked_ref}, f
+        got, asked = _walk_or_error(play_paint_game, k4, f, painter)
+        ref, asked_ref = _walk_or_error(tuple_state_walk, k4, f, painter)
+        assert got == ref, f
+        # the walk raises where the reference first lists the failing set
+        assert asked == list(dict.fromkeys(asked_ref)), f
         if f == [3, 3, 3, 3]:
-            assert per_round == error
+            assert got == error and asked[-1] == 0b0111
         else:
-            # Lister wins before the walk meets the failing set
-            assert per_round.winner == "lister"
-            assert len(asked) > len(set(asked_ref))
+            # Lister wins before either walk lists the failing set
+            assert got.winner == "lister" and 0b0111 not in asked_ref
 
 
 def minimax_wins(g: Graph, f) -> bool:
@@ -312,7 +303,7 @@ def test_surviving_painters_agree_with_the_solver():
         # within the solver's budget cap
         choosable = is_online_f_choosable(
             g, [min(b, g.degrees[v] + 1) for v, b in enumerate(f)])
-        for painter in (greedy_painter, budget_painter, make_kernel_painter(d)):
+        for painter in _painters(d):
             out = play_paint_game(g, f, painter=painter)
             if out.winner == "painter":
                 assert choosable, (g.edges, f)
@@ -331,7 +322,7 @@ def test_exhaustive_game_with_budgets_past_four_bits():
     assert out == tuple_state_walk(k3, f, greedy_painter)
     assert out.winner == "painter" and out.states_explored > 1
 
-    def idle(g, mask, budgets, smask):
+    def idle(g, smask):
         return 0  # the empty set is independent: every listed vertex pays
 
     out = play_paint_game(Graph(2, [(0, 1)]), [16, 40], painter=idle)

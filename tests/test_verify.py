@@ -1,5 +1,6 @@
 import itertools
 import random
+import signal
 
 import pytest
 
@@ -115,6 +116,25 @@ def test_solver_subgraph_queries_share_memo(c5):
     assert not solver.wins(c5.full_mask(), [2] * 5)
 
 
+def test_solver_rejects_vertices_outside_the_host_graph(c5):
+    # the members of a negative mask never run out, so a timer bounds the
+    # test should the check go missing
+    def hung(signum, frame):
+        raise TimeoutError("wins did not return")
+
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        solver = PaintabilitySolver(c5)
+        for vertices, f in ((-1, [1] * 5), ([9], {9: 1}), (1 << 5, [1] * 6), ([-1], {-1: 1})):
+            with pytest.raises(ValueError):
+                solver.wins(vertices, f)
+        assert solver.wins([0, 1], [2, 2])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
 # -- the painting game --------------------------------------------------------
 
 
@@ -156,13 +176,13 @@ def test_exhaustive_game_checks_every_painter_answer(c4):
     kernel = make_kernel_painter(build_kernel_perfect(c4, [0, 2], c4.degrees).digraph)
     first = []
 
-    def stale(g, mask, budgets, smask):
+    def stale(g, smask):
         # the first answer, already checked, given again for an S that misses it
-        first.append(kernel(g, mask, budgets, smask))
+        first.append(kernel(g, smask))
         return first[0] if first[0] & ~smask else first[-1]
 
-    def dependent(g, mask, budgets, smask):
-        return smask if smask == 0b0011 else kernel(g, mask, budgets, smask)
+    def dependent(g, smask):
+        return smask if smask == 0b0011 else kernel(g, smask)
 
     for painter, message in ((stale, "subset of S"), (dependent, "independent")):
         with pytest.raises(ValueError, match=message):
@@ -184,15 +204,15 @@ def test_kernel_painter_answers_smallest_kernel_on_every_set():
         for s in itertools.combinations(verts, r):
             smask = sum(1 << v for v in s)
             kernel = _first_kernel_by_definition(arcs, frozenset(s))
-            assert painter(None, smask, (), smask) == sum(1 << v for v in kernel)
+            assert painter(None, smask) == sum(1 << v for v in kernel)
 
 
 def test_kernel_painter_raises_on_every_kernel_free_set():
     painter = make_kernel_painter(Digraph(range(3), [(0, 1), (1, 2), (2, 0)]))
-    assert painter(None, 0b111, (), 0b011) == 0b010
+    assert painter(None, 0b011) == 0b010
     for _ in range(2):  # a failure is never remembered as an answer
         with pytest.raises(ValueError, match="not kernel-perfect on S"):
-            painter(None, 0b111, (), 0b111)
+            painter(None, 0b111)
 
 
 def test_kernel_painter_is_capped_like_the_kernel_perfection_check():
