@@ -21,7 +21,7 @@ from .errors import KernelPaintError
 from .graph6 import encode_graph6, parse_graph6
 from .graphs import make_named, to_dot
 from .harness import SUITE_NAMES, run_suite, validate_certificate
-from .orient import _table
+from .orient import _integer, _table
 from .reduce import Certificate
 
 
@@ -115,9 +115,9 @@ def _cmd_cert_validate(args) -> int:
         raise ValueError("field 'f' must be a JSON object from vertex to value")
     g = parse_graph6(payload["graph6"])
     try:
-        f = {int(k): int(v) for k, v in payload["f"].items()}
-    except TypeError:
-        raise ValueError("field 'f' must map vertices to integers") from None
+        f = {int(k): _integer(v) for k, v in payload["f"].items()}
+    except ValueError as exc:
+        raise ValueError(f"field 'f' must map vertices to integers: {exc}") from None
     cert = Certificate.from_json(payload["certificate"])
     ok, reason = validate_certificate(cert, g, _table(f, range(g.n)))
     print(f"{'valid' if ok else 'invalid'}: {reason}")

@@ -58,9 +58,7 @@ def parse_graph6(text: str) -> Graph:
         adj[i] |= 1 << j
         adj[j] |= 1 << i
         bits ^= low
-    g = Graph.__new__(Graph)
-    g._set_rows(tuple(adj))
-    return g
+    return Graph._from_rows(adj)
 
 
 @functools.lru_cache(maxsize=None)

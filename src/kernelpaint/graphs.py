@@ -65,6 +65,14 @@ class Graph:
             adj[v] |= 1 << u
         self._set_rows(tuple(adj))
 
+    @classmethod
+    def _from_rows(cls, adj: Iterable[int]) -> "Graph":
+        """The graph with valid adjacency rows adj, symmetric and loop-free,
+        taken without ``__init__``'s checks of each pair."""
+        g = cls.__new__(cls)
+        g._set_rows(tuple(adj))
+        return g
+
     def _set_rows(self, adj: tuple[int, ...]) -> None:
         """Set every slot from valid adjacency rows: symmetric, no loops."""
         self.n = len(adj)
@@ -108,10 +116,15 @@ class Graph:
 
         A vertex outside 0..n-1 raises ValueError."""
         vs = sorted(set(vertices))
-        pos = {v: i for i, v in enumerate(vs)}
         keep = _as_mask(self, vs)
-        return Graph(len(vs), [(i, pos[w]) for i, v in enumerate(vs)
-                               for w in bits(self.adj[v] & keep >> v + 1 << v + 1)])
+        bit = {v: 1 << i for i, v in enumerate(vs)}
+        rows = []
+        for v in vs:
+            row = 0
+            for w in bits(self.adj[v] & keep):
+                row |= bit[w]
+            rows.append(row)
+        return Graph._from_rows(rows)
 
     def deg_in(self, v: int, mask: int) -> int:
         """Degree of v inside the vertex subset given as a bitmask."""
@@ -701,9 +714,7 @@ def _from_key(key: tuple) -> Graph:
             i = n - 1 - b
             adj[p] |= 1 << i
             adj[i] |= 1 << p
-    g = Graph.__new__(Graph)
-    g._set_rows(tuple(adj))
-    return g
+    return Graph._from_rows(adj)
 
 
 def _children(parent: Graph, admits: Admits) -> Iterator[list[int]]:

@@ -24,11 +24,18 @@ I <= S <= I | Absorb(I), Absorb(I) being the vertices with an arc into I.
   as soon as its arcs are decided.
 
 The table and the cover read the same sweep over the independent sets.
+
+The f-AT decider reads the graph polynomial Prod (x_u - x_v): g is f-AT
+exactly when a monomial with every exponent below f survives its expansion,
+and ``alon_tarsi_diff`` counts only the one witness.  The f-KP search starts
+with a clique bound, which refutes a table without searching when some
+clique's budgets are too small for its induced subdigraphs to have kernels.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -65,13 +72,35 @@ KP_SEARCH_CAP = 5
 DegreeTable = Union[Mapping[int, int], Sequence[int]]
 
 
+def _integer(x) -> int:
+    """x as an int when it is an integer: an int, an integral float, or
+    anything with ``__index__``.  A float with a fractional part, a string
+    or a bool raises ValueError rather than being truncated or read."""
+    if type(x) is int:
+        return x
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"{x!r} is not an integer")
+
+
 def _table(f: DegreeTable, vertices: Iterable[int]) -> dict[int, int]:
     table = {}
     for v in vertices:
         try:
-            table[v] = int(f[v])
+            x = f[v]
         except (IndexError, KeyError):
             raise ValueError(f"f gives no value for vertex {v}") from None
+        if type(x) is not int:
+            try:
+                x = _integer(x)
+            except ValueError as exc:
+                raise ValueError(f"f({v}): {exc}") from None
+        table[v] = x
     return table
 
 
@@ -108,16 +137,24 @@ class Digraph:
 
         The vertices come sorted, and the rows are valid: loop-free, every
         head a vertex.  The arcs are then listed in sorted order directly,
-        without ``__init__``'s checks of each arc.
+        without ``__init__``'s checks of each arc, in the one pass that
+        counts the degrees.
         """
+        arcs = []
+        outd: dict[int, int] = {}
+        ind: dict[int, int] = {}
+        for t in vertices:
+            row = out[t]
+            if row:
+                outd[t] = row.bit_count()
+                for h in bits(row):
+                    arcs.append((t, h))
+                    ind[h] = ind.get(h, 0) + 1
         d = cls.__new__(cls)
         d.vertex_set = frozenset(vertices)
-        d.arcs = tuple([(t, h) for t in vertices for h in bits(out[t])])
-        d._out = {t: out[t].bit_count() for t in vertices if out[t]}
-        inc: dict[int, int] = {}
-        for _, h in d.arcs:
-            inc[h] = inc.get(h, 0) + 1
-        d._in = inc
+        d.arcs = tuple(arcs)
+        d._out = outd
+        d._in = ind
         return d
 
     @property
@@ -579,8 +616,19 @@ class ATDecision:
 def is_f_AT(g: Graph, f: DegreeTable) -> ATDecision:
     """Does g have an orientation with d+(v) <= f(v)-1 and EE != EO?
 
-    Enumerates orientations edge by edge (lowest-index witness wins), pruning
-    branches whose out-degrees already exceed the bound.
+    Decided by the graph polynomial P = Prod_{uv in E, u < v} (x_u - x_v).
+    Choosing x_u from the factor of uv orients the edge u -> v, so a
+    monomial's exponents are the out-degrees of the orientations behind it,
+    and by Alon and Tarsi (Combinatorica 12, 1992) its coefficient is
+    +-(EE(D) - EO(D)) for each such orientation D.  So g is f-AT exactly
+    when P has a nonzero monomial with every exponent at most f(v) - 1.
+    P is expanded edge by edge in exact integers; exponents only grow, so a
+    monomial is dropped as soon as one passes its bound, and one whose
+    coefficient cancels to 0 is dropped too.
+
+    The witness is the first orientation, edges in sorted order and u -> v
+    tried before v -> u, whose out-degrees are a surviving monomial; its
+    counts come from one ``alon_tarsi_diff``.
     """
     if g.m > AT_EDGE_CAP:
         raise SizeLimitError(f"orientation enumeration capped at {AT_EDGE_CAP} edges")
@@ -589,36 +637,49 @@ def is_f_AT(g: Graph, f: DegreeTable) -> ATDecision:
     if any(b < 0 for b in budget):
         return ATDecision(False, None, None)
     edges = sorted(g.edges)
-    heads = [0] * len(edges)
-
-    def build() -> Digraph:
-        arcs = []
-        for i, (u, v) in enumerate(edges):
-            arcs.append((u, v) if heads[i] == 1 else (v, u))
-        return Digraph(range(g.n), arcs)
-
-    out = [0] * g.n
-
-    def dfs(i: int) -> Optional[tuple[Digraph, ATCount]]:
-        if i == len(edges):
-            d = build()
-            c = alon_tarsi_diff(d)
-            return (d, c) if c.diff != 0 else None
-        u, v = edges[i]
-        for head, tail, mark in ((v, u, 1), (u, v, 0)):
-            if out[tail] < budget[tail]:
-                out[tail] += 1
-                heads[i] = mark
-                got = dfs(i + 1)
-                out[tail] -= 1
-                if got is not None:
-                    return got
-        return None
-
-    found = dfs(0)
-    if found is None:
+    # a monomial is its exponent vector packed into one int, `width` bits a
+    # vertex; no exponent passes the degree
+    width = max(g.degrees, default=0).bit_length()
+    top = (1 << width) - 1
+    poly = {0: 1}
+    for u, v in edges:
+        su, sv = width * u, width * v
+        nxt: dict[int, int] = {}
+        for key, coef in poly.items():
+            if key >> su & top < budget[u]:
+                k = key + (1 << su)
+                nxt[k] = nxt.get(k, 0) + coef
+            if key >> sv & top < budget[v]:
+                k = key + (1 << sv)
+                nxt[k] = nxt.get(k, 0) - coef
+        poly = {key: coef for key, coef in nxt.items() if coef}
+    if not poly:
         return ATDecision(False, None, None)
-    return ATDecision(True, *found)
+
+    # the first orientation in search order whose packed out-degrees survived
+    arcs: list[tuple[int, int]] = []
+    key = 0
+
+    def dfs(i: int) -> bool:
+        nonlocal key
+        if i == len(edges):
+            return key in poly
+        for arc in (edges[i], edges[i][::-1]):
+            shift = width * arc[0]
+            if key >> shift & top < budget[arc[0]]:
+                key += 1 << shift
+                arcs.append(arc)
+                if dfs(i + 1):
+                    return True
+                key -= 1 << shift
+                arcs.pop()
+        return False
+
+    dfs(0)
+    d = Digraph(range(g.n), arcs)
+    counts = alon_tarsi_diff(d)
+    assert abs(counts.diff) == abs(poly[key]), "Alon-Tarsi coefficient identity"
+    return ATDecision(True, d, counts)
 
 
 @dataclass(frozen=True)
@@ -660,12 +721,24 @@ def f_KP_witnesses(g: Graph, f: DegreeTable,
     is also pruned when the out-degree left to spend cannot give every
     undecided edge an arc.  Witnesses come out in the fixed order of this
     search, which is not the order of sorted pairs.
+
+    Before searching, a clique bound can show there is no witness at all.
+    In a witness D every pair of a clique Q of g carries an arc, so an
+    independent set of D[S], S a subset of Q, has at most one vertex, and
+    each D[S] has a one-vertex kernel: a vertex every other vertex of S has
+    an arc into.  Peel kernels off Q one at a time.  The j-th vertex peeled
+    has arcs from the |Q| - j vertices still left, so, read in reverse, the
+    peeled vertices have |Q| - 1, |Q| - 2, ..., 0 out-arcs inside Q.  Hence
+    the budgets f(v) - 1 on Q, sorted ascending, are at least 0, 1, ...,
+    |Q| - 1 term by term; when some clique's are not, nothing is yielded.
+    This is a necessary condition, not the Gallai dichotomy: a table that
+    passes it may still have no witness.
     """
     if g.n > KP_SEARCH_CAP:
         raise SizeLimitError(f"kernel-perfect search capped at n = {KP_SEARCH_CAP}")
     ftab = _table(f, range(g.n))
     budget = [ftab[v] - 1 for v in range(g.n)]
-    if any(b < 0 for b in budget):
+    if any(b < 0 for b in budget) or _clique_refutes(g.adj, budget):
         return
     pairs = [(u, k) for k in range(g.n) for u in range(k)]
     edges_after = [0] * (len(pairs) + 1)
@@ -723,6 +796,19 @@ def f_KP_witnesses(g: Graph, f: DegreeTable,
             und[k] &= ~(1 << u)
 
     yield from dfs(0)
+
+
+def _clique_refutes(adj: Sequence[int], budget: Sequence[int]) -> bool:
+    """Some clique Q of the graph with rows adj has budgets that, sorted
+    ascending, fall below 0, 1, ..., |Q| - 1 somewhere: the clique bound of
+    :func:`f_KP_witnesses`, tried on every vertex mask."""
+    for q in range(1, 1 << len(adj)):
+        members = bits(q)
+        if all(q & ~adj[v] == 1 << v for v in members) and any(
+            b < j for j, b in enumerate(sorted(budget[v] for v in members))
+        ):
+            return True
+    return False
 
 
 def extend_d0_kp(g: Graph, h_vertices: Iterable[int], h_witness: Digraph) -> Digraph:

@@ -24,7 +24,14 @@ from typing import Iterable, Optional
 from .bits import bits, lex_key, mask_of
 from .errors import FormatError, HypothesisNotMetError, SizeLimitError
 from .graphs import Graph, cut_size
-from .orient import DegreeTable, Digraph, _build_kp_masked, _check_kp_inputs, _table
+from .orient import (
+    DegreeTable,
+    Digraph,
+    _build_kp_masked,
+    _check_kp_inputs,
+    _integer,
+    _table,
+)
 from .structure import mic
 from .verify import PaintabilitySolver
 
@@ -65,9 +72,9 @@ class Certificate:
         if not isinstance(obj, dict):
             raise FormatError(f"a certificate is a JSON object, not {type(obj).__name__}")
         try:
-            verts = tuple(int(v) for v in obj["vertices"])
-            arcs = [(int(t), int(h)) for t, h in obj["arcs"]]
-            f_h = {int(k): int(v) for k, v in obj["f_h"].items()}
+            verts = tuple(map(_integer, obj["vertices"]))
+            arcs = [(_integer(t), _integer(h)) for t, h in obj["arcs"]]
+            f_h = {int(k): _integer(v) for k, v in obj["f_h"].items()}
             return Certificate(verts, Digraph(verts, arcs), f_h)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed certificate: {exc!r}") from exc

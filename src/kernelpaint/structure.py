@@ -313,28 +313,28 @@ def gallai_count_check(forest: Graph, k: int) -> GallaiCountCheck:
             >= 2(k-3)/(k-2) * |G| - (k-1)(k-4)/(k-2) * c(G)
 
     in exact rationals.  Preconditions are verified and violations raise.
+    One block search serves them all and the component count: each
+    component with c vertices has blocks whose sizes less one sum to c - 1.
     """
     if k < 6:
         raise ValueError("counting inequality requires k >= 6")
-    if not is_gallai_forest(forest):
+    adj = forest.adj
+    blocks = _block_masks(adj)
+    if not _gallai_check(forest, blocks):
         raise ValueError("input is not a Gallai forest")
     if forest.n and max(forest.degrees) > k - 1:
         raise ValueError(f"maximum degree must be at most {k - 1}")
-    comps = forest.component_masks()
-    # With max degree <= k-1 a K_k subgraph can only be a whole component.
-    for comp in comps:
-        if comp.bit_count() == k and all(
-            forest.deg_in(v, comp) == k - 1 for v in bits(comp)
-        ):
+    # With max degree <= k-1 no edge leaves a K_k, so a K_k is a whole
+    # component and a block; an odd cycle on k vertices is a block too.
+    for b in blocks:
+        if b.bit_count() == k and all((adj[v] & b).bit_count() == k - 1 for v in bits(b)):
             raise ValueError(f"forest contains K_{k}")
+    components = forest.n - sum(b.bit_count() - 1 for b in blocks)
     lhs = Fraction(
         (k - 1) * beta_t(forest, k - 1)
         + sum(k - 1 - d for d in forest.degrees)
     )
-    rhs = (
-        Fraction(2 * (k - 3), k - 2) * forest.n
-        - Fraction((k - 1) * (k - 4), k - 2) * len(comps)
-    )
+    rhs = Fraction(2 * (k - 3) * forest.n - (k - 1) * (k - 4) * components, k - 2)
     return GallaiCountCheck(lhs >= rhs, lhs, rhs)
 
 
@@ -352,23 +352,30 @@ def random_gallai_tree(block_count: int, max_block_size: int, rng: random.Random
     """
     if block_count < 1 or max_block_size < 2:
         raise ValueError("need block_count >= 1 and max_block_size >= 2")
-    edges: list[tuple[int, int]] = []
-    n = 1  # vertex 0 exists, blocks attach to existing vertices
+    return Graph._from_rows(_gallai_tree_rows(block_count, max_block_size, rng))
+
+
+def _gallai_tree_rows(block_count: int, max_block_size: int, rng: random.Random) -> list[int]:
+    """The adjacency rows of :func:`random_gallai_tree`'s tree, from the same
+    draws of ``rng`` in the same order."""
+    rows = [0]  # vertex 0 exists, blocks attach to existing vertices
+    odd_sizes = range(3, max_block_size + 1, 2)
     for _ in range(block_count):
+        n = len(rows)
         attach = rng.randrange(n)
-        odd_sizes = [s for s in range(3, max_block_size + 1, 2)]
-        use_cycle = bool(odd_sizes) and rng.random() < 0.5
-        if use_cycle:
+        if odd_sizes and rng.random() < 0.5:
             size = rng.choice(odd_sizes)
-            ring = [attach] + [n + i for i in range(size - 1)]
-            n += size - 1
-            edges += [(ring[i], ring[(i + 1) % size]) for i in range(size)]
+            ring = [attach, *range(n, n + size - 1)]
+            rows += [0] * (size - 1)
+            for i, v in enumerate(ring):
+                rows[v] |= 1 << ring[i - 1] | 1 << ring[(i + 1) % size]
         else:
             size = rng.randint(2, max_block_size)
-            block = [attach] + [n + i for i in range(size - 1)]
-            n += size - 1
-            edges += list(itertools.combinations(block, 2))
-    return Graph(n, edges)
+            block = ((1 << size - 1) - 1) << n | 1 << attach
+            rows += [0] * (size - 1)
+            for v in bits(block):
+                rows[v] |= block ^ 1 << v
+    return rows
 
 
 def random_gallai_forest(
@@ -378,24 +385,29 @@ def random_gallai_forest(
     rng: random.Random,
     max_degree: Optional[int] = None,
 ) -> Graph:
-    """Disjoint union of random Gallai trees, optionally degree-capped by
-    rejection.  All randomness comes from ``rng``, so a seeded one
-    reproduces the forest."""
+    """Disjoint union of ``tree_count`` random Gallai trees, each with 1 to
+    ``block_count`` blocks, optionally degree-capped by rejection.  All
+    randomness comes from ``rng``, so a seeded one reproduces the forest.
+
+    Every tree has an edge, so a cap needs ``max_degree >= 1``; with it a
+    single edge passes, and the rejection loop ends with probability 1.
+    """
+    if tree_count < 1:
+        raise ValueError(f"tree_count must be at least 1, not {tree_count}")
+    if block_count < 1:
+        raise ValueError(f"block_count must be at least 1, not {block_count}")
+    if max_block_size < 2:
+        raise ValueError(f"max_block_size must be at least 2, not {max_block_size}")
+    if max_degree is not None and max_degree < 1:
+        raise ValueError(f"max_degree must be None or at least 1, not {max_degree}")
     while True:
-        parts = [
-            random_gallai_tree(1 + rng.randrange(block_count), max_block_size, rng)
-            for _ in range(tree_count)
-        ]
-        offset = 0
-        edges = []
-        total = 0
-        for part in parts:
-            edges += [(u + offset, v + offset) for u, v in part.edges]
-            offset += part.n
-            total = offset
-        g = Graph(total, edges)
-        if max_degree is None or max(g.degrees) <= max_degree:
-            return g
+        rows: list[int] = []
+        for _ in range(tree_count):
+            tree = _gallai_tree_rows(1 + rng.randrange(block_count), max_block_size, rng)
+            offset = len(rows)
+            rows += [row << offset for row in tree]
+        if max_degree is None or max(map(int.bit_count, rows)) <= max_degree:
+            return Graph._from_rows(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,25 @@ def test_cli_cert_validate_rejects_repeated_vertex_and_stray_f_h(tmp_path, capsy
         assert "invalid: " in capsys.readouterr().out
 
 
+def test_cli_cert_validate_rejects_fractional_numbers(tmp_path, capsys):
+    # a valid C4 certificate file, then the same file with a fractional f or
+    # f_h; each used to be truncated to a valid one
+    c4 = make_named("cycle", [4])
+    cert = extract_reducible(c4, c4.degrees, [0, 2]).to_json()
+    payload = {"graph6": encode_graph6(c4), "f": {str(v): 2 for v in range(4)},
+               "certificate": cert}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(payload))
+    assert cli_main(["cert", "validate", str(path)]) == 0
+    assert capsys.readouterr().out == "valid: ok\n"
+    fractional_f = {**payload, "f": {**payload["f"], "0": 2.9}}
+    fractional_f_h = {**payload, "certificate": {**cert, "f_h": dict.fromkeys(cert["f_h"], 2.5)}}
+    for bad, number in ((fractional_f, "2.9"), (fractional_f_h, "2.5")):
+        path.write_text(json.dumps(bad))
+        assert cli_main(["cert", "validate", str(path)]) == 2
+        assert f"{number} is not an integer" in capsys.readouterr().err
+
+
 # certificate JSON that is valid JSON of the wrong shape
 MALFORMED_CERTIFICATES = [
     [],
@@ -145,6 +164,11 @@ MALFORMED_CERTIFICATES = [
     {"vertices": [0, 1], "arcs": [5], "f_h": {"0": 2, "1": 2}},
     {"vertices": [0, 1], "arcs": [[0, 0]], "f_h": {"0": 2, "1": 2}},
     {"vertices": 3, "arcs": [], "f_h": {}},
+    # numbers that are not integers, once truncated or read
+    {"vertices": [0, 1.5], "arcs": [[0, 1]], "f_h": {"0": 2, "1": 2}},
+    {"vertices": [0, 1], "arcs": [[0, "1"]], "f_h": {"0": 2, "1": 2}},
+    {"vertices": [0, 1], "arcs": [[0, 1]], "f_h": {"0": True, "1": 2}},
+    {"vertices": [0, 1], "arcs": [[0, 1]], "f_h": {"0": 2, "1": "2"}},
 ]
 
 

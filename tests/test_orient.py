@@ -21,7 +21,13 @@ from kernelpaint import (
 from kernelpaint.bits import bits
 from kernelpaint.errors import SizeLimitError
 from kernelpaint.graphs import cut_size
-from kernelpaint.orient import _arc_rows, _kernel_cover, _kernel_table, _smallest_kernel
+from kernelpaint.orient import (
+    _arc_rows,
+    _clique_refutes,
+    _kernel_cover,
+    _kernel_table,
+    _smallest_kernel,
+)
 
 
 # -- digraph basics -----------------------------------------------------------
@@ -102,6 +108,18 @@ def test_orient_agrees_with_brute_force_n4():
         g = Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
                       if rng.random() < p])
         _check_against_every_subset(g, [rng.randint(0, d + 1) for d in g.degrees])
+
+
+def test_degree_tables_reject_non_integers(c4):
+    p2 = make_named("path", [2])
+    for bad in ([0.5, 1], [True, 1], ["1", 1], [None, 1]):
+        with pytest.raises(ValueError, match=r"f\(0\): .* is not an integer"):
+            orient_with_indegrees(p2, bad)
+    assert orient_with_indegrees(p2, [1.0, 0]).ok  # an integral float is an integer
+    with pytest.raises(ValueError, match="not an integer"):
+        is_f_AT(c4, [2, 2, 2, 2.5])
+    with pytest.raises(ValueError, match="not an integer"):
+        build_kernel_perfect(c4, [0], {0: 1, 1: 2, 2: 2, 3: 0.5})
 
 
 def test_orient_rejects_negative_demand(c4):
@@ -393,6 +411,59 @@ def test_is_f_at_examples(c4, c5):
         is_f_AT(make_named("complete", [6]), [6] * 6)
 
 
+def _f_at_by_definition(g, f):
+    """The first orientation of g, edges in sorted order and u -> v tried
+    before v -> u, with d+(v) <= f(v) - 1 and a nonzero Alon-Tarsi
+    difference, with its counts; None when there is none."""
+    edges = sorted(g.edges)
+    out = [0] * g.n
+    arcs = []
+
+    def go(i):
+        if i == len(edges):
+            d = Digraph(range(g.n), arcs)
+            counts = alon_tarsi_diff(d)
+            return (d, counts) if counts.diff else None
+        for t, h in (edges[i], edges[i][::-1]):
+            if out[t] < f[t] - 1:
+                out[t] += 1
+                arcs.append((t, h))
+                found = go(i + 1)
+                out[t] -= 1
+                arcs.pop()
+                if found:
+                    return found
+        return None
+
+    return go(0) if all(x >= 1 for x in f) else None
+
+
+def test_is_f_at_matches_definition_n6():
+    """The graph polynomial decides as the orientation search with
+    alon_tarsi_diff at every leaf does, and gives its witness and counts:
+    every graph with n <= 6 and at most 12 edges, at f = d and two seeded
+    tables with 1 <= f <= d + 1."""
+    import random
+
+    rng = random.Random(24)
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n) if g.m <= 12]
+    assert len(graphs) == 204
+    verdicts = set()
+    for g in graphs:
+        tables = [list(g.degrees)] + [[rng.randint(1, d + 1) for d in g.degrees]
+                                      for _ in range(2)]
+        for f in tables:
+            dec = is_f_AT(g, f)
+            ref = _f_at_by_definition(g, f)
+            verdicts.add(bool(dec))
+            assert bool(dec) == (ref is not None)
+            if ref is None:
+                assert dec.witness is None and dec.counts is None
+            else:
+                assert (dec.witness.arcs, dec.counts) == (ref[0].arcs, ref[1])
+    assert verdicts == {True, False}
+
+
 # -- f-KP ----------------------------------------------------------------------
 
 
@@ -476,6 +547,41 @@ def test_f_kp_witnesses_match_definition_n5(allow_supergraph):
                 assert g.edges <= w.underlying_edges()
                 if not allow_supergraph:
                     assert len(w.arcs) == g.m
+
+
+def test_clique_bound_refutes_only_tables_without_witnesses():
+    """Every table 1 <= f <= d + 1 on K3, K4 and K5 that the clique bound
+    refutes has no witness by definition.  A strict witness is a supergraph
+    witness too, so an empty supergraph list covers both modes."""
+    for n in (3, 4, 5):
+        g = make_named("complete", [n])
+        refuted = 0
+        for f in itertools.product(range(1, n + 1), repeat=n):
+            if _clique_refutes(g.adj, [x - 1 for x in f]):
+                refuted += 1
+                assert list(f_KP_witnesses(g, f)) == []
+                assert _f_kp_by_definition(g, f, True) == set()
+        # the tables that pass are those with sorted f at least 1, 2, ..., n
+        assert refuted == n ** n - (n + 1) ** (n - 1)
+
+
+def test_clique_bound_on_a_seeded_sample_n5():
+    """On seeded tables of every graph with n <= 5, the witnesses are the
+    definition's, and the bound refutes tables of graphs that are not
+    complete."""
+    import random
+
+    rng = random.Random(24)
+    refuted_sparse = 0
+    for g in (g for n in range(2, 6) for g in enumerate_graphs(n, connected_only=False)):
+        for _ in range(3):
+            f = [rng.randint(1, d + 1) for d in g.degrees]
+            if _clique_refutes(g.adj, [x - 1 for x in f]):
+                refuted_sparse += g.m < g.n * (g.n - 1) // 2
+            for allow_supergraph in (True, False):
+                got = {w.arcs for w in f_KP_witnesses(g, f, allow_supergraph)}
+                assert got == _f_kp_by_definition(g, f, allow_supergraph)
+    assert refuted_sparse >= 20
 
 
 # -- witness extension ---------------------------------------------------------

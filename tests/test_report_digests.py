@@ -20,7 +20,9 @@ Corpora stay small so the whole gate runs in a few seconds: graphs on at most
 5 vertices, at most 4 for in-orient-oracle, and gallai-count, which builds its
 own random forests, at its default.  The game suites are also pinned where
 their game walks are long: kernel-game and mic-strength at their default
-ceilings, and kernel-game on a seeded graph6 file of labelled graphs.
+ceilings, and kernel-game on a seeded graph6 file of labelled graphs.  So are
+the brute-force deciders at their default ceilings: at-classify (f-AT),
+kp-classify (f-KP) and in-orient-oracle (orientations against every demand).
 """
 
 import hashlib
@@ -61,7 +63,10 @@ def test_default_seed_report_is_byte_identical(name):
 
 
 DEFAULT_CEILING_DIGESTS = {
+    "at-classify": "9bf3828dfb0a4f26f4b308c6d1752d1ab6c4b346077c6eda5992c14c53e7944b",
+    "in-orient-oracle": "c7f59264249b0fafd4b0ae9551780e042554ee14585ccdc22464634b2a30a4be",
     "kernel-game": "e05246e53cc23532ed798b47ff4034239491aa802185a9d3a930f1005a04c42a",
+    "kp-classify": "e0d987a94d66c2694c68dce14f1434585a0dd4f4dfe323c5d0bc942c8f3e2199",
     "mic-strength": "e2fbb70ae5cb75a64b6d417b9fce3fc6b987997e2330c5a07ada2d9e04ca88f7",
 }
 SEEDED_KERNEL_GAME_DIGEST = "e87d04e6d726292447a3fb2220f0c42939735ff23e0fcdff42a7a9ebffde87f6"

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import signal
 import time
 from fractions import Fraction
 
@@ -344,6 +345,12 @@ def test_gallai_count_k5_tight_and_k1():
     assert chk.holds and (chk.lhs, chk.rhs) == (5, -1)
 
 
+def test_gallai_count_takes_an_odd_cycle_block_of_k_vertices():
+    # C7 has 7 vertices and one block, but it is no K_7
+    chk = gallai_count_check(make_named("cycle", [7]), 7)
+    assert chk.holds and (chk.lhs, chk.rhs) == (28, Fraction(38, 5))
+
+
 def test_gallai_count_rejects_bad_inputs(c4):
     with pytest.raises(ValueError, match="k >= 6"):
         gallai_count_check(Graph(1), 5)
@@ -388,6 +395,35 @@ def test_random_gallai_forest_caps_degree():
         f = random_gallai_forest(2, 3, 5, random.Random(seed), max_degree=5)
         assert max(f.degrees) <= 5
         assert is_gallai_forest(f)
+
+
+def test_random_gallai_forest_checks_its_arguments_up_front():
+    # max_degree=0 rejected every draw for ever, so a timer bounds the test
+    # should the check go missing
+    def hung(signum, frame):
+        raise TimeoutError("random_gallai_forest did not return")
+
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        for kwargs, name in (
+            ({"tree_count": 0}, "tree_count"),
+            ({"tree_count": 0, "max_degree": 3}, "tree_count"),
+            ({"tree_count": -1}, "tree_count"),
+            ({"block_count": 0}, "block_count"),
+            ({"max_block_size": 1}, "max_block_size"),
+            ({"max_degree": 0}, "max_degree"),
+            ({"max_degree": -2}, "max_degree"),
+        ):
+            args = {"tree_count": 2, "block_count": 3, "max_block_size": 4,
+                    "rng": random.Random(5), **kwargs}
+            with pytest.raises(ValueError, match=name):
+                random_gallai_forest(**args)
+        edges = random_gallai_forest(3, 2, 2, random.Random(5), max_degree=1)
+        assert edges.n == 6 and edges.degrees == (1,) * 6
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_random_gallai_forest_draws_from_its_rng_alone():
