@@ -36,7 +36,6 @@ from .orient import (
     Digraph,
     OrientationResult,
     alon_tarsi_diff,
-    build_kernel_perfect,
     digraph_to_dot,
     extend_d0_kp,
     f_KP_witnesses,

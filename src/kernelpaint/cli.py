@@ -39,7 +39,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--max-n", type=int, default=None,
                          help="enumerate up to this order; above the suite "
                               "ceiling requires --allow-large")
-    p_suite.add_argument("--seed", type=int, default=0)
+    p_suite.add_argument("--seed", type=int, default=0,
+                         help="seed of the suites that draw at random, "
+                              "gallai-count and cut-lemma; refused elsewhere")
     p_suite.add_argument("--out", default=None, help="write the JSONL report here")
     p_suite.add_argument("--format", choices=("jsonl", "summary"), default="summary")
     p_suite.add_argument("--allow-large", action="store_true",

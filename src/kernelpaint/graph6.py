@@ -58,7 +58,9 @@ def parse_graph6(text: str) -> Graph:
         adj[i] |= 1 << j
         adj[j] |= 1 << i
         bits ^= low
-    return Graph._from_rows(adj)
+    g = Graph._from_rows(adj)
+    g._graph6 = line  # the length and padding checks leave only encode_graph6(g)
+    return g
 
 
 @functools.lru_cache(maxsize=None)
@@ -74,7 +76,9 @@ def encode_graph6(g: Graph) -> str:
 
     Column j of the upper triangle is row j of the adjacency below the
     diagonal: pair (i, j) is bit ``i`` of ``adj[j]``, and sits ``i`` places
-    after the column's first bit in the vector."""
+    after the column's first bit in the vector.  The line is kept on g."""
+    if g._graph6 is not None:
+        return g._graph6
     n = g.n
     if n > 62:
         raise SizeLimitError("short-form graph6 supports at most 62 vertices")
@@ -88,14 +92,18 @@ def encode_graph6(g: Graph) -> str:
             vector |= 1 << column - low.bit_length()
             below ^= low
         column -= j
-    return chr(n + 63) + "".join([chr((vector >> 6 * k & 63) + 63)
-                                  for k in range(need - 1, -1, -1)])
+    g._graph6 = chr(n + 63) + "".join([chr((vector >> 6 * k & 63) + 63)
+                                       for k in range(need - 1, -1, -1)])
+    return g._graph6
 
 
 def read_graph6_file(path: Union[str, os.PathLike]) -> list[Graph]:
-    """Read a graph6 corpus file; '#'-prefixed comment lines and blanks are ignored."""
+    """Read a graph6 corpus file; '#'-prefixed comment lines and blanks are ignored.
+
+    Bytes are read one to a character, so a byte outside graph6's range
+    reaches ``parse_graph6``'s check and is reported with its line."""
     graphs = []
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="latin-1") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -50,7 +50,7 @@ class Graph:
     the rows.  Treat instances as immutable.
     """
 
-    __slots__ = ("n", "adj", "degrees", "_hash")
+    __slots__ = ("n", "adj", "degrees", "_hash", "_graph6")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -79,6 +79,7 @@ class Graph:
         self.adj = adj
         self.degrees = tuple(map(int.bit_count, adj))
         self._hash = hash((self.n, adj))
+        self._graph6 = None  # its graph6 line, kept once encoded or parsed
 
     # -- basic accessors -------------------------------------------------
 

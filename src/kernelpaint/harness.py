@@ -124,29 +124,27 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _rec(g: Optional[Graph], verdict: str, **detail) -> dict:
-    rec = {"verdict": verdict}
-    if g is not None:
-        rec["graph6"] = encode_graph6(g)
-    rec.update(detail)
-    return rec
+def _rec(g: Graph, verdict: str, **detail) -> dict:
+    return {"verdict": verdict, "graph6": encode_graph6(g), **detail}
 
 
-def _per_graph(corpus, fn) -> Iterator[dict]:
-    """Run a per-graph check, demoting the empty graph and size-limit
-    violations to skip records.  Any other exception is a fault of the
-    check, not a verdict: it propagates as a RuntimeError naming the graph."""
+def _per_graph(corpus, check: Callable[[Graph], dict]) -> Iterator[dict]:
+    """One record per corpus graph: the check's, with the empty graph and
+    size-limit violations demoted to skip records.  Any other exception is a
+    fault of the check, not a verdict: it propagates as a RuntimeError
+    naming the graph."""
     for g in corpus:
         if g.n == 0:
             yield _rec(g, "skip", reason="empty graph")
             continue
         try:
-            yield from fn(g)
+            rec = check(g)
         except SizeLimitError as exc:
-            yield _rec(g, "skip", reason=f"size limit: {exc}")
+            rec = _rec(g, "skip", reason=f"size limit: {exc}")
         except Exception as exc:
             raise RuntimeError(
                 f"check failed on graph6 {encode_graph6(g)}: {exc!r}") from exc
+        yield rec
 
 
 # ---------------------------------------------------------------------------
@@ -225,28 +223,26 @@ def _has_clique_above_max_degree(g: Graph) -> bool:
     return False
 
 
-def _suite_brooks_alpha(corpus: list[Graph], seed: int) -> Iterator[dict]:
-    def check(g: Graph):
+def _suite_brooks_alpha(corpus: list[Graph]) -> Iterator[dict]:
+    def check(g: Graph) -> dict:
         delta = max(g.degrees, default=0)
         if delta < 3:
-            yield _rec(g, "skip", reason="max degree below 3")
-            return
+            return _rec(g, "skip", reason="max degree below 3")
         if _has_clique_above_max_degree(g):
-            yield _rec(g, "skip", reason="contains a clique on max_degree+1 vertices")
-            return
+            return _rec(g, "skip", reason="contains a clique on max_degree+1 vertices")
         alpha = independence_number(g)
-        yield _rec(g, "pass" if alpha * delta >= g.n else "fail",
-                   alpha=alpha, max_degree=delta, n=g.n)
+        return _rec(g, "pass" if alpha * delta >= g.n else "fail",
+                    alpha=alpha, max_degree=delta, n=g.n)
 
     yield from _per_graph(corpus, check)
 
 
-def _suite_mic_basics(corpus: list[Graph], seed: int) -> Iterator[dict]:
-    def check(g: Graph):
+def _suite_mic_basics(corpus: list[Graph]) -> Iterator[dict]:
+    def check(g: Graph) -> dict:
         gallai = bool(is_gallai_tree(g))
         value = mic(g).value
         ok = value == g.n - 1 if gallai else value >= g.n
-        yield _rec(g, "pass" if ok else "fail", mic=value, gallai_tree=gallai, n=g.n)
+        return _rec(g, "pass" if ok else "fail", mic=value, gallai_tree=gallai, n=g.n)
 
     yield from _per_graph(corpus, check)
 
@@ -254,16 +250,14 @@ def _suite_mic_basics(corpus: list[Graph], seed: int) -> Iterator[dict]:
 SOLVER_CONFIRM_CAP = 6
 
 
-def _suite_main_lemma_d0(corpus: list[Graph], seed: int) -> Iterator[dict]:
-    def check(g: Graph):
+def _suite_main_lemma_d0(corpus: list[Graph]) -> Iterator[dict]:
+    def check(g: Graph) -> dict:
         if is_gallai_tree(g):
-            yield _rec(g, "skip", reason="Gallai tree: independent cover too small")
-            return
+            return _rec(g, "skip", reason="Gallai tree: independent cover too small")
         try:
             cert = extract_reducible(g, g.degrees)
         except HypothesisNotMetError as exc:
-            yield _rec(g, "fail", reason=f"hypothesis unexpectedly not met: {exc}")
-            return
+            return _rec(g, "fail", reason=f"hypothesis unexpectedly not met: {exc}")
         ok, why = validate_certificate(cert, g, g.degrees)
         detail = {"h": list(cert.h_vertices), "certificate": cert.to_json()}
         if ok and g.n <= SOLVER_CONFIRM_CAP:
@@ -271,16 +265,15 @@ def _suite_main_lemma_d0(corpus: list[Graph], seed: int) -> Iterator[dict]:
                 ok, why = False, "game solver refutes online choosability of H"
             else:
                 detail["solver_confirmed"] = True
-        yield _rec(g, "pass" if ok else "fail", reason="ok" if ok else why, **detail)
+        return _rec(g, "pass" if ok else "fail", reason="ok" if ok else why, **detail)
 
     yield from _per_graph(corpus, check)
 
 
-def _suite_kernel_game(corpus: list[Graph], seed: int) -> Iterator[dict]:
-    def check(g: Graph):
+def _suite_kernel_game(corpus: list[Graph]) -> Iterator[dict]:
+    def check(g: Graph) -> dict:
         if is_gallai_tree(g):
-            yield _rec(g, "skip", reason="Gallai tree: no certificate to play")
-            return
+            return _rec(g, "skip", reason="Gallai tree: no certificate to play")
         cert = extract_reducible(g, g.degrees)
         h_sorted = sorted(cert.h_vertices)
         relabel = {v: i for i, v in enumerate(h_sorted)}
@@ -288,9 +281,9 @@ def _suite_kernel_game(corpus: list[Graph], seed: int) -> Iterator[dict]:
         d = cert.digraph.relabel(relabel)
         f_h = [cert.f_h[v] for v in h_sorted]
         out = play_paint_game(h, f_h, painter=make_kernel_painter(d))
-        yield _rec(g, "pass" if out.winner == "painter" else "fail",
-                   h=list(cert.h_vertices), states=out.states_explored,
-                   losing_line=out.to_json() if out.winner != "painter" else None)
+        return _rec(g, "pass" if out.winner == "painter" else "fail",
+                    h=list(cert.h_vertices), states=out.states_explored,
+                    losing_line=out.to_json() if out.winner != "painter" else None)
 
     yield from _per_graph(corpus, check)
 
@@ -298,16 +291,15 @@ def _suite_kernel_game(corpus: list[Graph], seed: int) -> Iterator[dict]:
 ORIENT_ORACLE_CAP = 5
 
 
-def _suite_in_orient_oracle(corpus: list[Graph], seed: int) -> Iterator[dict]:
+def _suite_in_orient_oracle(corpus: list[Graph]) -> Iterator[dict]:
     # Every demand table with 0 <= dem(v) <= d(v) goes to orient_with_indegrees.
     # Its verdict is checked against the definition, "some orientation meets
     # the demand", read from one set of feasible demands per graph; an
     # orientation is checked against the demands, a violating set against
     # Hakimi's bound.
-    def check(g: Graph):
+    def check(g: Graph) -> dict:
         if g.n > ORIENT_ORACLE_CAP:
-            yield _rec(g, "skip", reason=f"oracle capped at n = {ORIENT_ORACLE_CAP}")
-            return
+            return _rec(g, "skip", reason=f"oracle capped at n = {ORIENT_ORACLE_CAP}")
         feasible = _feasible_demands(g)
         checked = 0
         bad = None
@@ -332,56 +324,44 @@ def _suite_in_orient_oracle(corpus: list[Graph], seed: int) -> Iterator[dict]:
                     bad = {"demand": list(dem), "error": "reported set does not violate"}
                     break
             checked += 1
-        yield _rec(g, "pass" if bad is None else "fail",
-                   tables=checked, counterexample=bad)
+        return _rec(g, "pass" if bad is None else "fail",
+                    tables=checked, counterexample=bad)
 
     yield from _per_graph(corpus, check)
 
 
 def _feasible_demands(g: Graph) -> set[tuple[int, ...]]:
-    """Every demand table some orientation of g meets: the in-degree vectors
-    of all 2^m orientations, closed downwards one decrement at a time."""
-    edges = sorted(g.edges)
-    stack = []
-    for pick in range(1 << len(edges)):
-        indeg = [0] * g.n
-        for i, (u, v) in enumerate(edges):
-            indeg[v if pick >> i & 1 else u] += 1
-        stack.append(tuple(indeg))
-    feasible: set[tuple[int, ...]] = set()
-    while stack:
-        vec = stack.pop()
-        if vec in feasible:
-            continue
-        feasible.add(vec)
-        for v, x in enumerate(vec):
-            if x:
-                stack.append(vec[:v] + (x - 1,) + vec[v + 1:])
+    """Every demand table some orientation of g meets.  Those are the
+    in-degree vectors of the orientations, closed downwards: each edge adds
+    one to the demand of one end or of neither, edge by edge."""
+    feasible = {(0,) * g.n}
+    for edge in g.edges:
+        feasible |= {dem[:v] + (dem[v] + 1,) + dem[v + 1:]
+                     for dem in feasible for v in edge}
     return feasible
 
 
 AT_SUITE_EDGE_CAP = 12
 
 
-def _suite_at_classify(corpus: list[Graph], seed: int) -> Iterator[dict]:
-    def check(g: Graph):
+def _suite_at_classify(corpus: list[Graph]) -> Iterator[dict]:
+    def check(g: Graph) -> dict:
         if g.m > AT_SUITE_EDGE_CAP:
-            yield _rec(g, "skip", reason=f"more than {AT_SUITE_EDGE_CAP} edges")
-            return
+            return _rec(g, "skip", reason=f"more than {AT_SUITE_EDGE_CAP} edges")
         gallai = bool(is_gallai_tree(g))
         at = is_f_AT(g, g.degrees)
         ok = bool(at) == (not gallai)
-        yield _rec(g, "pass" if ok else "fail",
-                   gallai_tree=gallai, d0_at=bool(at),
-                   counts=None if not at.counts else [at.counts.even, at.counts.odd])
+        return _rec(g, "pass" if ok else "fail",
+                    gallai_tree=gallai, d0_at=bool(at),
+                    counts=None if not at.counts else [at.counts.even, at.counts.odd])
 
     yield from _per_graph(corpus, check)
 
 
-def _suite_kp_classify(corpus: list[Graph], seed: int) -> Iterator[dict]:
+def _suite_kp_classify(corpus: list[Graph]) -> Iterator[dict]:
     yield from _kp_fixed_pair()
 
-    def check(g: Graph):
+    def check(g: Graph) -> dict:
         gallai = bool(is_gallai_tree(g))
         detail: dict = {"gallai_tree": gallai, "phases": []}
         ok = True
@@ -399,9 +379,8 @@ def _suite_kp_classify(corpus: list[Graph], seed: int) -> Iterator[dict]:
                 ok = False
                 detail["reason"] = err
         if not detail["phases"]:
-            yield _rec(g, "skip", reason="Gallai tree beyond exhaustive cap")
-            return
-        yield _rec(g, "pass" if ok else "fail", **detail)
+            return _rec(g, "skip", reason="Gallai tree beyond exhaustive cap")
+        return _rec(g, "pass" if ok else "fail", **detail)
 
     yield from _per_graph(corpus, check)
 
@@ -460,20 +439,20 @@ def _named_in_corpus(corpus: list[Graph], named: dict[str, Graph]) -> dict[Graph
     return present
 
 
-def _suite_mic_strength(corpus: list[Graph], seed: int) -> Iterator[dict]:
+def _suite_mic_strength(corpus: list[Graph]) -> Iterator[dict]:
     expected_mic = {"C5": 4, "K4": 3}
     tight = _named_in_corpus(corpus, {"C5": make_named("cycle", [5]),
                                       "K4": make_named("complete", [4])})
     seen_tight: dict[str, bool] = {}
 
-    def check(g: Graph):
+    def check(g: Graph) -> dict:
         rec = check_mic_strength(g)
         name = tight.get(g)
         if name is not None:
             seen_tight[name] = (rec.irreducible
                                 and rec.mic_value == rec.bound == expected_mic[name])
-        yield _rec(g, "pass" if rec.holds else "fail",
-                   irreducible=rec.irreducible, mic=rec.mic_value, bound=rec.bound)
+        return _rec(g, "pass" if rec.holds else "fail",
+                    irreducible=rec.irreducible, mic=rec.mic_value, bound=rec.bound)
 
     yield from _per_graph(corpus, check)
     for name in expected_mic:
@@ -510,51 +489,45 @@ def _suite_gallai_count(corpus, seed: int) -> Iterator[dict]:
                            lhs=str(chk.lhs), rhs=str(chk.rhs))
 
 
-def _suite_triangle_free_mic(corpus: list[Graph], seed: int) -> Iterator[dict]:
-    def check(g: Graph):
+def _suite_triangle_free_mic(corpus: list[Graph]) -> Iterator[dict]:
+    def check(g: Graph) -> dict:
         if min(g.degrees) < 1:
-            yield _rec(g, "skip", reason="vertex of degree 0")
-            return
+            return _rec(g, "skip", reason="vertex of degree 0")
         if g.has_triangle():
-            yield _rec(g, "skip", reason="not triangle-free")
-            return
+            return _rec(g, "skip", reason="not triangle-free")
         chk = triangle_free_mic_check(g)
-        yield _rec(g, "pass" if chk.holds else "fail",
-                   mic=chk.mic_value, bound=round(chk.bound, 12))
+        return _rec(g, "pass" if chk.holds else "fail",
+                    mic=chk.mic_value, bound=round(chk.bound, 12))
 
     yield from _per_graph(corpus, check)
 
 
-def _suite_edges_4critical(corpus: list[Graph], seed: int) -> Iterator[dict]:
+def _suite_edges_4critical(corpus: list[Graph]) -> Iterator[dict]:
     # Coverage: every target graph the corpus contains must be checked and pass.
     present = _named_in_corpus(corpus, {"K4": make_named("complete", [4]),
                                         "moser_spindle": make_named("moser_spindle")})
     found: set[str] = set()
 
-    def check(g: Graph):
+    def check(g: Graph) -> dict:
         if max(g.degrees, default=0) > 4:
-            yield _rec(g, "skip", reason="max degree above 4")
-            return
+            return _rec(g, "skip", reason="max degree above 4")
         if not is_k_critical(g, 4):
-            yield _rec(g, "skip", reason="not 4-critical")
-            return
+            return _rec(g, "skip", reason="not 4-critical")
         if not low_high_split(g).high_edgeless:
-            yield _rec(g, "skip", reason="high-degree part has an edge")
-            return
+            return _rec(g, "skip", reason="high-degree part has an edge")
         formula = math.ceil((5 * g.n - 2) / 3)
         if min(g.degrees) == 4:
             # 4-regular graphs sit outside the edge-count argument (it runs
             # through the gap-1 precursor bound and these graphs are not even
             # OC-irreducible); the complement of C7 shows the formula really
             # fails there, so the boundary is recorded, not asserted.
-            yield _rec(g, "skip",
-                       reason="4-regular: outside the gap-1 hypothesis",
-                       phase="regular-boundary", edges=g.m, formula=formula, n=g.n)
-            return
+            return _rec(g, "skip",
+                        reason="4-regular: outside the gap-1 hypothesis",
+                        phase="regular-boundary", edges=g.m, formula=formula, n=g.n)
         ok = g.m == formula and g.n % 3 != 0
         if g in present:
             found.add(present[g])
-        yield _rec(g, "pass" if ok else "fail", edges=g.m, formula=formula, n=g.n)
+        return _rec(g, "pass" if ok else "fail", edges=g.m, formula=formula, n=g.n)
 
     yield from _per_graph(corpus, check)
     ok = found == set(present.values())
@@ -562,18 +535,15 @@ def _suite_edges_4critical(corpus: list[Graph], seed: int) -> Iterator[dict]:
            "found": sorted(found)}
 
 
-def _suite_ore_precursors(corpus: list[Graph], seed: int) -> Iterator[dict]:
-    def check(g: Graph):
+def _suite_ore_precursors(corpus: list[Graph]) -> Iterator[dict]:
+    def check(g: Graph) -> dict:
         split = low_high_split(g)
         if not split.gap_is_one:
-            yield _rec(g, "skip", reason="max degree is not min degree + 1")
-            return
+            return _rec(g, "skip", reason="max degree is not min degree + 1")
         if not split.high_edgeless:
-            yield _rec(g, "skip", reason="high-degree part has an edge")
-            return
+            return _rec(g, "skip", reason="high-degree part has an edge")
         if is_oc_reducible(g) is not None:
-            yield _rec(g, "skip", reason="OC-reducible: lemmas do not apply")
-            return
+            return _rec(g, "skip", reason="OC-reducible: lemmas do not apply")
         delta = min(g.degrees)
         nh, nl = len(split.high), len(split.low)
         checks = {
@@ -595,7 +565,7 @@ def _suite_ore_precursors(corpus: list[Graph], seed: int) -> Iterator[dict]:
         else:
             detail["component_bound"] = "skipped: needs min degree >= 6 at desk scale"
         detail.update({k: bool(v) for k, v in checks.items()})
-        yield _rec(g, "pass" if all(checks.values()) else "fail", **detail)
+        return _rec(g, "pass" if all(checks.values()) else "fail", **detail)
 
     yield from _per_graph(corpus, check)
 
@@ -626,10 +596,11 @@ def _suite_cut_lemma(corpus: list[Graph], seed: int) -> Iterator[dict]:
 
 @dataclass(frozen=True)
 class _Suite:
-    body: Callable[[list[Graph], int], Iterator[dict]]
+    body: Callable[..., Iterator[dict]]  # body(corpus), or body(corpus, seed) if draws
     max_n: int               # per-suite ceiling, mirrors module preconditions
     connected_only: bool = True
     corpus: str = "all"      # "all" | "triangle_free" | "none"
+    draws: bool = False      # draws at random, so it takes a seed
 
 
 _SUITES: dict[str, _Suite] = {
@@ -641,11 +612,11 @@ _SUITES: dict[str, _Suite] = {
     "at-classify": _Suite(_suite_at_classify, 6),
     "kp-classify": _Suite(_suite_kp_classify, 6),
     "mic-strength": _Suite(_suite_mic_strength, 7),
-    "gallai-count": _Suite(_suite_gallai_count, 0, corpus="none"),
+    "gallai-count": _Suite(_suite_gallai_count, 0, corpus="none", draws=True),
     "triangle-free-mic": _Suite(_suite_triangle_free_mic, 9, corpus="triangle_free"),
     "edges-4critical": _Suite(_suite_edges_4critical, 7),
     "ore-precursors": _Suite(_suite_ore_precursors, 7),
-    "cut-lemma": _Suite(_suite_cut_lemma, 6, connected_only=False),
+    "cut-lemma": _Suite(_suite_cut_lemma, 6, connected_only=False, draws=True),
 }
 
 SUITE_NAMES = tuple(sorted(_SUITES))
@@ -702,10 +673,12 @@ def run_suite(
 
     ``source`` is a graph6 file path; without one the suite enumerates up to
     ``max_n``, by default its own ceiling, and asking for a larger corpus
-    requires ``allow_large``.  ``ValueError`` rejects a ``max_n`` below 1, a
-    ``max_n`` or ``allow_large`` given with a ``source``, ``allow_large``
-    for a corpus within the ceiling, and a suite that reads no corpus
-    (gallai-count) given any of the three.  With
+    requires ``allow_large``.  ``seed`` drives the suites that draw at
+    random, gallai-count and cut-lemma.  ``ValueError`` rejects a ``max_n``
+    below 1, a ``max_n`` or ``allow_large`` given with a ``source``,
+    ``allow_large`` for a corpus within the ceiling, a suite that reads no
+    corpus (gallai-count) given any of the three, and a nonzero ``seed``
+    for a suite that draws nothing.  With
     ``timings`` the summary gains ``elapsed_s`` (the whole run) and
     ``corpus_s`` (its corpus construction), and each record ``elapsed_ms``,
     counted from the end of corpus construction.
@@ -715,13 +688,15 @@ def run_suite(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
         )
     suite = _SUITES[name]
+    if seed and not suite.draws:
+        raise ValueError("this suite draws nothing at random, so it takes no seed")
     start = time.perf_counter()
     corpus = _resolve_corpus(source, suite, max_n, allow_large)
     report = SuiteReport(suite=name, meta={"seed": seed, "source": source or "enumerate"})
     last = time.perf_counter()
     if timings:
         report.meta["corpus_s"] = round(last - start, 3)
-    for rec in suite.body(corpus, seed):
+    for rec in suite.body(corpus, seed) if suite.draws else suite.body(corpus):
         now = time.perf_counter()
         if timings:
             # work for a record happens between generator yields

@@ -53,7 +53,6 @@ __all__ = [
     "KernelPerfectResult",
     "OrientationResult",
     "alon_tarsi_diff",
-    "build_kernel_perfect",
     "digraph_to_dot",
     "extend_d0_kp",
     "f_KP_witnesses",
@@ -332,22 +331,6 @@ class KernelPerfectResult:
         return self.digraph is not None
 
 
-def build_kernel_perfect(g: Graph, a: Iterable[int], f: DegreeTable) -> KernelPerfectResult:
-    """Kernel-perfect digraph over V(g) with out-degrees at most f(v) - 1.
-
-    A must be independent and f(v) <= d(v) + 1 everywhere.  Every edge with
-    both ends outside A becomes a pair of opposite arcs; edges touching A are
-    oriented so that each vertex gets at least d(v) + 1 - f(v) in-arcs from
-    them.  Doubling outside an independent set preserves kernel-perfection,
-    and the in-arc quota forces d+(v) <= f(v) - 1.  When the quota is
-    infeasible the violating vertex set is returned instead.
-    """
-    a_set = frozenset(a)
-    ftab = _table(f, range(g.n))
-    _check_kp_inputs(g, a_set, ftab, g.full_mask())
-    return _build_kp_masked(g, g.full_mask(), mask_of(a_set), ftab)
-
-
 def _check_kp_inputs(g: Graph, a_set: frozenset, ftab: Mapping[int, int], mask: int) -> None:
     for v in a_set:
         if not (0 <= v < g.n and mask >> v & 1):
@@ -366,8 +349,17 @@ def _check_kp_inputs(g: Graph, a_set: frozenset, ftab: Mapping[int, int], mask: 
 def _build_kp_masked(
     g: Graph, mask: int, amask: int, ftab: Mapping[int, int]
 ) -> KernelPerfectResult:
-    """build_kernel_perfect on the subgraph induced on a vertex mask, keeping
-    labels, with A given as a mask."""
+    """Kernel-perfect digraph over the vertex mask, labels kept, with
+    out-degrees at most f(v) - 1.
+
+    A, given as a mask, must be independent and f(v) <= d(v) + 1 everywhere,
+    degrees taken inside the mask (``_check_kp_inputs``).  Every edge with
+    both ends outside A becomes a pair of opposite arcs; edges touching A are
+    oriented so that each vertex gets at least d(v) + 1 - f(v) in-arcs from
+    them.  Doubling outside an independent set preserves kernel-perfection,
+    and the in-arc quota forces d+(v) <= f(v) - 1.  When the quota is
+    infeasible the violating vertex set is returned instead.
+    """
     adj = g.adj
     verts = bits(mask)
     amask &= mask

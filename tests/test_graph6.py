@@ -1,5 +1,8 @@
+import importlib.util
 import itertools
+import os
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +39,34 @@ def test_round_trip_on_enumerated_corpus():
     for n in range(1, 7):
         for g in enumerate_graphs(n):
             assert parse_graph6(encode_graph6(g)) == g
+
+
+def _benchmark_lines(monkeypatch) -> list[str]:
+    """The benchmark's two seeded graph6 files at seed 0, labelled graphs on
+    7 and 8 vertices written by its own encoder."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    return workloads.generate_lines(0, "main") + workloads.generate_lines(0, "small")
+
+
+def test_a_graph_keeps_the_line_it_was_encoded_or_parsed_from(monkeypatch):
+    # the parser takes only the canonical short form, so the line a parsed
+    # graph keeps is the one the encoder gives for its rows
+    lines = []
+    for g in (g for n in range(1, 8) for g in enumerate_graphs(n, connected_only=False)):
+        line = encode_graph6(Graph._from_rows(g.adj))  # a new graph keeps nothing yet
+        assert encode_graph6(g) == line
+        lines.append(line)
+    lines += _benchmark_lines(monkeypatch)
+    assert len(lines) == 2772
+    for line in lines:
+        g = parse_graph6(line + "\n")
+        assert g._graph6 == line
+        assert encode_graph6(Graph._from_rows(g.adj)) == line
+    assert parse_graph6(">>graph6<<Bw\n")._graph6 == "Bw"
 
 
 def test_round_trip_full_desk_scale():

@@ -197,8 +197,11 @@ def test_suite_ceiling_enforced():
 
 
 def test_reports_are_byte_identical():
-    a = run_suite("mic-basics", max_n=5, seed=3).to_jsonl()
-    b = run_suite("mic-basics", max_n=5, seed=3).to_jsonl()
+    a = run_suite("mic-basics", max_n=5).to_jsonl()
+    b = run_suite("mic-basics", max_n=5).to_jsonl()
+    assert a == b
+    a = run_suite("cut-lemma", max_n=5, seed=3).to_jsonl()
+    b = run_suite("cut-lemma", max_n=5, seed=3).to_jsonl()
     assert a == b
 
 
@@ -340,6 +343,67 @@ def test_empty_graph_is_skipped(name, tmp_path):
     assert rep.passed
 
 
+def _contract_corpus() -> list[Graph]:
+    """Seeded labelled graphs on at most 6 vertices, among them the empty
+    graph and a disconnected graph."""
+    rng = random.Random(25)
+    graphs = [Graph(0), Graph(5, [(0, 1), (1, 2), (3, 4)])]
+    for _ in range(10):
+        n = rng.randint(1, 6)
+        graphs.append(Graph(n, [e for e in itertools.combinations(range(n), 2)
+                                if rng.random() < 0.6]))
+    rng.shuffle(graphs)
+    return graphs
+
+
+@pytest.mark.parametrize("name", PER_GRAPH_SUITES)
+def test_one_record_per_corpus_graph(name, tmp_path):
+    # every other record is a phase record: a fixed pair, a tightness or a
+    # coverage check
+    from kernelpaint import write_graph6_file
+
+    graphs = _contract_corpus()
+    path = tmp_path / "corpus.g6"
+    write_graph6_file(path, graphs)
+    connected_only = harness._SUITES[name].connected_only
+    kept = [encode_graph6(g) for g in graphs if g.is_connected() or not connected_only]
+    assert "?" in kept and (connected_only or "DgC" in kept)
+    rep = run_suite(name, source=str(path))
+    assert [r.get("graph6") for r in rep.records if "phase" not in r] == kept
+
+
+@pytest.mark.parametrize("name", PER_GRAPH_SUITES)
+def test_a_seed_is_refused_where_nothing_is_drawn(name, capsys):
+    # the report would record a seed that changed nothing
+    for seed in (99, -1):
+        with pytest.raises(ValueError, match="no seed"):
+            run_suite(name, max_n=3, seed=seed)
+        assert cli_main(["suite", name, "--max-n", "3", "--seed", str(seed)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no seed" in err
+
+
+def test_the_drawing_suites_take_a_seed(capsys):
+    rep = run_suite("cut-lemma", max_n=4, seed=7)
+    assert rep.passed and rep.summary()["seed"] == 7
+    assert rep.records != run_suite("cut-lemma", max_n=4).records
+    assert cli_main(["suite", "cut-lemma", "--max-n", "4", "--seed", "7"]) == 0
+    rep = run_suite("gallai-count", seed=7)
+    assert rep.passed and rep.summary()["seed"] == 7
+
+
+def test_a_non_ascii_byte_in_a_corpus_is_a_format_error(tmp_path, capsys):
+    path = tmp_path / "corpus.g6"
+    path.write_bytes(b"# caf\xc3\xa9\nCr\n\xc3\xa9\n")
+    with pytest.raises(FormatError, match=r"corpus\.g6:3: non-printable graph6 byte"):
+        run_suite("brooks-alpha", source=str(path))
+    assert cli_main(["suite", "brooks-alpha", "--source", str(path)]) == 2
+    assert f"error: {path}:3: non-printable" in capsys.readouterr().err
+    # a comment line may hold any byte
+    path.write_bytes(b"# caf\xc3\xa9\nCr\n")
+    assert len(run_suite("brooks-alpha", source=str(path)).records) == 1
+
+
 def _graphs(max_n):
     """Labelled graphs on at most max_n vertices, disconnected ones included."""
     def on(n):
@@ -428,6 +492,35 @@ def test_feasible_demands_match_hakimi():
         box = itertools.product(*[range(d + 2) for d in g.degrees])
         literal = {dem for dem in box if _meets_hakimi(g, dem)}
         assert harness._feasible_demands(g) == literal
+
+
+def _demands_of_every_orientation(g):
+    """The in-degree vectors of all 2^m orientations of g, closed downwards
+    one decrement at a time."""
+    edges = sorted(g.edges)
+    stack = []
+    for pick in range(1 << len(edges)):
+        indeg = [0] * g.n
+        for i, (u, v) in enumerate(edges):
+            indeg[v if pick >> i & 1 else u] += 1
+        stack.append(tuple(indeg))
+    feasible = set()
+    while stack:
+        vec = stack.pop()
+        if vec in feasible:
+            continue
+        feasible.add(vec)
+        for v, x in enumerate(vec):
+            if x:
+                stack.append(vec[:v] + (x - 1,) + vec[v + 1:])
+    return feasible
+
+
+def test_feasible_demands_match_every_orientation():
+    graphs = [g for n in range(1, 6) for g in enumerate_graphs(n, connected_only=False)]
+    assert len(graphs) == 52
+    for g in graphs:
+        assert harness._feasible_demands(g) == _demands_of_every_orientation(g)
 
 
 def test_in_orient_oracle_reports_a_wrong_verdict(monkeypatch, tmp_path):

@@ -6,10 +6,10 @@ from kernelpaint import (
     Digraph,
     Graph,
     alon_tarsi_diff,
-    build_kernel_perfect,
     digraph_to_dot,
     enumerate_graphs,
     extend_d0_kp,
+    extract_reducible,
     f_KP_witnesses,
     find_kernel,
     is_f_AT,
@@ -18,11 +18,12 @@ from kernelpaint import (
     make_named,
     orient_with_indegrees,
 )
-from kernelpaint.bits import bits
+from kernelpaint.bits import bits, mask_of
 from kernelpaint.errors import SizeLimitError
 from kernelpaint.graphs import cut_size
 from kernelpaint.orient import (
     _arc_rows,
+    _build_kp_masked,
     _clique_refutes,
     _kernel_cover,
     _kernel_table,
@@ -119,7 +120,7 @@ def test_degree_tables_reject_non_integers(c4):
     with pytest.raises(ValueError, match="not an integer"):
         is_f_AT(c4, [2, 2, 2, 2.5])
     with pytest.raises(ValueError, match="not an integer"):
-        build_kernel_perfect(c4, [0], {0: 1, 1: 2, 2: 2, 3: 0.5})
+        extract_reducible(c4, {0: 1, 1: 2, 2: 2, 3: 0.5}, [0])
 
 
 def test_orient_rejects_negative_demand(c4):
@@ -130,8 +131,13 @@ def test_orient_rejects_negative_demand(c4):
 # -- kernel-perfect construction ----------------------------------------------
 
 
+def _build(g, a, f):
+    """The composite construction on all of g, A given as a vertex list."""
+    return _build_kp_masked(g, g.full_mask(), mask_of(a), f)
+
+
 def test_build_kernel_perfect_c4(c4):
-    res = build_kernel_perfect(c4, [0, 2], c4.degrees)
+    res = _build(c4, [0, 2], c4.degrees)
     assert res.ok
     d = res.digraph
     assert all(d.out_degree(v) == 1 for v in range(4))
@@ -139,7 +145,7 @@ def test_build_kernel_perfect_c4(c4):
 
 
 def test_build_kernel_perfect_single_vertex():
-    res = build_kernel_perfect(Graph(1), [0], {0: 1})
+    res = _build(Graph(1), [0], {0: 1})
     assert res.ok and res.digraph.arcs == ()
 
 
@@ -148,24 +154,25 @@ def test_build_kernel_perfect_c5_always_fails(c5):
         for a in itertools.combinations(range(5), k):
             if any(c5.has_edge(u, v) for u, v in itertools.combinations(a, 2)):
                 continue
-            res = build_kernel_perfect(c5, a, c5.degrees)
+            res = _build(c5, a, c5.degrees)
             assert not res.ok and res.violating_set
 
 
 def test_build_kernel_perfect_validates_inputs(c4):
+    # extraction checks A and f before it builds
     with pytest.raises(ValueError, match="independent"):
-        build_kernel_perfect(c4, [0, 1], c4.degrees)
+        extract_reducible(c4, c4.degrees, [0, 1])
     with pytest.raises(ValueError, match="outside"):
-        build_kernel_perfect(c4, [0], {0: 9, 1: 2, 2: 2, 3: 2})
+        extract_reducible(c4, {0: 9, 1: 2, 2: 2, 3: 2}, [0])
     with pytest.raises(ValueError, match="outside"):
-        build_kernel_perfect(c4, [-1], c4.degrees)
+        extract_reducible(c4, c4.degrees, [-1])
     with pytest.raises(ValueError, match="no value for vertex 2"):
-        build_kernel_perfect(c4, [0, 2], [2, 2])
+        extract_reducible(c4, [2, 2], [0, 2])
 
 
 def test_build_kernel_perfect_doubles_outside_a():
     bow = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-    res = build_kernel_perfect(bow, [], [d + 1 for d in bow.degrees])
+    res = _build(bow, [], [d + 1 for d in bow.degrees])
     assert res.ok
     assert res.digraph.doubled_pairs() == bow.edges
     assert is_kernel_perfect(res.digraph)
@@ -198,7 +205,7 @@ def test_composite_digraphs_are_kernel_perfect_and_have_kernels():
                     if any(g.has_edge(u, v) for u, v in itertools.combinations(a, 2)):
                         continue
                     for f in ([d + 1 for d in g.degrees], list(g.degrees)):
-                        res = build_kernel_perfect(g, a, f)
+                        res = _build(g, a, f)
                         if not res.ok:
                             continue
                         built += 1

@@ -9,7 +9,6 @@ from kernelpaint import (
     Graph,
     HypothesisNotMetError,
     PaintabilitySolver,
-    build_kernel_perfect,
     check_mic_strength,
     cut_lemma_check,
     encode_graph6,
@@ -24,7 +23,7 @@ from kernelpaint import (
 )
 from kernelpaint.bits import bits, mask_of
 from kernelpaint.errors import SizeLimitError
-from kernelpaint.orient import Digraph
+from kernelpaint.orient import Digraph, _build_kp_masked
 from kernelpaint.reduce import _colourable_from_prefixes
 from kernelpaint.structure import is_gallai_forest
 
@@ -333,8 +332,9 @@ def test_edge_order_does_not_change_any_output():
                 assert encode_graph6(h) == encode_graph6(g)
                 assert is_gallai_tree(h) == is_gallai_tree(g)
                 a = mic(g).witness
-                assert build_kernel_perfect(h, a, h.degrees) == build_kernel_perfect(
-                    g, a, g.degrees)
+                amask = mask_of(a)
+                assert _build_kp_masked(h, h.full_mask(), amask, h.degrees) == (
+                    _build_kp_masked(g, g.full_mask(), amask, g.degrees))
                 if not is_gallai_tree(g):
                     assert extract_reducible(h, h.degrees).dumps() == extract_reducible(
                         g, g.degrees).dumps()

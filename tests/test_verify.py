@@ -163,17 +163,17 @@ def test_game_exhaustive_traversal(c5):
 
 
 def test_kernel_painter_wins_on_c4(c4):
-    from kernelpaint import build_kernel_perfect
+    from kernelpaint import extract_reducible
 
-    d = build_kernel_perfect(c4, [0, 2], c4.degrees).digraph
+    d = extract_reducible(c4, c4.degrees, [0, 2]).digraph
     out = play_paint_game(c4, [2] * 4, painter=make_kernel_painter(d))
     assert out.winner == "painter" and out.transcript == ()
 
 
 def test_exhaustive_game_checks_every_painter_answer(c4):
-    from kernelpaint import build_kernel_perfect
+    from kernelpaint import extract_reducible
 
-    kernel = make_kernel_painter(build_kernel_perfect(c4, [0, 2], c4.degrees).digraph)
+    kernel = make_kernel_painter(extract_reducible(c4, c4.degrees, [0, 2]).digraph)
     first = []
 
     def stale(g, smask):
