@@ -19,13 +19,11 @@ from .graph6 import encode_graph6, parse_graph6, read_graph6_file, write_graph6_
 from .graphs import (
     BlockTree,
     Graph,
-    GraphStats,
     block_decomposition,
     canonical_key,
     cut_size,
     enumerate_graphs,
     enumerate_triangle_free,
-    graph_stats,
     make_named,
     ore_degree,
     to_dot,
@@ -39,7 +37,6 @@ from .orient import (
     digraph_to_dot,
     extend_d0_kp,
     f_KP_witnesses,
-    find_kernel,
     is_f_AT,
     is_f_KP,
     is_kernel_perfect,

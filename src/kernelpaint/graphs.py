@@ -24,13 +24,11 @@ from .errors import ConstructionError, SizeLimitError, UndefinedStatisticError
 __all__ = [
     "Graph",
     "BlockTree",
-    "GraphStats",
     "block_decomposition",
     "canonical_key",
     "cut_size",
     "enumerate_graphs",
     "enumerate_triangle_free",
-    "graph_stats",
     "make_named",
     "ore_degree",
     "to_dot",
@@ -227,37 +225,6 @@ def ore_degree(g: Graph) -> int:
                 best = s
             later ^= low
     return best
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    max_degree: int
-    min_degree: int
-    ore_degree: Optional[int]  # None when the graph has no edges
-    clique_number: int
-    independence_number: int
-    components: int
-    triangle_free: bool
-
-
-def graph_stats(g: Graph) -> GraphStats:
-    """Exact elementary statistics.
-
-    The independence number is one ``max_weight_independent_set`` search with
-    unit weights on g's rows, the clique number one on the complement's rows;
-    no complement graph is built.  The searches are exhaustive branch and
-    bound, intended for n <= 16; their cost grows exponentially beyond that.
-    """
-    theta = ore_degree(g) if g.m else None
-    return GraphStats(
-        max_degree=max(g.degrees, default=0),
-        min_degree=min(g.degrees, default=0),
-        ore_degree=theta,
-        clique_number=clique_number(g),
-        independence_number=independence_number(g),
-        components=len(g.component_masks()),
-        triangle_free=not g.has_triangle(),
-    )
 
 
 def max_weight_independent_set(g_or_n, weights: Sequence[int],

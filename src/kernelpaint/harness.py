@@ -179,8 +179,7 @@ def validate_certificate(cert: Certificate, g: Graph, f) -> tuple[bool, str]:
     hmask = mask_of(h)
     # the digraph's rows over positions in sorted H, from one pass over its
     # arcs, and G[H]'s rows over the same positions
-    verts, out, into = _arc_rows(cert.digraph)
-    und = [o | i for o, i in zip(out, into)]
+    verts, _, into, und = _arc_rows(cert.digraph)
     if verts[-1] == len(verts) - 1:
         g_rows = [g.adj[v] & hmask for v in verts]
     else:
@@ -523,7 +522,7 @@ def _suite_edges_4critical(corpus: list[Graph]) -> Iterator[dict]:
             # fails there, so the boundary is recorded, not asserted.
             return _rec(g, "skip",
                         reason="4-regular: outside the gap-1 hypothesis",
-                        phase="regular-boundary", edges=g.m, formula=formula, n=g.n)
+                        edges=g.m, formula=formula, n=g.n)
         ok = g.m == formula and g.n % 3 != 0
         if g in present:
             found.add(present[g])

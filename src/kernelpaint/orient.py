@@ -19,9 +19,8 @@ I <= S <= I | Absorb(I), Absorb(I) being the vertices with an arc into I.
   the smallest, for the kernel painter of :mod:`kernelpaint.verify`.
 - The cover, ``_kernel_cover``: whether every induced subdigraph has a
   kernel, for :func:`is_kernel_perfect`.
-- The search, ``_smallest_kernel``: the smallest kernel of one set, for
-  :func:`find_kernel` and for the f-KP search, which checks each subdigraph
-  as soon as its arcs are decided.
+- The search, ``_smallest_kernel``: the smallest kernel of one set, for the
+  f-KP search, which checks each subdigraph as soon as its arcs are decided.
 
 The table and the cover read the same sweep over the independent sets.
 
@@ -50,13 +49,11 @@ __all__ = [
     "Digraph",
     "KPDecision",
     "KernelPerfectCheck",
-    "KernelPerfectResult",
     "OrientationResult",
     "alon_tarsi_diff",
     "digraph_to_dot",
     "extend_d0_kp",
     "f_KP_witnesses",
-    "find_kernel",
     "is_f_AT",
     "is_f_KP",
     "is_kernel_perfect",
@@ -321,16 +318,6 @@ def _reverse_path_to_surplus(out: list[int], spare: list[int], v: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelPerfectResult:
-    digraph: Optional[Digraph]
-    violating_set: Optional[frozenset[int]]
-
-    @property
-    def ok(self) -> bool:
-        return self.digraph is not None
-
-
 def _check_kp_inputs(g: Graph, a_set: frozenset, ftab: Mapping[int, int], mask: int) -> None:
     for v in a_set:
         if not (0 <= v < g.n and mask >> v & 1):
@@ -348,9 +335,9 @@ def _check_kp_inputs(g: Graph, a_set: frozenset, ftab: Mapping[int, int], mask: 
 
 def _build_kp_masked(
     g: Graph, mask: int, amask: int, ftab: Mapping[int, int]
-) -> KernelPerfectResult:
+) -> tuple[Optional[Digraph], Optional[frozenset[int]]]:
     """Kernel-perfect digraph over the vertex mask, labels kept, with
-    out-degrees at most f(v) - 1.
+    out-degrees at most f(v) - 1, as (digraph, None).
 
     A, given as a mask, must be independent and f(v) <= d(v) + 1 everywhere,
     degrees taken inside the mask (``_check_kp_inputs``).  Every edge with
@@ -358,7 +345,7 @@ def _build_kp_masked(
     oriented so that each vertex gets at least d(v) + 1 - f(v) in-arcs from
     them.  Doubling outside an independent set preserves kernel-perfection,
     and the in-arc quota forces d+(v) <= f(v) - 1.  When the quota is
-    infeasible the violating vertex set is returned instead.
+    infeasible the result is (None, violating vertex set).
     """
     adj = g.adj
     verts = bits(mask)
@@ -369,14 +356,14 @@ def _build_kp_masked(
     dem = {v: max(0, (adj[v] & mask).bit_count() + 1 - ftab[v]) for v in verts}
     out, x, _ = _orient_masked(bip, mask, dem)
     if out is None:
-        return KernelPerfectResult(None, x)
+        return None, x
     # every edge with both ends outside A, from each end: a doubled pair
     rest = mask & ~amask
     for v in bits(rest):
         out[v] |= adj[v] & rest
     for v in verts:
         assert out[v].bit_count() <= ftab[v] - 1, "construction must bound out-degrees"
-    return KernelPerfectResult(Digraph._from_rows(verts, out), None)
+    return Digraph._from_rows(verts, out), None
 
 
 # ---------------------------------------------------------------------------
@@ -384,19 +371,10 @@ def _build_kp_masked(
 # ---------------------------------------------------------------------------
 
 
-def find_kernel(d: Digraph) -> Optional[frozenset[int]]:
-    """A kernel of d, or None if none exists: exhaustive search over vertex
-    subsets, smallest bitmask first (deterministic)."""
-    verts, out, into = _arc_rows(d)
-    und = [o | i for o, i in zip(out, into)]
-    kernel = _smallest_kernel(und, out, (1 << len(verts)) - 1)
-    return None if kernel is None else frozenset(verts[i] for i in bits(kernel))
-
-
-def _arc_rows(d: Digraph) -> tuple[list[int], list[int], list[int]]:
-    """Sorted labels of d, with the out- and in-neighbourhoods of each vertex
-    as bitmasks over positions in that list, from one pass over the arcs.
-    Where the labels are 0..n-1 they are the positions."""
+def _arc_rows(d: Digraph) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Sorted labels of d, with the out-, in- and underlying neighbourhoods
+    of each vertex as bitmasks over positions in that list, from one pass
+    over the arcs.  Where the labels are 0..n-1 they are the positions."""
     verts = sorted(d.vertex_set)
     out = [0] * len(verts)
     into = [0] * len(verts)
@@ -410,7 +388,7 @@ def _arc_rows(d: Digraph) -> tuple[list[int], list[int], list[int]]:
         for t, h in d.arcs:
             out[t] |= 1 << h
             into[h] |= 1 << t
-    return verts, out, into
+    return verts, out, into, [o | i for o, i in zip(out, into)]
 
 
 def _smallest_kernel(und: Sequence[int], out: Sequence[int], sub: int) -> Optional[int]:
@@ -511,14 +489,14 @@ def is_kernel_perfect(d: Digraph) -> KernelPerfectCheck:
     The offending set, if any, is the kernel-free vertex set of smallest
     mask: the lowest bit the kernel cover leaves clear.
     """
-    verts, out, into = _arc_rows(d)
-    return _kernel_perfect_rows(verts, [o | i for o, i in zip(out, into)], into)
+    verts, _, into, und = _arc_rows(d)
+    return _kernel_perfect_rows(verts, und, into)
 
 
 def _kernel_perfect_rows(verts: Sequence[int], und: Sequence[int],
                          into: Sequence[int]) -> KernelPerfectCheck:
-    """:func:`is_kernel_perfect` on the rows of ``_arc_rows``, for a caller
-    that has built them, with ``und`` the underlying rows."""
+    """:func:`is_kernel_perfect` on the labels, underlying rows and in-rows
+    of ``_arc_rows``, for a caller that has built them."""
     if len(verts) > KP_CHECK_CAP:
         raise SizeLimitError(f"kernel-perfection check capped at {KP_CHECK_CAP} vertices")
     cover = _kernel_cover(und, into)

@@ -33,20 +33,18 @@ from .orient import (
     _table,
 )
 from .structure import mic
-from .verify import PaintabilitySolver
+from .verify import ONLINE_VERTEX_CAP, PaintabilitySolver, _list_colourable
 
 __all__ = [
     "Certificate",
     "CutLemmaRecord",
     "MicStrengthRecord",
-    "OC_REDUCIBLE_CAP",
     "check_mic_strength",
     "cut_lemma_check",
     "extract_reducible",
     "is_oc_reducible",
 ]
 
-OC_REDUCIBLE_CAP = 7
 CUT_LEMMA_CAP = 6
 
 
@@ -123,10 +121,9 @@ def extract_reducible(
     while True:
         assert mask, "peeling can never empty H"
         f_h = {v: ftab[v] + g.deg_in(v, mask) - g.degrees[v] for v in bits(mask)}
-        res = _build_kp_masked(g, mask, amask, f_h)
-        if res.ok:
-            return Certificate(tuple(bits(mask)), res.digraph, f_h)
-        x = res.violating_set
+        digraph, x = _build_kp_masked(g, mask, amask, f_h)
+        if digraph is not None:
+            return Certificate(tuple(bits(mask)), digraph, f_h)
         xmask = mask_of(x)
         assert xmask and xmask != mask, "violating set must be a proper nonempty subset"
         mask &= ~xmask
@@ -166,8 +163,8 @@ def is_oc_reducible(g: Graph) -> Optional[tuple[tuple[int, ...], dict[int, int]]
       refuted: online choosable implies choosable, which implies colourable
       from these lists in particular.
     """
-    if g.n > OC_REDUCIBLE_CAP:
-        raise SizeLimitError(f"OC-reducibility capped at n = {OC_REDUCIBLE_CAP}")
+    if g.n > ONLINE_VERTEX_CAP:
+        raise SizeLimitError(f"OC-reducibility capped at n = {ONLINE_VERTEX_CAP}")
     if g.n == 0:
         return None
     delta = min(g.degrees)
@@ -185,31 +182,12 @@ def is_oc_reducible(g: Graph) -> Optional[tuple[tuple[int, ...], dict[int, int]]
                 break
             f_h[v] = fv
         else:
-            if _colourable_from_prefixes(adj, members, f_h) and solver.wins(mask, f_h):
+            # the shortest lists first
+            order = sorted(members, key=f_h.__getitem__)
+            lists = {v: (1 << fv) - 1 for v, fv in f_h.items()}
+            if _list_colourable(adj, order, lists) and solver.wins(mask, f_h):
                 return members, f_h
     return None
-
-
-def _colourable_from_prefixes(adj, members, f_h) -> bool:
-    """Can every member v take a colour below f_h[v], adjacent members taking
-    different colours?  Vertices with the shortest lists are coloured first."""
-    order = sorted(members, key=f_h.__getitem__)
-    classes = [0] * max(f_h.values())  # colour -> the members holding it
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        row = adj[v]
-        for c in range(f_h[v]):
-            if not row & classes[c]:
-                classes[c] |= 1 << v
-                if extend(i + 1):
-                    return True
-                classes[c] ^= 1 << v
-        return False
-
-    return extend(0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -234,8 +212,8 @@ def check_mic_strength(g: Graph) -> MicStrengthRecord:
     Vacuously true for reducible graphs; for irreducible ones the bound is
     checked against the exact independent cover number.
     """
-    if g.n > OC_REDUCIBLE_CAP:
-        raise SizeLimitError(f"mic-strength check capped at n = {OC_REDUCIBLE_CAP}")
+    if g.n > ONLINE_VERTEX_CAP:
+        raise SizeLimitError(f"mic-strength check capped at n = {ONLINE_VERTEX_CAP}")
     reducible = is_oc_reducible(g) is not None
     value = mic(g).value
     delta = min(g.degrees) if g.n else 0

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .bits import bits, mask_of
 from .errors import SizeLimitError
@@ -113,23 +113,7 @@ def is_f_choosable(g: Graph, f: DegreeTable) -> ChoosabilityResult:
     if _f_degenerate(g, ftab):
         return ChoosabilityResult(True, None)
 
-    lists: list[frozenset[int]] = [frozenset()] * g.n
-
-    def prefix_colorable(upto: int) -> bool:
-        coloring = [-1] * upto
-
-        def go(v: int) -> bool:
-            if v == upto:
-                return True
-            for c in sorted(lists[v]):
-                if all(coloring[u] != c for u in g.neighbors(v) if u < upto):
-                    coloring[v] = c
-                    if go(v + 1):
-                        return True
-                    coloring[v] = -1
-            return False
-
-        return go(0)
+    lists = [0] * g.n  # colour masks
 
     def assign(v: int, used: int) -> Optional[dict[int, frozenset[int]]]:
         # reaching v == g.n means every prefix (hence the whole assignment)
@@ -142,15 +126,15 @@ def is_f_choosable(g: Graph, f: DegreeTable) -> ChoosabilityResult:
             if old_needed > used:
                 continue
             for olds in itertools.combinations(range(used), old_needed):
-                lists[v] = frozenset(olds) | frozenset(range(used, used + fresh))
-                if not prefix_colorable(v + 1):
+                lists[v] = mask_of(olds) | ((1 << fresh) - 1) << used
+                if not _list_colourable(g.adj, range(v + 1), lists):
                     # no extension can repair an uncolorable induced prefix:
                     # pad the rest with pairwise-fresh lists as the witness
                     pool = used + fresh
                     for u in range(v + 1, g.n):
-                        lists[u] = frozenset(range(pool, pool + ftab[u]))
+                        lists[u] = ((1 << ftab[u]) - 1) << pool
                         pool += ftab[u]
-                    return {u: lists[u] for u in range(g.n)}
+                    return {u: frozenset(bits(lists[u])) for u in range(g.n)}
                 bad = assign(v + 1, used + fresh)
                 if bad is not None:
                     return bad
@@ -158,6 +142,34 @@ def is_f_choosable(g: Graph, f: DegreeTable) -> ChoosabilityResult:
 
     bad = assign(0, 0)
     return ChoosabilityResult(bad is None, bad)
+
+
+def _list_colourable(adj: Sequence[int], order: Sequence[int],
+                     lists: Union[Sequence[int], Mapping[int, int]]) -> bool:
+    """Can every vertex v of ``order`` take a colour of ``lists[v]``, a colour
+    mask (bit c for colour c), adjacent vertices taking different colours?
+
+    Vertices are coloured in the given order, each trying its colours in
+    ascending order; every colour keeps the mask of the vertices holding it,
+    so a colour is free for v when that mask misses ``adj[v]``.  Vertices
+    outside ``order`` are ignored.
+    """
+    classes = [0] * max((lists[v].bit_length() for v in order), default=0)
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        row = adj[v]
+        for c in bits(lists[v]):
+            if not row & classes[c]:
+                classes[c] |= 1 << v
+                if extend(i + 1):
+                    return True
+                classes[c] ^= 1 << v
+        return False
+
+    return extend(0)
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +452,7 @@ def make_kernel_painter(cert_digraph: Digraph) -> PainterFn:
     """
     if cert_digraph.n > KP_CHECK_CAP:
         raise SizeLimitError(f"kernel painter capped at {KP_CHECK_CAP} vertices")
-    verts, out, into = _arc_rows(cert_digraph)
-    und = [o | i for o, i in zip(out, into)]
+    verts, _, into, und = _arc_rows(cert_digraph)
     labels = [0] * (1 << len(verts))  # position mask -> vertex-label mask
     for pos in range(1, len(labels)):
         low = pos & -pos

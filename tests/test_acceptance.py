@@ -103,7 +103,8 @@ def test_criterion_10_edges_4critical():
     assert coverage and coverage[0]["found"] == ["K4", "moser_spindle"]
     conforming = [r for r in report.records if r["verdict"] == "pass" and "edges" in r]
     assert {r["edges"] for r in conforming} >= {6, 11}
-    boundary = [r for r in report.records if r.get("phase") == "regular-boundary"]
+    boundary = [r for r in report.records
+                if r.get("reason") == "4-regular: outside the gap-1 hypothesis"]
     assert len(boundary) == 1
     assert boundary[0]["n"] == 7 and boundary[0]["edges"] == 14 != boundary[0]["formula"]
 

@@ -16,7 +16,6 @@ from kernelpaint import (
     cut_size,
     enumerate_graphs,
     enumerate_triangle_free,
-    graph_stats,
     make_named,
     ore_degree,
     parse_graph6,
@@ -96,13 +95,12 @@ def test_cut_size_identity_and_symmetry():
         assert cut_size(g, full, full) == 2 * g.m
 
 
-def test_graph_stats_examples(k4):
-    st_ = graph_stats(k4)
-    assert (st_.ore_degree, st_.clique_number, st_.independence_number) == (6, 4, 1)
-    assert st_.max_degree == st_.min_degree == 3
+def test_ore_clique_and_independence_examples(k4):
+    assert ore_degree(k4) == 6
+    assert graphs.clique_number(k4) == 4 and graphs.independence_number(k4) == 1
     p3 = make_named("path", [3])
-    st_ = graph_stats(p3)
-    assert st_.ore_degree == 3 and st_.triangle_free
+    assert ore_degree(p3) == 3
+    assert graphs.clique_number(p3) == 2 and graphs.independence_number(p3) == 2
 
 
 def _is_independent(adj, mask: int) -> bool:
@@ -155,22 +153,20 @@ def test_max_weight_independent_set_matches_definition():
                 assert graphs.max_weight_independent_set(g, weights) == (top, witness)
 
 
-def test_graph_stats_alpha_and_omega_match_definition():
+def test_alpha_and_omega_match_definition():
     for n in range(1, 8):
         for g in enumerate_graphs(n):
             full = (1 << n) - 1
             co = [full & ~(a | 1 << v) for v, a in enumerate(g.adj)]
-            st_ = graph_stats(g)
-            assert st_.independence_number == max(
+            assert graphs.independence_number(g) == max(
                 m.bit_count() for m in range(1 << n) if _is_independent(g.adj, m))
-            assert st_.clique_number == max(
+            assert graphs.clique_number(g) == max(
                 m.bit_count() for m in range(1 << n) if _is_independent(co, m))
 
 
 def test_ore_degree_undefined_on_edgeless():
     with pytest.raises(UndefinedStatisticError):
         ore_degree(Graph(3))
-    assert graph_stats(Graph(3)).ore_degree is None
 
 
 def test_blocks_k3_p3_bowtie(bowtie):

@@ -319,6 +319,21 @@ def test_edges_4critical_coverage_needs_only_present_targets(tmp_path):
     assert cli_main(["suite", "edges-4critical", "--source", str(path)]) == 0
 
 
+def test_edges_4critical_gives_the_4_regular_boundary_a_plain_record(tmp_path):
+    # the complement of C7 is 4-regular and 4-critical: its boundary record
+    # is the graph's one record, with no phase, so a reader that sets phase
+    # records aside still finds it
+    path = tmp_path / "critical.g6"
+    path.write_text("FUzro\nC~\n")
+    rep = run_suite("edges-4critical", source=str(path))
+    assert [r for r in rep.records if "phase" not in r] == [
+        {"verdict": "skip", "graph6": "FUzro",
+         "reason": "4-regular: outside the gap-1 hypothesis",
+         "edges": 14, "formula": 11, "n": 7},
+        {"verdict": "pass", "graph6": "C~", "edges": 6, "formula": 6, "n": 4},
+    ]
+
+
 def test_mic_strength_keys_only_graphs_shaped_like_targets(monkeypatch):
     calls = []
     key = harness.canonical_key

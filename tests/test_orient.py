@@ -11,7 +11,6 @@ from kernelpaint import (
     extend_d0_kp,
     extract_reducible,
     f_KP_witnesses,
-    find_kernel,
     is_f_AT,
     is_f_KP,
     is_kernel_perfect,
@@ -132,21 +131,21 @@ def test_orient_rejects_negative_demand(c4):
 
 
 def _build(g, a, f):
-    """The composite construction on all of g, A given as a vertex list."""
+    """The composite construction on all of g, A given as a vertex list:
+    (digraph, None), or (None, violating set)."""
     return _build_kp_masked(g, g.full_mask(), mask_of(a), f)
 
 
 def test_build_kernel_perfect_c4(c4):
-    res = _build(c4, [0, 2], c4.degrees)
-    assert res.ok
-    d = res.digraph
+    d, x = _build(c4, [0, 2], c4.degrees)
+    assert d is not None and x is None
     assert all(d.out_degree(v) == 1 for v in range(4))
     assert is_kernel_perfect(d)
 
 
 def test_build_kernel_perfect_single_vertex():
-    res = _build(Graph(1), [0], {0: 1})
-    assert res.ok and res.digraph.arcs == ()
+    d, _ = _build(Graph(1), [0], {0: 1})
+    assert d.arcs == ()
 
 
 def test_build_kernel_perfect_c5_always_fails(c5):
@@ -154,8 +153,8 @@ def test_build_kernel_perfect_c5_always_fails(c5):
         for a in itertools.combinations(range(5), k):
             if any(c5.has_edge(u, v) for u, v in itertools.combinations(a, 2)):
                 continue
-            res = _build(c5, a, c5.degrees)
-            assert not res.ok and res.violating_set
+            d, x = _build(c5, a, c5.degrees)
+            assert d is None and x
 
 
 def test_build_kernel_perfect_validates_inputs(c4):
@@ -172,21 +171,27 @@ def test_build_kernel_perfect_validates_inputs(c4):
 
 def test_build_kernel_perfect_doubles_outside_a():
     bow = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-    res = _build(bow, [], [d + 1 for d in bow.degrees])
-    assert res.ok
-    assert res.digraph.doubled_pairs() == bow.edges
-    assert is_kernel_perfect(res.digraph)
+    d, _ = _build(bow, [], [k + 1 for k in bow.degrees])
+    assert d.doubled_pairs() == bow.edges
+    assert is_kernel_perfect(d)
 
 
 # -- kernels ------------------------------------------------------------------
 
 
-def test_find_kernel_examples():
+def _kernel_of(d):
+    """The smallest kernel of all of d, as labels, by ``_smallest_kernel``."""
+    verts, out, _, und = _arc_rows(d)
+    kernel = _smallest_kernel(und, out, (1 << len(verts)) - 1)
+    return None if kernel is None else frozenset(verts[i] for i in bits(kernel))
+
+
+def test_smallest_kernel_examples():
     # composite shape on K4-e: doubled 0<->1, single arcs 0->2, 3->0, 2->1, 1->3
     d = Digraph(range(4), [(0, 1), (1, 0), (0, 2), (3, 0), (2, 1), (1, 3)])
-    assert find_kernel(d) == {2, 3}
-    assert find_kernel(Digraph(range(3))) == {0, 1, 2}
-    assert find_kernel(Digraph(range(3), [(0, 1), (1, 2), (2, 0)])) is None
+    assert _kernel_of(d) == {2, 3}
+    assert _kernel_of(Digraph(range(3))) == {0, 1, 2}
+    assert _kernel_of(Digraph(range(3), [(0, 1), (1, 2), (2, 0)])) is None
 
 
 def test_composite_digraphs_are_kernel_perfect_and_have_kernels():
@@ -205,14 +210,14 @@ def test_composite_digraphs_are_kernel_perfect_and_have_kernels():
                     if any(g.has_edge(u, v) for u, v in itertools.combinations(a, 2)):
                         continue
                     for f in ([d + 1 for d in g.degrees], list(g.degrees)):
-                        res = _build(g, a, f)
-                        if not res.ok:
+                        d, _ = _build(g, a, f)
+                        if d is None:
                             continue
                         built += 1
-                        assert is_kernel_perfect(res.digraph)
-                        kernel = find_kernel(res.digraph)
+                        assert is_kernel_perfect(d)
+                        kernel = _kernel_of(d)
                         assert kernel is not None
-                        confirm_kernel(g, res.digraph, kernel)
+                        confirm_kernel(g, d, kernel)
     assert built > 1000
 
 
@@ -262,7 +267,7 @@ def _random_digraphs(count):
 def test_kernel_search_matches_definition_on_random_digraphs():
     for verts, arcs in _random_digraphs(300):
         d = Digraph(verts, arcs)
-        assert find_kernel(d) == _first_kernel_by_definition(arcs, frozenset(verts))
+        assert _kernel_of(d) == _first_kernel_by_definition(arcs, frozenset(verts))
         offending = next((s for s in _subsets_in_mask_order(verts)
                           if s and _first_kernel_by_definition(arcs, s) is None), None)
         check = is_kernel_perfect(d)
@@ -272,8 +277,8 @@ def test_kernel_search_matches_definition_on_random_digraphs():
 
 def test_kernel_table_matches_definition_on_random_digraphs():
     for verts, arcs in _random_digraphs(300):
-        _, out, into = _arc_rows(Digraph(verts, arcs))
-        table = _kernel_table([o | i for o, i in zip(out, into)], into)
+        _, _, into, und = _arc_rows(Digraph(verts, arcs))
+        table = _kernel_table(und, into)
         assert len(table) == 1 << len(verts)
         for sub, kernel in enumerate(table):
             s = frozenset(verts[i] for i in bits(sub))
@@ -308,8 +313,7 @@ def test_kernel_cover_agrees_with_the_kernel_table():
     failing = 0
     for verts, arcs in _mixed_digraphs(2000, 8, seed=20):
         d = Digraph(verts, arcs)
-        _, out, into = _arc_rows(d)
-        und = [o | i for o, i in zip(out, into)]
+        _, out, into, und = _arc_rows(d)
         table = _kernel_table(und, into)
         assert table == [_smallest_kernel(und, out, s) for s in range(len(table))]
         cover = _kernel_cover(und, into)
@@ -338,8 +342,8 @@ def test_kernel_cover_matches_definition_n5():
     every S and every candidate kernel, for n <= 5."""
     seen = set()
     for verts, arcs in _mixed_digraphs(400, 5, seed=21):
-        _, out, into = _arc_rows(Digraph(verts, arcs))
-        cover = _kernel_cover([o | i for o, i in zip(out, into)], into)
+        _, _, into, und = _arc_rows(Digraph(verts, arcs))
+        cover = _kernel_cover(und, into)
         for sub in range(1 << len(verts)):
             s = {verts[i] for i in bits(sub)}
             assert (cover >> sub & 1) == _has_kernel_by_definition(arcs, s)

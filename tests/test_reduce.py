@@ -24,8 +24,8 @@ from kernelpaint import (
 from kernelpaint.bits import bits, mask_of
 from kernelpaint.errors import SizeLimitError
 from kernelpaint.orient import Digraph, _build_kp_masked
-from kernelpaint.reduce import _colourable_from_prefixes
 from kernelpaint.structure import is_gallai_forest
+from kernelpaint.verify import _list_colourable
 
 
 # -- extraction ----------------------------------------------------------------
@@ -247,7 +247,8 @@ def test_oc_refutation_is_the_colouring_test_and_sound():
                 f_h = _f_h(g, members)
                 if min(f_h.values()) < 1:
                     continue
-                colourable = _colourable_from_prefixes(g.adj, members, f_h)
+                lists = {v: (1 << k) - 1 for v, k in f_h.items()}
+                colourable = _list_colourable(g.adj, members, lists)
                 if g.n <= 6:
                     assert colourable == literal_colourable(g, members, f_h)
                 if colourable:

@@ -16,9 +16,11 @@ from kernelpaint import (
     make_named,
     play_paint_game,
 )
+from kernelpaint.bits import bits
 from kernelpaint.errors import SizeLimitError
+from kernelpaint.graphs import clique_number
 from kernelpaint.orient import Digraph
-from kernelpaint.verify import greedy_painter
+from kernelpaint.verify import _list_colourable, greedy_painter
 
 
 # -- offline choosability -----------------------------------------------------
@@ -37,6 +39,23 @@ def test_choosable_examples(c4, c5):
         if all(combo[u] != combo[v] for u, v in c5.edges):
             ok = True
     assert not ok
+
+
+def test_list_colourable_matches_every_choice():
+    # arbitrary colour masks, not only {0..k-1}, and orders that leave
+    # vertices out: those are ignored, as is_f_choosable's prefixes need
+    rng = random.Random(26)
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            for _ in range(4):
+                lists = [rng.randrange(1 << 5) for _ in range(n)]
+                order = rng.sample(range(n), rng.randint(0, n))
+                edges = [(u, v) for u, v in g.edges if u in order and v in order]
+                literal = any(
+                    all(colour[order.index(u)] != colour[order.index(v)]
+                        for u, v in edges)
+                    for colour in itertools.product(*(bits(lists[v]) for v in order)))
+                assert _list_colourable(g.adj, order, lists) == literal
 
 
 def test_choosable_caps():
@@ -100,12 +119,9 @@ def test_online_monotone_in_budgets():
 
 def test_online_brooks_cubic_no_k4():
     # connected, max degree 3, no K4: online 3-choosable (checked to n = 7)
-    from kernelpaint import graph_stats
-
     for n in range(2, 8):
         for g in enumerate_graphs(n, connected_only=True):
-            st = graph_stats(g)
-            if st.max_degree != 3 or st.clique_number >= 4:
+            if max(g.degrees) != 3 or clique_number(g) >= 4:
                 continue
             assert is_online_f_choosable(g, [3] * g.n)
 
@@ -256,11 +272,8 @@ def test_chromatic_examples(c5, k4):
 def test_chromatic_agrees_with_greedy_bounds():
     for g in enumerate_graphs(6):
         chi = chromatic_number(g)
-        from kernelpaint import graph_stats
-
-        st = graph_stats(g)
-        assert chi >= st.clique_number
-        assert chi <= st.max_degree + 1
+        assert chi >= clique_number(g)
+        assert chi <= max(g.degrees) + 1
         if g.m == 0:
             assert chi <= 1
 
