@@ -21,7 +21,7 @@ from .errors import KernelPaintError
 from .graph6 import encode_graph6, parse_graph6
 from .graphs import make_named, to_dot
 from .harness import SUITE_NAMES, run_suite, validate_certificate
-from .orient import _integer, _table
+from .orient import _integer
 from .reduce import Certificate
 
 
@@ -121,7 +121,7 @@ def _cmd_cert_validate(args) -> int:
     except ValueError as exc:
         raise ValueError(f"field 'f' must map vertices to integers: {exc}") from None
     cert = Certificate.from_json(payload["certificate"])
-    ok, reason = validate_certificate(cert, g, _table(f, range(g.n)))
+    ok, reason = validate_certificate(cert, g, f)
     print(f"{'valid' if ok else 'invalid'}: {reason}")
     return 0 if ok else 1
 

@@ -37,6 +37,7 @@ from .orient import (
     KP_SEARCH_CAP,
     _arc_rows,
     _kernel_perfect_rows,
+    _table,
     extend_d0_kp,
     f_KP_witnesses,
     is_f_AT,
@@ -128,14 +129,20 @@ def _rec(g: Graph, verdict: str, **detail) -> dict:
     return {"verdict": verdict, "graph6": encode_graph6(g), **detail}
 
 
-def _per_graph(corpus, check: Callable[[Graph], dict]) -> Iterator[dict]:
-    """One record per corpus graph: the check's, with the empty graph and
+def _per_graph(corpus, check: Callable[[Graph], dict],
+               connected_only: bool = True) -> Iterator[dict]:
+    """One record per corpus graph: the check's, with the empty graph, a
+    disconnected graph when the check takes connected graphs only, and
     size-limit violations demoted to skip records.  Any other exception is a
     fault of the check, not a verdict: it propagates as a RuntimeError
     naming the graph."""
     for g in corpus:
         if g.n == 0:
             yield _rec(g, "skip", reason="empty graph")
+            continue
+        if connected_only and not g.is_connected():
+            yield _rec(g, "skip",
+                       reason="disconnected: this suite checks connected graphs")
             continue
         try:
             rec = check(g)
@@ -156,13 +163,16 @@ def validate_certificate(cert: Certificate, g: Graph, f) -> tuple[bool, str]:
     """Recheck every certificate invariant exhaustively.
 
     Takes a :class:`Certificate`; certificate JSON is read with
-    ``Certificate.from_json`` or ``Certificate.loads`` first.  Checks:
+    ``Certificate.from_json`` or ``Certificate.loads`` first.  A table f
+    without an integer value for every vertex of g raises ``ValueError``
+    naming the vertex.  Checks:
     nonempty H inside V(g), no vertex listed twice; f_h defined on H alone;
     arcs confined to H and covering every edge of G[H] (extra arcs and
     doubled pairs are allowed, the painting strategy tolerates them);
     f_h(v) = f(v) + d_H(v) - d_G(v); out-degrees strictly below f_h; and
     kernel-perfection of the digraph.
     """
+    ftab = _table(f, range(g.n))
     h = cert.h_vertices
     if not h:
         return False, "empty vertex set"
@@ -188,7 +198,7 @@ def validate_certificate(cert: Certificate, g: Graph, f) -> tuple[bool, str]:
     if any(row & ~arcs for row, arcs in zip(g_rows, und)):
         return False, "some edge of G[H] carries no arc"
     for v in h:
-        expect = f[v] + g.deg_in(v, hmask) - g.degrees[v]
+        expect = ftab[v] + g.deg_in(v, hmask) - g.degrees[v]
         if cert.f_h.get(v) != expect:
             return False, f"f_h({v}) = {cert.f_h.get(v)} but expected {expect}"
         # the digraph's own count: parallel arcs share a bit of a row
@@ -326,7 +336,7 @@ def _suite_in_orient_oracle(corpus: list[Graph]) -> Iterator[dict]:
         return _rec(g, "pass" if bad is None else "fail",
                     tables=checked, counterexample=bad)
 
-    yield from _per_graph(corpus, check)
+    yield from _per_graph(corpus, check, connected_only=False)
 
 
 def _feasible_demands(g: Graph) -> set[tuple[int, ...]]:
@@ -654,10 +664,7 @@ def _resolve_corpus(spec: Optional[str], suite: _Suite, max_n: Optional[int],
         for k in range(1, n + 1):
             out.extend(gen(k, connected_only=suite.connected_only))
         return out
-    graphs = read_graph6_file(spec)
-    if suite.connected_only:
-        graphs = [g for g in graphs if g.is_connected()]
-    return graphs
+    return read_graph6_file(spec)
 
 
 def run_suite(

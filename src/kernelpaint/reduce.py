@@ -210,13 +210,16 @@ def check_mic_strength(g: Graph) -> MicStrengthRecord:
     """OC-irreducible graphs satisfy mic(G) <= 2||G|| - (delta - 1)|G| - 1.
 
     Vacuously true for reducible graphs; for irreducible ones the bound is
-    checked against the exact independent cover number.
+    checked against the exact independent cover number.  The empty graph
+    has no minimum degree, so it raises ``ValueError``.
     """
+    if g.n == 0:
+        raise ValueError("graph must be nonempty")
     if g.n > ONLINE_VERTEX_CAP:
         raise SizeLimitError(f"mic-strength check capped at n = {ONLINE_VERTEX_CAP}")
     reducible = is_oc_reducible(g) is not None
     value = mic(g).value
-    delta = min(g.degrees) if g.n else 0
+    delta = min(g.degrees)
     bound = 2 * g.m - (delta - 1) * g.n - 1
     holds = True if reducible else value <= bound
     return MicStrengthRecord(not reducible, value, bound, holds)

@@ -154,7 +154,7 @@ def _list_colourable(adj: Sequence[int], order: Sequence[int],
     so a colour is free for v when that mask misses ``adj[v]``.  Vertices
     outside ``order`` are ignored.
     """
-    classes = [0] * max((lists[v].bit_length() for v in order), default=0)
+    classes = [0] * max(map(lists.__getitem__, order), default=0).bit_length()
 
     def extend(i: int) -> bool:
         if i == len(order):
@@ -584,56 +584,35 @@ def _traverse_all_lines(g: Graph, packing: _Packing, mask0: int, packed0: int,
 
 
 def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number by branch and bound (n <= 12)."""
+    """Exact chromatic number (n <= 12): the least k for which the vertices,
+    in descending degree order, take colours from their first-use lists."""
     if g.n > CHROMATIC_CAP:
         raise SizeLimitError(f"chromatic number capped at {CHROMATIC_CAP} vertices")
-    if g.n == 0:
-        return 0
-    if not g.m:
-        return 1
-    # greedy upper bound in degree order
     order = sorted(range(g.n), key=lambda v: -g.degrees[v])
-    color = {}
-    for v in order:
-        used = {color[u] for u in g.neighbors(v) if u in color}
-        c = 0
-        while c in used:
-            c += 1
-        color[v] = c
-    ub = max(color.values()) + 1
-    for k in range(2, ub + 1):
-        if _is_k_colorable(g, k, order):
-            return k
-    return ub
+    return next(k for k in range(g.n + 1)
+                if _list_colourable(g.adj, order, _first_use_lists(order, k)))
 
 
-def _is_k_colorable(g: Graph, k: int, order: Sequence[int]) -> bool:
-    color = [-1] * g.n
+def _first_use_lists(order: Sequence[int], k: int) -> dict[int, int]:
+    """The i-th vertex of ``order`` gets the colours below min(i + 1, k).
 
-    def go(i: int, used: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        seen = {color[u] for u in g.neighbors(v) if color[u] != -1}
-        limit = min(k, used + 1)  # first use of a fresh color is canonical
-        for c in range(limit):
-            if c in seen:
-                continue
-            color[v] = c
-            if go(i + 1, max(used, c + 1)):
-                return True
-            color[v] = -1
-        return False
-
-    return go(0, 0)
+    Renaming the colours of any proper k-colouring in the order of their
+    first use along ``order`` puts a colour below i + 1 on the i-th vertex,
+    so these lists admit a colouring exactly when the graph on ``order`` is
+    k-colourable, and the search skips most renamings of one colouring.
+    """
+    below_k = (1 << k) - 1
+    return {v: ((2 << i) - 1) & below_k for i, v in enumerate(order)}
 
 
 def is_k_critical(g: Graph, k: int) -> bool:
-    """chi(g) = k and deleting any single vertex drops the chromatic number."""
+    """chi(g) = k and deleting any single vertex drops the chromatic number,
+    so every g - v takes colours from the first-use lists of k - 1 colours."""
     if chromatic_number(g) != k:
         return False
+    order = sorted(range(g.n), key=lambda v: -g.degrees[v])
     for v in range(g.n):
-        rest = [u for u in range(g.n) if u != v]
-        if chromatic_number(g.induced(rest)) >= k:
+        rest = [u for u in order if u != v]
+        if not _list_colourable(g.adj, rest, _first_use_lists(rest, k - 1)):
             return False
     return True

@@ -21,12 +21,14 @@ from kernelpaint import (
     run_suite,
     validate_certificate,
 )
-from kernelpaint import harness
+from kernelpaint import harness, reduce, structure
 from kernelpaint.cli import main as cli_main
 from kernelpaint.errors import HypothesisNotMetError
 from kernelpaint.graphs import clique_number
 from kernelpaint.harness import SUITE_NAMES
-from kernelpaint.orient import Digraph, OrientationResult
+from kernelpaint.orient import ATDecision, Digraph, KPDecision, OrientationResult
+from kernelpaint.structure import MicResult
+from kernelpaint.verify import GameOutcome
 
 
 # -- certificate validation -----------------------------------------------------
@@ -70,6 +72,16 @@ def test_validate_rejects_missing_edge_and_wrong_f(c4):
                           {v: cert.f_h[v] + 1 for v in cert.h_vertices})
     ok, why = validate_certificate(wrong_f, c4, c4.degrees)
     assert not ok and "f_h" in why
+
+
+def test_validate_names_the_vertex_a_partial_table_misses(c4):
+    # a partial table used to fail with a bare KeyError or IndexError
+    cert = extract_reducible(c4, c4.degrees, [0, 2])
+    for f, v in (({0: 2}, 1), ([2, 2], 2)):
+        with pytest.raises(ValueError, match=f"f gives no value for vertex {v}"):
+            validate_certificate(cert, c4, f)
+    with pytest.raises(ValueError, match=r"f\(3\): 2.5 is not an integer"):
+        validate_certificate(cert, c4, [2, 2, 2, 2.5])
 
 
 def test_validate_certificates_whose_labels_are_not_positions():
@@ -380,11 +392,28 @@ def test_one_record_per_corpus_graph(name, tmp_path):
     graphs = _contract_corpus()
     path = tmp_path / "corpus.g6"
     write_graph6_file(path, graphs)
-    connected_only = harness._SUITES[name].connected_only
-    kept = [encode_graph6(g) for g in graphs if g.is_connected() or not connected_only]
-    assert "?" in kept and (connected_only or "DgC" in kept)
+    kept = [encode_graph6(g) for g in graphs]
+    assert "?" in kept and "DgC" in kept
     rep = run_suite(name, source=str(path))
     assert [r.get("graph6") for r in rep.records if "phase" not in r] == kept
+
+
+@pytest.mark.parametrize("name", PER_GRAPH_SUITES)
+def test_a_disconnected_file_graph_gets_a_skip_record(name, tmp_path, capsys):
+    # a graph6 file's disconnected graph used to vanish from the report of
+    # every suite that checks connected graphs only
+    path = tmp_path / "corpus.g6"
+    path.write_text("Cr\nDgC\nC~\n")
+    rep = run_suite(name, source=str(path))
+    per_graph = [r for r in rep.records if "phase" not in r]
+    assert [r["graph6"] for r in per_graph] == ["Cr", "DgC", "C~"]
+    skip = {"verdict": "skip", "graph6": "DgC",
+            "reason": "disconnected: this suite checks connected graphs"}
+    assert (per_graph[1] == skip) == harness._SUITES[name].connected_only
+    assert cli_main(["suite", name, "--source", str(path)]) == 0
+    assert f"total: {len(rep.records)}\n" in capsys.readouterr().out
+    if name == "mic-basics":
+        assert len(rep.records) == 3 and rep.summary()["skipped"] == 1
 
 
 @pytest.mark.parametrize("name", PER_GRAPH_SUITES)
@@ -705,3 +734,45 @@ def test_cli_entry_point_installed():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "Bw"
+
+
+# Each suite with the oracle its verdict reads made to lie: (where the suite
+# looks the oracle up, its name, the lie).  Every suite must report the lie
+# as a fail record naming a graph.
+LYING_ORACLES = {
+    "brooks-alpha": (harness, "independence_number", lambda g: 1),
+    "mic-basics": (harness, "mic", lambda g: MicResult(0, frozenset())),
+    "main-lemma-d0": (harness.PaintabilitySolver, "wins", lambda self, vs, f: False),
+    "kernel-game": (harness, "play_paint_game",
+                    lambda g, f, painter: GameOutcome("lister", ())),
+    "in-orient-oracle": (harness, "_feasible_demands", lambda g: set()),
+    "at-classify": (harness, "is_f_AT", lambda g, f: ATDecision(False, None, None)),
+    "kp-classify": (harness, "is_f_KP",
+                    lambda g, f, allow_supergraph=True: KPDecision(False, None)),
+    "mic-strength": (reduce, "mic", lambda g: MicResult(99, frozenset())),
+    "gallai-count": (structure, "beta_t", lambda g, t: -g.n),
+    "triangle-free-mic": (structure, "mic", lambda g: MicResult(0, frozenset())),
+    "edges-4critical": (harness, "is_k_critical", lambda g, k: True),
+    "ore-precursors": (harness, "mic", lambda g: MicResult(99, frozenset())),
+    # the antecedents hold and the whole graph is refused
+    "cut-lemma": (harness.PaintabilitySolver, "wins",
+                  lambda self, vs, f: vs != self.g.full_mask()),
+}
+
+
+def test_every_suite_has_a_lying_oracle():
+    assert set(LYING_ORACLES) == set(SUITE_NAMES)
+
+
+@pytest.mark.parametrize("name", sorted(LYING_ORACLES))
+def test_every_suite_can_fail(name, monkeypatch):
+    monkeypatch.setattr(*LYING_ORACLES[name])
+    rep = run_suite(name, max_n=None if name == "gallai-count" else 4)
+    fails = [r for r in rep.records if r["verdict"] == "fail"]
+    assert any(parse_graph6(r.get("graph6", "?")).n for r in fails)
+
+
+def test_a_lying_oracle_fails_the_command_line(monkeypatch, capsys):
+    monkeypatch.setattr(*LYING_ORACLES["edges-4critical"])
+    assert cli_main(["suite", "edges-4critical", "--max-n", "4"]) == 1
+    assert "ok: False" in capsys.readouterr().out

@@ -289,6 +289,13 @@ def test_mic_strength_examples(c4, c5, k4):
     assert not rec.irreducible and rec.holds
 
 
+def test_mic_strength_refuses_the_empty_graph():
+    # it has no minimum degree; it once came back as a counterexample with
+    # bound -1
+    with pytest.raises(ValueError, match="nonempty"):
+        check_mic_strength(Graph(0))
+
+
 def test_oc_irreducible_low_part_is_gallai_forest():
     # the min-degree part of an OC-irreducible graph is a Gallai forest
     for n in range(2, 8):

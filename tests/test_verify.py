@@ -278,6 +278,37 @@ def test_chromatic_agrees_with_greedy_bounds():
             assert chi <= 1
 
 
+def _k_colourable_by_definition(g: Graph, k: int) -> bool:
+    return any(all(c[u] != c[v] for u, v in g.edges)
+               for c in itertools.product(range(k), repeat=g.n))
+
+
+def _chi_by_definition(g: Graph) -> int:
+    return next(k for k in range(g.n + 1) if _k_colourable_by_definition(g, k))
+
+
+def test_chromatic_and_criticality_match_definition():
+    for n in range(7):
+        for g in enumerate_graphs(n) if n else [Graph(0)]:
+            chi = _chi_by_definition(g)
+            assert chromatic_number(g) == chi, g.edges
+            drops = all(_chi_by_definition(g.induced([u for u in range(n) if u != v])) < chi
+                        for v in range(n))
+            for k in range(n + 2):
+                assert is_k_critical(g, k) == (k == chi and drops), (g.edges, k)
+
+
+def test_groetzsch_graph_is_4_critical():
+    # the Mycielskian of C5: triangle-free, chi = 4, and 4-critical
+    cycle = [(i, (i + 1) % 5) for i in range(5)]
+    shadows = [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
+    g = Graph(11, cycle + shadows + [(5 + i, 10) for i in range(5)])
+    assert not g.has_triangle() and g.m == 20
+    assert chromatic_number(g) == 4
+    assert is_k_critical(g, 4) and not is_k_critical(g, 3)
+    assert not is_k_critical(Graph(12, g.edges), 4)  # an isolated vertex
+
+
 def test_chromatic_cap():
     with pytest.raises(SizeLimitError):
         chromatic_number(Graph(13))
