@@ -35,13 +35,13 @@ from .graphs import (
 )
 from .orient import (
     KP_SEARCH_CAP,
-    _arc_rows,
-    _kernel_perfect_rows,
+    Digraph,
     _table,
     extend_d0_kp,
     f_KP_witnesses,
     is_f_AT,
     is_f_KP,
+    is_kernel_perfect,
     orient_with_indegrees,
 )
 from .reduce import (
@@ -186,25 +186,23 @@ def validate_certificate(cert: Certificate, g: Graph, f) -> tuple[bool, str]:
     stray = cert.f_h.keys() - h_set
     if stray:
         return False, f"f_h gives a value to vertex {min(stray)} outside H"
+    # G[H]'s rows over positions in sorted H, those of the digraph's rows;
+    # where H is 0..k-1 its labels are the positions
     hmask = mask_of(h)
-    # the digraph's rows over positions in sorted H, from one pass over its
-    # arcs, and G[H]'s rows over the same positions
-    verts, _, into, und = _arc_rows(cert.digraph)
+    verts = cert.digraph.verts
     if verts[-1] == len(verts) - 1:
         g_rows = [g.adj[v] & hmask for v in verts]
     else:
-        pos = {v: 1 << i for i, v in enumerate(verts)}
-        g_rows = [sum(pos[w] for w in bits(g.adj[v] & hmask)) for v in verts]
-    if any(row & ~arcs for row, arcs in zip(g_rows, und)):
+        g_rows = g.induced(verts).adj
+    if any(row & ~arcs for row, arcs in zip(g_rows, cert.digraph.und)):
         return False, "some edge of G[H] carries no arc"
     for v in h:
         expect = ftab[v] + g.deg_in(v, hmask) - g.degrees[v]
         if cert.f_h.get(v) != expect:
             return False, f"f_h({v}) = {cert.f_h.get(v)} but expected {expect}"
-        # the digraph's own count: parallel arcs share a bit of a row
         if cert.digraph.out_degree(v) + 1 > cert.f_h[v]:
             return False, f"out-degree bound violated at {v}"
-    kp = _kernel_perfect_rows(verts, und, into)
+    kp = is_kernel_perfect(cert.digraph)
     if not kp:
         return False, f"digraph not kernel-perfect (witness {sorted(kp.offending)})"
     return True, "ok"
@@ -284,11 +282,10 @@ def _suite_kernel_game(corpus: list[Graph]) -> Iterator[dict]:
         if is_gallai_tree(g):
             return _rec(g, "skip", reason="Gallai tree: no certificate to play")
         cert = extract_reducible(g, g.degrees)
-        h_sorted = sorted(cert.h_vertices)
-        relabel = {v: i for i, v in enumerate(h_sorted)}
-        h = g.induced(h_sorted)
-        d = cert.digraph.relabel(relabel)
-        f_h = [cert.f_h[v] for v in h_sorted]
+        # G[H] takes the positions in sorted H as labels, as the digraph's rows do
+        h = g.induced(cert.h_vertices)
+        d = Digraph._from_rows(range(h.n), cert.digraph.out)
+        f_h = [cert.f_h[v] for v in cert.digraph.verts]
         out = play_paint_game(h, f_h, painter=make_kernel_painter(d))
         return _rec(g, "pass" if out.winner == "painter" else "fail",
                     h=list(cert.h_vertices), states=out.states_explored,
@@ -407,7 +404,7 @@ def _constructive_kp_route(g: Graph) -> Optional[str]:
         if len(cert.h_vertices) == g.n:
             return None
         witness = extend_d0_kp(g, cert.h_vertices, cert.digraph)
-        h = tuple(sorted(witness.vertex_set))
+        h = witness.verts
         hmask = mask_of(h)
         cert = Certificate(h, witness, {v: g.deg_in(v, hmask) for v in h})
 
@@ -585,6 +582,11 @@ CUT_LEMMA_SAMPLES = 500
 def _suite_cut_lemma(corpus: list[Graph], seed: int) -> Iterator[dict]:
     rng = random.Random(seed)
     pool = [g for g in corpus if 1 <= g.n <= CUT_LEMMA_CAP]
+    # a graph the draws cannot take gets _per_graph's skip record: the empty
+    # graph, or the size limit cut_lemma_check raises
+    yield from _per_graph([g for g in corpus if not 1 <= g.n <= CUT_LEMMA_CAP],
+                          lambda g: cut_lemma_check(g, g.degrees, ()),
+                          connected_only=False)
     if not pool:
         return
     for i in range(CUT_LEMMA_SAMPLES):

@@ -9,6 +9,12 @@ collects enough in-arcs, and doubles every edge not touching A; the result is
 kernel-perfect with out-degrees bounded by f(v) - 1, which is exactly what the
 painting strategy in :mod:`kernelpaint.verify` consumes.
 
+A :class:`Digraph` is its rows: out- and in-neighbourhoods as bitmasks over
+the positions of its sorted vertices.  Orientation, the composite
+construction and the f-KP search build it from rows, validation, the kernel
+routines and the kernel painter read its rows, and its arcs are derived only
+when read.
+
 In-degree-constrained orientations come from Hakimi's theorem by path
 reversal on adjacency rows; an infeasible demand yields the largest vertex set
 of maximum deficiency.  Kernels have three jobs, each with one routine, and
@@ -35,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -101,67 +106,87 @@ def _table(f: DegreeTable, vertices: Iterable[int]) -> dict[int, int]:
 
 
 class Digraph:
-    """Directed multigraph on explicit integer vertices.
+    """Directed graph on explicit integer vertices, kept as rows.
 
-    Arcs form a multiset of ordered pairs; parallel arcs and opposite pairs
-    are allowed, self-arcs are not.  Vertices need not be 0..n-1, which lets
-    certificates keep the labels of the host graph.
+    ``verts`` lists the vertices in ascending order, and ``out[i]`` and
+    ``into[i]`` are the out- and in-neighbourhoods of ``verts[i]`` as
+    bitmasks over positions in that list, the form every kernel routine
+    reads.  Rows stored, arcs derived on read: ``arcs`` rebuilds the sorted
+    arc tuple from the out-rows each time it is read.  Opposite pairs are
+    allowed; self-arcs and an arc listed twice are not.  Vertices need not be
+    0..n-1, which lets certificates keep the labels of the host graph.
+    Treat instances as immutable.
     """
 
-    __slots__ = ("vertex_set", "arcs", "_out", "_in")
+    __slots__ = ("verts", "out", "into")
 
     def __init__(self, vertices: Iterable[int], arcs: Iterable[tuple[int, int]] = ()):
-        self.vertex_set = frozenset(vertices)
-        arc_list = []
-        out: Counter = Counter()
-        inc: Counter = Counter()
+        verts = tuple(sorted(set(vertices)))
+        pos = {v: i for i, v in enumerate(verts)}
+        out = [0] * len(verts)
+        into = [0] * len(verts)
         for t, h in arcs:
             if t == h:
                 raise ValueError(f"self-arc at vertex {t}")
-            if t not in self.vertex_set or h not in self.vertex_set:
+            if t not in pos or h not in pos:
                 raise ValueError(f"arc ({t},{h}) uses an unknown vertex")
-            arc_list.append((t, h))
-            out[t] += 1
-            inc[h] += 1
-        self.arcs = tuple(sorted(arc_list))
-        self._out = dict(out)
-        self._in = dict(inc)
+            i, j = pos[t], pos[h]
+            if out[i] >> j & 1:
+                raise ValueError(f"arc ({t},{h}) listed twice")
+            out[i] |= 1 << j
+            into[j] |= 1 << i
+        self.verts, self.out, self.into = verts, tuple(out), tuple(into)
 
     @classmethod
     def _from_rows(cls, vertices: Sequence[int], out: Sequence[int]) -> "Digraph":
-        """The digraph with an arc t -> h for every bit h of out[t].
+        """The digraph with an arc t -> h for every bit h of out[t], t a
+        vertex: rows over labels, taken without ``__init__``'s checks of
+        each arc.
 
-        The vertices come sorted, and the rows are valid: loop-free, every
-        head a vertex.  The arcs are then listed in sorted order directly,
-        without ``__init__``'s checks of each arc, in the one pass that
-        counts the degrees.
+        The vertices come ascending and nonnegative, and the rows are valid:
+        loop-free, every head a vertex.  Where the labels are 0..k-1 they are
+        the positions, and the rows are kept as they are.
         """
-        arcs = []
-        outd: dict[int, int] = {}
-        ind: dict[int, int] = {}
-        for t in vertices:
-            row = out[t]
-            if row:
-                outd[t] = row.bit_count()
-                for h in bits(row):
-                    arcs.append((t, h))
-                    ind[h] = ind.get(h, 0) + 1
+        verts = tuple(vertices)
+        k = len(verts)
+        if k and verts[-1] != k - 1:
+            pos = {v: i for i, v in enumerate(verts)}
+            rows = tuple(mask_of([pos[h] for h in bits(out[t])]) for t in verts)
+        else:
+            rows = tuple(out[:k])
+        into = [0] * k
+        for t, row in enumerate(rows):
+            bit = 1 << t
+            for h in bits(row):
+                into[h] |= bit
         d = cls.__new__(cls)
-        d.vertex_set = frozenset(vertices)
-        d.arcs = tuple(arcs)
-        d._out = outd
-        d._in = ind
+        d.verts, d.out, d.into = verts, rows, tuple(into)
         return d
 
     @property
     def n(self) -> int:
-        return len(self.vertex_set)
+        return len(self.verts)
+
+    @property
+    def vertex_set(self) -> frozenset[int]:
+        return frozenset(self.verts)
+
+    @property
+    def und(self) -> list[int]:
+        """The underlying rows: each out-row joined with its in-row."""
+        return [o | i for o, i in zip(self.out, self.into)]
+
+    @property
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        """The arcs (t, h) in sorted order, built from the out-rows."""
+        verts = self.verts
+        return tuple([(t, verts[j]) for t, row in zip(verts, self.out) for j in bits(row)])
 
     def out_degree(self, v: int) -> int:
-        return self._out.get(v, 0)
+        return self.out[self.verts.index(v)].bit_count() if v in self.verts else 0
 
     def in_degree(self, v: int) -> int:
-        return self._in.get(v, 0)
+        return self.into[self.verts.index(v)].bit_count() if v in self.verts else 0
 
     def underlying_edges(self) -> frozenset[tuple[int, int]]:
         return frozenset((t, h) if t < h else (h, t) for t, h in self.arcs)
@@ -174,19 +199,19 @@ class Digraph:
 
     def relabel(self, mapping: Mapping[int, int]) -> "Digraph":
         return Digraph(
-            [mapping[v] for v in self.vertex_set],
+            [mapping[v] for v in self.verts],
             [(mapping[t], mapping[h]) for t, h in self.arcs],
         )
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Digraph)
-            and self.vertex_set == other.vertex_set
-            and self.arcs == other.arcs
+            and self.verts == other.verts
+            and self.out == other.out
         )
 
     def __hash__(self) -> int:
-        return hash((self.vertex_set, self.arcs))
+        return hash((self.verts, self.out))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={len(self.arcs)})"
@@ -195,8 +220,7 @@ class Digraph:
 def digraph_to_dot(d: Digraph, name: str = "D") -> str:
     """DOT export; doubled edges appear as two separate arcs."""
     lines = [f"digraph {name} {{"]
-    incident = {v for arc in d.arcs for v in arc}
-    lines += [f"  {v};" for v in sorted(d.vertex_set - incident)]
+    lines += [f"  {v};" for v, row in zip(d.verts, d.und) if not row]
     lines += [f"  {t} -> {h};" for t, h in d.arcs]
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -371,26 +395,6 @@ def _build_kp_masked(
 # ---------------------------------------------------------------------------
 
 
-def _arc_rows(d: Digraph) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Sorted labels of d, with the out-, in- and underlying neighbourhoods
-    of each vertex as bitmasks over positions in that list, from one pass
-    over the arcs.  Where the labels are 0..n-1 they are the positions."""
-    verts = sorted(d.vertex_set)
-    out = [0] * len(verts)
-    into = [0] * len(verts)
-    if verts and verts[-1] != len(verts) - 1:
-        idx = {v: i for i, v in enumerate(verts)}
-        for t, h in d.arcs:
-            i, j = idx[t], idx[h]
-            out[i] |= 1 << j
-            into[j] |= 1 << i
-    else:
-        for t, h in d.arcs:
-            out[t] |= 1 << h
-            into[h] |= 1 << t
-    return verts, out, into, [o | i for o, i in zip(out, into)]
-
-
 def _smallest_kernel(und: Sequence[int], out: Sequence[int], sub: int) -> Optional[int]:
     """The numerically smallest kernel mask of the subdigraph induced on sub,
     or None when it has no kernel."""
@@ -489,21 +493,13 @@ def is_kernel_perfect(d: Digraph) -> KernelPerfectCheck:
     The offending set, if any, is the kernel-free vertex set of smallest
     mask: the lowest bit the kernel cover leaves clear.
     """
-    verts, _, into, und = _arc_rows(d)
-    return _kernel_perfect_rows(verts, und, into)
-
-
-def _kernel_perfect_rows(verts: Sequence[int], und: Sequence[int],
-                         into: Sequence[int]) -> KernelPerfectCheck:
-    """:func:`is_kernel_perfect` on the labels, underlying rows and in-rows
-    of ``_arc_rows``, for a caller that has built them."""
-    if len(verts) > KP_CHECK_CAP:
+    if d.n > KP_CHECK_CAP:
         raise SizeLimitError(f"kernel-perfection check capped at {KP_CHECK_CAP} vertices")
-    cover = _kernel_cover(und, into)
-    if cover == (1 << (1 << len(verts))) - 1:
+    cover = _kernel_cover(d.und, d.into)
+    if cover == (1 << (1 << d.n)) - 1:
         return KernelPerfectCheck(True, None)
     first = (~cover & (cover + 1)).bit_length() - 1  # the lowest clear bit
-    return KernelPerfectCheck(False, frozenset(verts[i] for i in bits(first)))
+    return KernelPerfectCheck(False, frozenset(d.verts[i] for i in bits(first)))
 
 
 # ---------------------------------------------------------------------------
@@ -519,29 +515,27 @@ class ATCount:
 
 
 def alon_tarsi_diff(d: Digraph) -> ATCount:
-    """Counts of even/odd spanning Eulerian sub-multigraphs and their difference.
+    """Counts of even/odd spanning Eulerian subdigraphs and their difference.
 
-    A sub-multigraph (arc subset) is Eulerian when every vertex has equal in-
+    A subdigraph (arc subset) is Eulerian when every vertex has equal in-
     and out-degree within it, and even/odd by the parity of its arc count.
     The empty subset is even, so the even count is always at least 1.
-    Enumeration runs over arc subsets depth-first, pruning as soon as some
+    Enumeration runs over arc subsets depth-first, in sorted arc order, with
+    arcs read over positions from the out-rows, pruning as soon as some
     vertex can no longer be rebalanced by the remaining arcs.
     """
-    arcs = list(d.arcs)
+    arcs = [(t, h) for t, row in enumerate(d.out) for h in bits(row)]
     if len(arcs) > AT_ARC_CAP:
         raise SizeLimitError(f"Eulerian counting capped at {AT_ARC_CAP} arcs")
-    verts = sorted(d.vertex_set)
-    idx = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    # remaining_inc[i][v]: arc incidences at v among arcs[i:]
-    rem = [[0] * n for _ in range(len(arcs) + 1)]
+    # rem[i][v]: arc incidences at position v among arcs[i:]
+    rem = [[0] * d.n for _ in range(len(arcs) + 1)]
     for i in range(len(arcs) - 1, -1, -1):
         t, h = arcs[i]
         row = rem[i + 1][:]
-        row[idx[t]] += 1
-        row[idx[h]] += 1
+        row[t] += 1
+        row[h] += 1
         rem[i] = row
-    balance = [0] * n
+    balance = [0] * d.n
     counts = [0, 0]  # even, odd by arc-subset size parity
 
     def dfs(i: int, size: int) -> None:
@@ -549,19 +543,18 @@ def alon_tarsi_diff(d: Digraph) -> ATCount:
             counts[size & 1] += 1
             return
         t, h = arcs[i]
-        ti, hi = idx[t], idx[h]
         # prune on any vertex whose imbalance exceeds its remaining incidences
         nxt = rem[i + 1]
         # skip arc i
-        if abs(balance[ti]) <= nxt[ti] and abs(balance[hi]) <= nxt[hi]:
+        if abs(balance[t]) <= nxt[t] and abs(balance[h]) <= nxt[h]:
             dfs(i + 1, size)
         # take arc i
-        balance[ti] += 1
-        balance[hi] -= 1
-        if abs(balance[ti]) <= nxt[ti] and abs(balance[hi]) <= nxt[hi]:
+        balance[t] += 1
+        balance[h] -= 1
+        if abs(balance[t]) <= nxt[t] and abs(balance[h]) <= nxt[h]:
             dfs(i + 1, size + 1)
-        balance[ti] -= 1
-        balance[hi] += 1
+        balance[t] -= 1
+        balance[h] += 1
 
     dfs(0, 0)
     even, odd = counts
@@ -719,7 +712,6 @@ def f_KP_witnesses(g: Graph, f: DegreeTable,
     # underlying and out-neighbourhoods of the arcs placed so far, as masks
     und = [0] * g.n
     out = [0] * g.n
-    arcs: list[tuple[int, int]] = []
 
     def options(u: int, v: int) -> list[tuple[tuple[int, int], ...]]:
         if g.has_edge(u, v):
@@ -739,7 +731,7 @@ def f_KP_witnesses(g: Graph, f: DegreeTable,
 
     def dfs(i: int) -> Iterator[Digraph]:
         if i == len(pairs):
-            yield Digraph(range(g.n), arcs)
+            yield Digraph._from_rows(range(g.n), out)
             return
         # each remaining edge needs an out-arc from one of its endpoints
         slack = sum(budget[v] - spent[v] for v in range(g.n))
@@ -756,9 +748,7 @@ def f_KP_witnesses(g: Graph, f: DegreeTable,
                 und[u] |= 1 << k
                 und[k] |= 1 << u
             if kernels_below(u, k):
-                arcs.extend(opt)
                 yield from dfs(i + 1)
-                del arcs[len(arcs) - len(opt):]
             for t, h in opt:
                 spent[t] -= 1
                 out[t] &= ~(1 << h)

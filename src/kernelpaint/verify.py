@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 from .bits import bits, mask_of
 from .errors import SizeLimitError
 from .graphs import Graph
-from .orient import KP_CHECK_CAP, Digraph, DegreeTable, _arc_rows, _kernel_table, _table
+from .orient import KP_CHECK_CAP, Digraph, DegreeTable, _kernel_table, _table
 
 __all__ = [
     "ChoosabilityResult",
@@ -452,13 +452,14 @@ def make_kernel_painter(cert_digraph: Digraph) -> PainterFn:
     """
     if cert_digraph.n > KP_CHECK_CAP:
         raise SizeLimitError(f"kernel painter capped at {KP_CHECK_CAP} vertices")
-    verts, _, into, und = _arc_rows(cert_digraph)
+    verts = cert_digraph.verts
     labels = [0] * (1 << len(verts))  # position mask -> vertex-label mask
     for pos in range(1, len(labels)):
         low = pos & -pos
         labels[pos] = labels[pos ^ low] | 1 << verts[low.bit_length() - 1]
+    table = _kernel_table(cert_digraph.und, cert_digraph.into)
     kernels = {labels[sub]: None if kernel is None else labels[kernel]
-               for sub, kernel in enumerate(_kernel_table(und, into))}
+               for sub, kernel in enumerate(table)}
     vmask = labels[-1]
 
     def painter(g: Graph, smask: int) -> int:

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -87,8 +88,8 @@ def test_validate_names_the_vertex_a_partial_table_misses(c4):
 def test_validate_certificates_whose_labels_are_not_positions():
     """Peeled certificates keep the host's labels, so H is not 0..k-1.  On
     each: it validates; dropping an arc fails the edge check exactly when no
-    arc is left on that edge; and parallel arcs count toward the out-degree
-    bound, though they add nothing to the digraph's rows."""
+    arc is left on that edge; and a digraph that lists an arc twice is
+    refused before validation sees it."""
     rng = random.Random(22)
     checked = 0
     for n in range(3, 7):
@@ -110,10 +111,8 @@ def test_validate_certificates_whose_labels_are_not_positions():
                 ok, why = validate_certificate(Certificate(h, Digraph(h, rest), cert.f_h), g, f)
                 assert ("carries no arc" in why) == ((arc[1], arc[0]) not in rest)
             t, head = arcs[0]
-            spare = cert.f_h[t] - cert.digraph.out_degree(t)
-            parallel = Digraph(h, list(arcs) + [(t, head)] * spare)
-            ok, why = validate_certificate(Certificate(h, parallel, cert.f_h), g, f)
-            assert not ok and why == f"out-degree bound violated at {t}"
+            with pytest.raises(ValueError, match=re.escape(f"arc ({t},{head}) listed twice")):
+                Digraph(h, list(arcs) + [(t, head)])
     assert checked > 100
 
 
@@ -416,6 +415,27 @@ def test_a_disconnected_file_graph_gets_a_skip_record(name, tmp_path, capsys):
         assert len(rep.records) == 3 and rep.summary()["skipped"] == 1
 
 
+def test_cut_lemma_gives_a_record_to_every_file_graph(tmp_path, capsys):
+    # a file of graphs above the cut-lemma cap used to give an empty report
+    # that passed
+    path = tmp_path / "corpus.g6"
+    path.write_text("F?~v_\nF@Ue?\n")
+    rep = run_suite("cut-lemma", source=str(path))
+    reason = "size limit: cut-lemma check capped at n = 6"
+    assert rep.records == [{"verdict": "skip", "graph6": line, "reason": reason}
+                           for line in ("F?~v_", "F@Ue?")]
+    assert cli_main(["suite", "cut-lemma", "--source", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "total: 2\n" in out and "skipped: 2\n" in out
+    # the skip records come ahead of the draws, which do not change
+    path.write_text("?\nF?~v_\nC~\n")
+    mixed = run_suite("cut-lemma", source=str(path))
+    assert [r.get("reason") for r in mixed.records[:2]] == ["empty graph", reason]
+    alone = tmp_path / "k4.g6"
+    alone.write_text("C~\n")
+    assert mixed.records[2:] == run_suite("cut-lemma", source=str(alone)).records
+
+
 @pytest.mark.parametrize("name", PER_GRAPH_SUITES)
 def test_a_seed_is_refused_where_nothing_is_drawn(name, capsys):
     # the report would record a seed that changed nothing
@@ -683,6 +703,27 @@ def test_cli_cert_validate(tmp_path, capsys):
     payload["certificate"]["arcs"] = [[h, t]] + payload["certificate"]["arcs"][1:]
     path.write_text(json.dumps(payload))
     assert cli_main(["cert", "validate", str(path)]) == 1
+
+
+def test_an_arc_listed_twice_is_refused(tmp_path, capsys):
+    # a repeated arc once counted toward the out-degree bound; a certificate
+    # lists each arc once, and opposite arcs (a doubled edge) stay allowed
+    c4 = make_named("cycle", [4])
+    obj = extract_reducible(c4, c4.degrees, [0, 2]).to_json()
+    t, h = obj["arcs"][0]
+    obj["arcs"].append([t, h])
+    twice = re.escape(f"arc ({t},{h}) listed twice")
+    with pytest.raises(ValueError, match=twice):
+        Digraph(obj["vertices"], map(tuple, obj["arcs"]))
+    with pytest.raises(FormatError, match=twice):
+        Certificate.from_json(obj)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"graph6": encode_graph6(c4),
+                                "f": {str(v): 2 for v in range(4)},
+                                "certificate": obj}))
+    assert cli_main(["cert", "validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "listed twice" in err
 
 
 def test_cli_cert_validate_names_what_is_missing(tmp_path, capsys):

@@ -21,7 +21,6 @@ from kernelpaint.bits import bits, mask_of
 from kernelpaint.errors import SizeLimitError
 from kernelpaint.graphs import cut_size
 from kernelpaint.orient import (
-    _arc_rows,
     _build_kp_masked,
     _clique_refutes,
     _kernel_cover,
@@ -38,6 +37,8 @@ def test_digraph_rejects_self_arcs_and_strays():
         Digraph(range(3), [(1, 1)])
     with pytest.raises(ValueError):
         Digraph(range(2), [(0, 5)])
+    with pytest.raises(ValueError, match=r"arc \(5,3\) listed twice"):
+        Digraph([3, 5], [(5, 3), (3, 5), (5, 3)])
 
 
 def test_digraph_degrees_and_doubling():
@@ -46,6 +47,50 @@ def test_digraph_degrees_and_doubling():
     assert d.doubled_pairs() == {(0, 1)}
     assert d.underlying_edges() == {(0, 1), (1, 2)}
     assert digraph_to_dot(d).count("->") == 3
+
+
+def _labelled_digraphs(count, seed):
+    """Seeded random digraphs on n <= 8 vertices, each pair carrying no arc,
+    one arc either way or a doubled pair, with labels 0..n-1 and again with
+    labels 2v + 3."""
+    import random
+
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, 8)
+        weights = [rng.random() for _ in range(4)]  # none, forward, back, doubled
+        arcs = []
+        for u, v in itertools.combinations(range(n), 2):
+            pick = rng.choices(range(4), weights)[0]
+            if pick in (1, 3):
+                arcs.append((u, v))
+            if pick in (2, 3):
+                arcs.append((v, u))
+        rng.shuffle(arcs)
+        yield list(range(n)), arcs
+        yield [2 * v + 3 for v in range(n)], [(2 * t + 3, 2 * h + 3) for t, h in arcs]
+
+
+def test_digraph_rows_and_arcs_agree():
+    """The rows are the arcs: rebuilding from the derived arcs gives the same
+    digraph, the arcs come sorted, every row bit is an arc and every arc a
+    bit of an out-row and an in-row, and rows over labels give the digraph
+    the arcs give."""
+    for verts, arcs in _labelled_digraphs(300, seed=28):
+        d = Digraph(verts, arcs)
+        assert d.verts == tuple(verts)
+        assert Digraph(d.verts, d.arcs) == d
+        assert list(d.arcs) == sorted(arcs)
+        out_bits = {(verts[i], verts[j]) for i, row in enumerate(d.out) for j in bits(row)}
+        in_bits = {(verts[j], verts[i]) for i, row in enumerate(d.into) for j in bits(row)}
+        assert out_bits == in_bits == set(arcs)
+        assert d.und == [o | i for o, i in zip(d.out, d.into)]
+        assert all(d.out_degree(v) == sum(t == v for t, _ in arcs)
+                   and d.in_degree(v) == sum(h == v for _, h in arcs) for v in verts)
+        label_rows = [0] * (max(verts, default=-1) + 1)
+        for t, h in arcs:
+            label_rows[t] |= 1 << h
+        assert Digraph._from_rows(verts, label_rows) == d
 
 
 # -- in-degree constrained orientations ---------------------------------------
@@ -181,9 +226,8 @@ def test_build_kernel_perfect_doubles_outside_a():
 
 def _kernel_of(d):
     """The smallest kernel of all of d, as labels, by ``_smallest_kernel``."""
-    verts, out, _, und = _arc_rows(d)
-    kernel = _smallest_kernel(und, out, (1 << len(verts)) - 1)
-    return None if kernel is None else frozenset(verts[i] for i in bits(kernel))
+    kernel = _smallest_kernel(d.und, d.out, (1 << d.n) - 1)
+    return None if kernel is None else frozenset(d.verts[i] for i in bits(kernel))
 
 
 def test_smallest_kernel_examples():
@@ -277,8 +321,8 @@ def test_kernel_search_matches_definition_on_random_digraphs():
 
 def test_kernel_table_matches_definition_on_random_digraphs():
     for verts, arcs in _random_digraphs(300):
-        _, _, into, und = _arc_rows(Digraph(verts, arcs))
-        table = _kernel_table(und, into)
+        d = Digraph(verts, arcs)
+        table = _kernel_table(d.und, d.into)
         assert len(table) == 1 << len(verts)
         for sub, kernel in enumerate(table):
             s = frozenset(verts[i] for i in bits(sub))
@@ -313,10 +357,10 @@ def test_kernel_cover_agrees_with_the_kernel_table():
     failing = 0
     for verts, arcs in _mixed_digraphs(2000, 8, seed=20):
         d = Digraph(verts, arcs)
-        _, out, into, und = _arc_rows(d)
-        table = _kernel_table(und, into)
-        assert table == [_smallest_kernel(und, out, s) for s in range(len(table))]
-        cover = _kernel_cover(und, into)
+        und = d.und
+        table = _kernel_table(und, d.into)
+        assert table == [_smallest_kernel(und, d.out, s) for s in range(len(table))]
+        cover = _kernel_cover(und, d.into)
         assert cover == sum(1 << s for s, k in enumerate(table) if k is not None)
         check = is_kernel_perfect(d)
         assert bool(check) == (None not in table)
@@ -342,13 +386,13 @@ def test_kernel_cover_matches_definition_n5():
     every S and every candidate kernel, for n <= 5."""
     seen = set()
     for verts, arcs in _mixed_digraphs(400, 5, seed=21):
-        _, _, into, und = _arc_rows(Digraph(verts, arcs))
-        cover = _kernel_cover(und, into)
+        d = Digraph(verts, arcs)
+        cover = _kernel_cover(d.und, d.into)
         for sub in range(1 << len(verts)):
             s = {verts[i] for i in bits(sub)}
             assert (cover >> sub & 1) == _has_kernel_by_definition(arcs, s)
         perfect = cover == (1 << (1 << len(verts))) - 1
-        assert bool(is_kernel_perfect(Digraph(verts, arcs))) == perfect
+        assert bool(is_kernel_perfect(d)) == perfect
         seen.add(perfect)
     assert seen == {True, False}
 
