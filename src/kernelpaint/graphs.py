@@ -4,6 +4,13 @@ Vertices are dense integers ``0..n-1``.  A :class:`Graph` is immutable after
 construction; every operation in this module is a pure function, so graphs can
 be shared freely across threads.
 
+Enumeration is McKay's canonical augmentation: each class on n vertices is
+kept once, as the child of a class on n - 1 vertices whose new vertex is a
+canonical deletion, with no canonical key computed for the child and no
+deduplication.  Most children are decided by degrees alone; a child is
+searched (``_canonical_search``) only when its new vertex shares its
+invariant and refined color with a vertex that is not its twin.
+
 Adjacency rows stored, edge set derived on read: a graph keeps one integer
 bitmask per vertex, and ``Graph.edges`` rebuilds the set of sorted pairs from
 the rows each time it is read.  The rows are what makes the exhaustive
@@ -511,10 +518,26 @@ def _orbit_closure(mask: int, generators: Sequence[Sequence[int]]) -> int:
     return mask
 
 
-def _canonical_search(n: int,
-                      adj: Sequence[int]) -> tuple[tuple, list[tuple[int, ...]]]:
-    """The canonical key of the graph with adjacency rows adj, and a list of
-    automorphisms (``p[v]`` is the image of v) that generates its group.
+def _coloring(adj: Sequence[int]) -> tuple[list[list[int]], int, list[int]]:
+    """The neighbor lists of the graph with adjacency rows adj, its number
+    of twin classes, and its refined coloring.
+
+    Twins share their open neighborhood when not adjacent and their closed
+    one when adjacent.  No vertex has twins of both kinds (an open twin of v
+    would be adjacent to v's closed twin, hence to v), so the twin classes
+    number n less the merges of each kind, and twinship is an equivalence.
+    """
+    nbrs = [bits(a) for a in adj]
+    closed = {a | 1 << v for v, a in enumerate(adj)}
+    twin_classes = len(set(adj)) + len(closed) - len(adj)
+    return nbrs, twin_classes, _refine(nbrs, twin_classes)
+
+
+def _canonical_search(n: int, adj: Sequence[int]
+                      ) -> tuple[tuple, list[tuple[int, ...]], list[int]]:
+    """The canonical key of the graph with adjacency rows adj, a list of
+    automorphisms (``p[v]`` is the image of v) that generates its group, and
+    an ordering of the vertices whose rows are the key.
 
     The key is the least tuple of row strings over the orderings that list
     the refined colors in order: row p of an ordering has bit ``n - 1 - i``
@@ -547,7 +570,7 @@ def _canonical_search(n: int,
     so far; when a leaf repeats the rows of the first leaf since ``best``
     last fell, the two orderings give the same adjacency matrix, so the map
     from one to the other is an automorphism, whatever the final best turns
-    out to be.
+    out to be.  The ordering returned is that first leaf.
 
     Together these generate the whole group.  Leaves with the final rows are
     never cut by the bound, and every automorphism g maps the first of them,
@@ -557,14 +580,8 @@ def _canonical_search(n: int,
     g(L) = h1...hk(L'), and the map from L to L' was reported.
     """
     if n == 0:
-        return (0,), []
-    nbrs = [bits(a) for a in adj]
-    # Twins share their open neighborhood when not adjacent and their closed
-    # one when adjacent.  No vertex has twins of both kinds (an open twin of
-    # v would be adjacent to v's closed twin, hence to v), so the twin
-    # classes number n less the merges of each kind.
-    twin_classes = len(set(adj)) + len({a | 1 << v for v, a in enumerate(adj)}) - n
-    colors = _refine(nbrs, twin_classes)
+        return (0,), [], []
+    nbrs, twin_classes, colors = _coloring(adj)
     if max(colors) + 1 == twin_classes:  # the twin-cell shortcut
         order = sorted(range(n), key=colors.__getitem__)
         column = [0] * n  # the bit of each vertex's position in a row
@@ -578,7 +595,7 @@ def _canonical_search(n: int,
                 perm = list(range(n))
                 perm[u], perm[v] = v, u
                 generators.append(tuple(perm))
-        return (n, *rows), generators
+        return (n, *rows), generators, order
     cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
     for v, c in enumerate(colors):
         cells[c].append(v)
@@ -645,7 +662,7 @@ def _canonical_search(n: int,
             placed.pop()
 
     dfs(0, 0)
-    return (n, *best), list(automorphisms)
+    return (n, *best), list(automorphisms), first
 
 
 # A hereditary property of graphs, given by which neighborhoods a new vertex
@@ -667,42 +684,34 @@ def _independent_neighborhood(adj: Sequence[int], nb: int) -> bool:
 _LEVELS: dict[Admits, list[list[Graph]]] = {}
 
 
-def _from_key(key: tuple) -> Graph:
-    """The graph whose adjacency rows, below the diagonal, are the key's rows.
-
-    Row p of a key has bit ``n - 1 - i`` set when position p is adjacent to
-    the earlier position i, so the result is the class in canonical labeling.
-    Those rows are loop-free and each pair is met once, so the symmetric
-    rows are set directly, without ``Graph``'s checks of each pair.
-    """
-    n = key[0]
-    adj = [0] * n
-    for p, row in enumerate(key[1:]):
-        for b in bits(row):
-            i = n - 1 - b
-            adj[p] |= 1 << i
-            adj[i] |= 1 << p
-    return Graph._from_rows(adj)
-
-
 def _children(parent: Graph, admits: Admits) -> Iterator[list[int]]:
-    """Adjacency rows of each admissible one-vertex extension of parent whose
-    new vertex has the minimum invariant (degree, sorted neighbor degrees),
-    one neighborhood per orbit of the parent's automorphism group.
+    """Adjacency rows of the children of parent: its admissible one-vertex
+    extensions whose new vertex is a canonical deletion, one neighborhood
+    per orbit of the parent's automorphism group.
 
-    The invariant is preserved by isomorphisms, every class has a vertex of
-    minimum invariant, and deleting it leaves a class of the previous level,
-    so each class is still reached.  Degrees reject most extensions: a new
-    vertex of degree d needs no parent vertex of degree below d - 1 and every
-    one of degree d - 1 among its neighbors.  Only the vertices tied with it
-    at degree d compare sorted neighbor degrees.
+    A canonical deletion of a graph is a vertex in the orbit of m, a vertex
+    chosen alike in isomorphic graphs: among the vertices of minimum
+    invariant (degree, sorted neighbor degrees), those of the least refined
+    color, and of those the first in the ordering ``_canonical_search``
+    returns.  Orderings with the key's rows differ by an automorphism, so an
+    isomorphism maps the orbit of m onto the orbit of m in its image.  So
+    every class is kept from the class its canonical deletion leaves, and
+    only once (McKay's canonical augmentation): if two kept children are
+    isomorphic, some isomorphism maps new vertex to new vertex, and it
+    restricts to an automorphism of the parent mapping one neighborhood to
+    the other.
+
+    Degrees reject most extensions: a new vertex of degree d needs no parent
+    vertex of degree below d - 1 and every one of degree d - 1 among its
+    neighbors.  ``_deletes_canonically`` decides the rest from the vertices
+    tied with it at degree d.
 
     An automorphism p of the parent extends, fixing the new vertex, to an
     isomorphism from the extension by nb to the extension by p(nb).  So both
     children are one class, and every test here gives both the same answer:
-    the degree conditions and the invariant comparison are isomorphism
-    invariants, and so is ``admits``, a hereditary property of the child.
-    Only the least mask of each orbit is extended.
+    the degree conditions and canonical deletion are isomorphism invariants,
+    and so is ``admits``, a hereditary property of the child.  Only the
+    least mask of each orbit is extended.
     """
     k = parent.n
     base = parent.adj
@@ -731,25 +740,54 @@ def _children(parent: Graph, admits: Admits) -> Iterator[list[int]]:
         adj = [a | (nb >> v & 1) << k for v, a in enumerate(base)]
         adj.append(nb)
         tied = (at_degree[d - 1] if d else 0) | at_degree[d] & ~nb
-        if tied:
-            child_deg = [dv + (nb >> v & 1) for v, dv in enumerate(deg)]
-            child_deg.append(d)
-            mine = sorted(child_deg[u] for u in bits(nb))
-            if any(sorted(child_deg[u] for u in bits(adj[w])) < mine
-                   for w in bits(tied)):
-                continue
-        yield adj
+        if not tied or _deletes_canonically(adj, tied):
+            yield adj
+
+
+def _deletes_canonically(adj: list[int], tied: int) -> bool:
+    """Whether the last vertex v of the graph with adjacency rows adj is a
+    canonical deletion (see ``_children``), given tied, the other vertices
+    of v's degree, none of lower degree.
+
+    The cheap tests come first, the search last.  v has the minimum
+    invariant when no tied vertex has a smaller one, and m is v when no
+    other vertex has v's invariant.  Refinement splits only cells of one
+    invariant, so v's color must be the least among the vertices with its
+    invariant, and m lies in v's cell.  When that cell is a set of pairwise
+    twins, swaps of twins are automorphisms, so v is in m's orbit.  Only
+    otherwise is the child searched, for m and its automorphism group.
+    """
+    deg = list(map(int.bit_count, adj))
+    v = len(adj) - 1
+    mine = sorted(map(deg.__getitem__, bits(adj[v])))
+    rivals = []  # the other vertices with v's invariant
+    for w in bits(tied):
+        theirs = sorted(map(deg.__getitem__, bits(adj[w])))
+        if theirs < mine:
+            return False
+        if theirs == mine:
+            rivals.append(w)
+    if not rivals:
+        return True
+    colors = _coloring(adj)[2]
+    c = colors[v]
+    if any(colors[w] < c for w in rivals):
+        return False
+    cell = [w for w in rivals if colors[w] == c]
+    if all(adj[w] & ~(1 << v) == adj[v] & ~(1 << w) for w in cell):
+        return True
+    _, generators, order = _canonical_search(len(adj), adj)
+    m = next(w for w in order if colors[w] == c)
+    return bool(_orbit_closure(1 << m, generators) >> v & 1)
 
 
 def _levels(n: int, admits: Admits) -> list[Graph]:
-    """Every class on n vertices with the hereditary property admits,
-    in canonical labeling and ascending key order."""
+    """Every class on n vertices with the hereditary property admits, once
+    each, in the labeling it was built in and in the order generated."""
     levels = _LEVELS.setdefault(admits, [[Graph(1)]])
     while len(levels) < n:
-        k = len(levels) + 1
-        keys = {canonical_key(k, adj)
-                for parent in levels[-1] for adj in _children(parent, admits)}
-        levels.append([_from_key(key) for key in sorted(keys)])
+        levels.append([Graph._from_rows(adj)
+                       for parent in levels[-1] for adj in _children(parent, admits)])
     return levels[n - 1]
 
 
@@ -757,14 +795,15 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     """One representative per isomorphism class of graphs on n vertices.
 
     Level n extends each class on n - 1 vertices by a new vertex, in every way
-    where the new vertex has the minimum invariant (degree, sorted neighbor
-    degrees) of the result (canonical deletion), and keeps one graph per
-    ``canonical_key``.  Neighborhoods that an automorphism of the parent maps
+    where the new vertex is a canonical deletion of the result, and keeps
+    each such child on the spot (McKay's canonical augmentation; see
+    ``_children``).  Neighborhoods that an automorphism of the parent maps
     onto each other give isomorphic children and pass or fail every test
     alike, so only one per orbit is tried (parent-orbit pruning).  Each
-    representative is its class in canonical labeling (the graph built from
-    its key), and classes come in ascending key order, so the output does not
-    depend on how the classes were generated.
+    representative keeps the labeling it was built in, its parent's labels
+    with the new vertex last, and classes come in the order generated:
+    parent by parent, and each parent's neighborhoods in ascending mask
+    order.  Every run gives the same graphs in the same order.
     Correctness is anchored to the known class counts (tested); the documented
     cap is n = 8.  Beyond that, read a graph6 corpus file instead.
     """
@@ -782,10 +821,11 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
 def enumerate_triangle_free(n: int, connected_only: bool = False) -> Iterator[Graph]:
     """One representative per isomorphism class of triangle-free graphs.
 
-    Generated like ``enumerate_graphs`` (canonical deletion, canonical
-    labeling, ascending key order).  Triangle-freeness is hereditary, so each
-    level extends only by independent neighborhoods; that keeps the class
-    counts small enough to reach n = 10.
+    Generated like ``enumerate_graphs``: canonical augmentation, each class
+    in the labeling it was built in, in the order generated.
+    Triangle-freeness is hereditary, so each level extends only by
+    independent neighborhoods; that keeps the class counts small enough to
+    reach n = 10.
     """
     if n < 1:
         raise ValueError("enumerate_triangle_free requires n >= 1")

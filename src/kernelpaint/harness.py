@@ -129,18 +129,23 @@ def _rec(g: Graph, verdict: str, **detail) -> dict:
     return {"verdict": verdict, "graph6": encode_graph6(g), **detail}
 
 
-def _per_graph(corpus, check: Callable[[Graph], dict],
-               connected_only: bool = True) -> Iterator[dict]:
+class _Unscreened(list):
+    """The graphs of a graph6 file, in file order, for a suite that checks
+    connected graphs only.  An enumerated corpus for such a suite holds
+    connected graphs by construction; a file may hold others."""
+
+
+def _per_graph(corpus, check: Callable[[Graph], dict]) -> Iterator[dict]:
     """One record per corpus graph: the check's, with the empty graph, a
-    disconnected graph when the check takes connected graphs only, and
-    size-limit violations demoted to skip records.  Any other exception is a
-    fault of the check, not a verdict: it propagates as a RuntimeError
-    naming the graph."""
+    disconnected graph of an unscreened corpus, and size-limit violations
+    demoted to skip records.  Any other exception is a fault of the check,
+    not a verdict: it propagates as a RuntimeError naming the graph."""
+    screen = isinstance(corpus, _Unscreened)
     for g in corpus:
         if g.n == 0:
             yield _rec(g, "skip", reason="empty graph")
             continue
-        if connected_only and not g.is_connected():
+        if screen and not g.is_connected():
             yield _rec(g, "skip",
                        reason="disconnected: this suite checks connected graphs")
             continue
@@ -333,7 +338,7 @@ def _suite_in_orient_oracle(corpus: list[Graph]) -> Iterator[dict]:
         return _rec(g, "pass" if bad is None else "fail",
                     tables=checked, counterexample=bad)
 
-    yield from _per_graph(corpus, check, connected_only=False)
+    yield from _per_graph(corpus, check)
 
 
 def _feasible_demands(g: Graph) -> set[tuple[int, ...]]:
@@ -585,8 +590,7 @@ def _suite_cut_lemma(corpus: list[Graph], seed: int) -> Iterator[dict]:
     # a graph the draws cannot take gets _per_graph's skip record: the empty
     # graph, or the size limit cut_lemma_check raises
     yield from _per_graph([g for g in corpus if not 1 <= g.n <= CUT_LEMMA_CAP],
-                          lambda g: cut_lemma_check(g, g.degrees, ()),
-                          connected_only=False)
+                          lambda g: cut_lemma_check(g, g.degrees, ()))
     if not pool:
         return
     for i in range(CUT_LEMMA_SAMPLES):
@@ -666,7 +670,8 @@ def _resolve_corpus(spec: Optional[str], suite: _Suite, max_n: Optional[int],
         for k in range(1, n + 1):
             out.extend(gen(k, connected_only=suite.connected_only))
         return out
-    return read_graph6_file(spec)
+    graphs = read_graph6_file(spec)
+    return _Unscreened(graphs) if suite.connected_only else graphs
 
 
 def run_suite(

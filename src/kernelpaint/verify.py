@@ -68,10 +68,12 @@ class ChoosabilityResult:
         return self.value
 
 
-def _f_degenerate(g: Graph, ftab: dict[int, int]) -> bool:
-    """Can vertices be deleted one by one, each holding more tokens than
-    remaining neighbors?  Greedy coloring in reverse deletion order then
-    colors any f-assignment, so this is a sufficient colorability test."""
+def _f_core(g: Graph, ftab: dict[int, int]) -> int:
+    """The vertices left after deleting, one by one, vertices holding more
+    tokens than remaining neighbors.  A deleted vertex finds a colour of its
+    list whatever its remaining neighbors took, so greedy coloring in
+    reverse deletion order extends any coloring of the core: g is colorable
+    from an f-assignment iff its core is."""
     alive = g.full_mask()
     while alive:
         peeled = False
@@ -84,8 +86,8 @@ def _f_degenerate(g: Graph, ftab: dict[int, int]) -> bool:
                 peeled = True
             m ^= low
         if not peeled:
-            return False
-    return True
+            break
+    return alive
 
 
 def is_f_choosable(g: Graph, f: DegreeTable) -> ChoosabilityResult:
@@ -94,10 +96,10 @@ def is_f_choosable(g: Graph, f: DegreeTable) -> ChoosabilityResult:
     Any list assignment maps onto a pool of Sum f(v) colors, and renaming
     colors does not matter, so assignments are enumerated with colors
     introduced in first-use order (each vertex picks some already-seen colors
-    and pads with fresh ones).  Two cutoffs keep this honest but fast: an
-    f-degenerate graph is colorable greedily from any lists, and a prefix of
-    lists that already uncolors its induced subgraph can never be repaired by
-    the remaining vertices.
+    and pads with fresh ones).  Two cutoffs keep this honest but fast: only
+    the f-core (``_f_core``) gets lists, the other vertices being colorable
+    greedily from any lists, and a prefix of lists that already uncolors its
+    induced subgraph can never be repaired by the remaining vertices.
     """
     ftab = _table(f, range(g.n))
     if g.n > CHOOSABLE_VERTEX_CAP:
@@ -110,16 +112,15 @@ def is_f_choosable(g: Graph, f: DegreeTable) -> ChoosabilityResult:
         # a vertex with an empty list is trivially uncolorable
         bad = {v: frozenset(range(ftab[v])) for v in range(g.n)}
         return ChoosabilityResult(False, bad)
-    if _f_degenerate(g, ftab):
-        return ChoosabilityResult(True, None)
-
+    core = bits(_f_core(g, ftab))
     lists = [0] * g.n  # colour masks
 
-    def assign(v: int, used: int) -> Optional[dict[int, frozenset[int]]]:
-        # reaching v == g.n means every prefix (hence the whole assignment)
-        # was colorable on the way down
-        if v == g.n:
+    def assign(i: int, used: int) -> Optional[dict[int, frozenset[int]]]:
+        # reaching the end of the core means every prefix (hence the whole
+        # assignment) was colorable on the way down
+        if i == len(core):
             return None
+        v = core[i]
         k = ftab[v]
         for fresh in range(k + 1):
             old_needed = k - fresh
@@ -127,15 +128,17 @@ def is_f_choosable(g: Graph, f: DegreeTable) -> ChoosabilityResult:
                 continue
             for olds in itertools.combinations(range(used), old_needed):
                 lists[v] = mask_of(olds) | ((1 << fresh) - 1) << used
-                if not _list_colourable(g.adj, range(v + 1), lists):
+                if not _list_colourable(g.adj, core[:i + 1], lists):
                     # no extension can repair an uncolorable induced prefix:
                     # pad the rest with pairwise-fresh lists as the witness
                     pool = used + fresh
-                    for u in range(v + 1, g.n):
-                        lists[u] = ((1 << ftab[u]) - 1) << pool
-                        pool += ftab[u]
+                    placed = mask_of(core[:i + 1])
+                    for u in range(g.n):
+                        if not placed >> u & 1:
+                            lists[u] = ((1 << ftab[u]) - 1) << pool
+                            pool += ftab[u]
                     return {u: frozenset(bits(lists[u])) for u in range(g.n)}
-                bad = assign(v + 1, used + fresh)
+                bad = assign(i + 1, used + fresh)
                 if bad is not None:
                     return bad
         return None

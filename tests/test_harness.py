@@ -415,6 +415,18 @@ def test_a_disconnected_file_graph_gets_a_skip_record(name, tmp_path, capsys):
         assert len(rep.records) == 3 and rep.summary()["skipped"] == 1
 
 
+def test_an_enumerated_corpus_is_not_screened_again(monkeypatch):
+    # enumerate_graphs tests each of the 52 classes on at most 5 vertices
+    # once; its 31 connected ones are connected by construction, so the
+    # suite tests none of them again
+    calls = []
+    connected = Graph.is_connected
+    monkeypatch.setattr(Graph, "is_connected", lambda g: calls.append(g) or connected(g))
+    rep = run_suite("brooks-alpha", max_n=5)
+    assert len(rep.records) == 31
+    assert len(calls) == 52
+
+
 def test_cut_lemma_gives_a_record_to_every_file_graph(tmp_path, capsys):
     # a file of graphs above the cut-lemma cap used to give an empty report
     # that passed

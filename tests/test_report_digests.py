@@ -16,6 +16,17 @@ other graph6 strings in another order.  At every suite's default ceiling the
 multiset of (canonical key, verdict, reason) per record was unchanged, except
 cut-lemma, which samples the corpus by index; its verdict counts held.
 
+Every enumerated-corpus digest was re-baselined once more when enumeration
+moved to canonical augmentation: a child is kept or rejected on the spot,
+with no canonical key and no deduplication, so each class comes in the
+labeling it was built in (its parent's labels, the new vertex last) and in
+the order generated, and records again carry other graph6 strings in
+another order.  The classes are the same: at every suite's default ceiling
+the multiset of (canonical key, verdict, reason) per record was unchanged,
+except cut-lemma, which samples the corpus by index; its verdict counts
+held.  gallai-count's digest and the seeded kernel-game digest read no
+enumerated corpus and held.
+
 Corpora stay small so the whole gate runs in a few seconds: graphs on at most
 5 vertices, at most 4 for in-orient-oracle, and gallai-count, which builds its
 own random forests, at its default.  The game suites are also pinned where
@@ -40,19 +51,19 @@ from kernelpaint import SUITE_NAMES, Graph, encode_graph6, run_suite
 MAX_N = {"in-orient-oracle": 4, "gallai-count": None}
 
 DIGESTS = {
-    "at-classify": "163d19f4f29757793f3383fd5d95872ccdacd7e0eda42443d5a4a3620b331943",
-    "brooks-alpha": "cf355cdc424c1816b9726adb1763d86b2e842ccddc5cb57a6ddc493ce773e859",
-    "cut-lemma": "79ba347a067a947b7552958c1c903bfda27fdd2242f9da8746b5a6bb166bf7d2",
-    "edges-4critical": "9a2483d32198a55feb26fe3912e690d41c5a78ad17e59722fae8455d1f57e5a8",
+    "at-classify": "24381a43ac61691fc74a9d9fa09d8e9357c704148c7fa9eae3ba3f651384d07d",
+    "brooks-alpha": "495f8540e034b3eec17c79d47547dc8eae0de116a69ebc888dcfdb36319488cb",
+    "cut-lemma": "8fde85b34b534889a57ad7d4ffd06e37fdff925cb37c979da42f9860df6d4254",
+    "edges-4critical": "1edb2fc1e8590be51065bbaedf6313c7f2f703577c82097444f6ba116fa6057b",
     "gallai-count": "08b31f3250a2fce7a06873b2c988d82bcd3a4d4963426d9eae2bc11702535b28",
-    "in-orient-oracle": "41f21c7093014e854f0b5173c0803ac1ebb7f0fa16874be0641898476c8b1b0c",
-    "kernel-game": "050838ddb21ef0de8c38d802c74997e4d76032dfb83d7db8b39e6eb93139a03f",
-    "kp-classify": "1c74d67493f418f1768ddc9215f9ef862969ed8e38e4376aeba05550df9f161e",
-    "main-lemma-d0": "9f13fe0969f33cb087bcce21e969be4bb5337eb97360e4b1339398ccba692c94",
-    "mic-basics": "1efe5db64442fa9b246b8872b3297432d6d1263841758e14ece017fb0c8095d2",
-    "mic-strength": "f8daa72096eef8f3fe55654259c55a28ac5a623148a4b23395e8539c7ca82363",
-    "ore-precursors": "1918c0667bc713362ae2384f8dbac6abcbcea0daaf599460c5d294a69c4ee990",
-    "triangle-free-mic": "9281ee5029915ec6fa538a2a6238723b8ada4d25ca5ec21fa7e5aee3b05f4428",
+    "in-orient-oracle": "9cb6118e3606b8715f0097abb070d42f91c6883fdeff25bebbb848f7bfdfab32",
+    "kernel-game": "11a4e8b4de6f42f488ecae9ec09e676137e1a00092f60195ba60355a288ae745",
+    "kp-classify": "41e294ab04f939c87ebbe36d66e530d57a0f9eea84558b52fdfe47ffaf2247e2",
+    "main-lemma-d0": "9f8fa92bd064557f210d3148b76b8be360df6350c991cc09f948c37ea5a4dd55",
+    "mic-basics": "2b1b8dd88c5dce2e24be934fe1cbbae33fdc91096b62c67619a83532bc96b5a9",
+    "mic-strength": "2fc6ac49ea56c8643aa1118048e03ff55260cd3eac52580ce64fedb5c0b23f3f",
+    "ore-precursors": "81fbe704cc99acde588bae02483a170f985e1b0bb97b2959dd8cbf783d627342",
+    "triangle-free-mic": "d6ab46d91acf49dc9a683d51953f6e0434cb2a8bf9d3003a75afcaf58c719ea8",
 }
 
 
@@ -68,12 +79,12 @@ def test_default_seed_report_is_byte_identical(name):
 
 
 DEFAULT_CEILING_DIGESTS = {
-    "at-classify": "9bf3828dfb0a4f26f4b308c6d1752d1ab6c4b346077c6eda5992c14c53e7944b",
-    "edges-4critical": "e8b41fab0dd44bd69347f31d3c1d5f20f6e22ddae1bed4b0439f7fb27918b4af",
-    "in-orient-oracle": "c7f59264249b0fafd4b0ae9551780e042554ee14585ccdc22464634b2a30a4be",
-    "kernel-game": "e05246e53cc23532ed798b47ff4034239491aa802185a9d3a930f1005a04c42a",
-    "kp-classify": "e0d987a94d66c2694c68dce14f1434585a0dd4f4dfe323c5d0bc942c8f3e2199",
-    "mic-strength": "e2fbb70ae5cb75a64b6d417b9fce3fc6b987997e2330c5a07ada2d9e04ca88f7",
+    "at-classify": "d838773ae9549f4f10ca5fb51a9400d2c60b40b73c92c18e24add41f093efc16",
+    "edges-4critical": "3e9a272335c57a8bee79aea8b13caf13863c95b78f1b54164360fa4ece5e1bad",
+    "in-orient-oracle": "c6f1e5b835f9d990809ee3d09e7646907fdb1766d36d00f966f9fa9f088ca5ef",
+    "kernel-game": "82d6b14f5ffa8348d5e5e652ee394b59ae8c027330af953f82cc5e13a0643efd",
+    "kp-classify": "1862fe5f6f615a5d3cd57c81df7718fab3bb2963ceca599cda210343af8f5ee0",
+    "mic-strength": "dfc2d13ba76cfacf1d488efb6501ecc38c9616e5d6a4f77d23a72c0265dc74d6",
 }
 SEEDED_KERNEL_GAME_DIGEST = "e87d04e6d726292447a3fb2220f0c42939735ff23e0fcdff42a7a9ebffde87f6"
 

@@ -30,15 +30,20 @@ def test_choosable_examples(c4, c5):
     res = is_f_choosable(make_named("complete", [2]), [1, 1])
     assert not res and res.bad_assignment is not None
     assert is_f_choosable(c4, [2] * 4)
-    res = is_f_choosable(c5, [2] * 5)
-    assert not res
-    # the returned lists genuinely defeat every coloring
-    lists = res.bad_assignment
-    ok = False
-    for combo in itertools.product(*[sorted(lists[v]) for v in range(5)]):
-        if all(combo[u] != combo[v] for u, v in c5.edges):
-            ok = True
-    assert not ok
+    # the returned lists genuinely defeat every coloring, also where a
+    # pendant vertex with two colours is left out of the search
+    pendant = Graph(7, list(c5.edges) + [(0, 5), (5, 6)])
+    for g in (c5, pendant):
+        res = is_f_choosable(g, [2] * g.n)
+        assert not res
+        lists = res.bad_assignment
+        assert set(lists) == set(range(g.n))
+        assert all(len(lists[v]) == 2 for v in range(g.n))
+        ok = False
+        for combo in itertools.product(*[sorted(lists[v]) for v in range(g.n)]):
+            if all(combo[u] != combo[v] for u, v in g.edges):
+                ok = True
+        assert not ok
 
 
 def test_list_colourable_matches_every_choice():
