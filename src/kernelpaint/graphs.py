@@ -7,9 +7,9 @@ be shared freely across threads.
 Enumeration is McKay's canonical augmentation: each class on n vertices is
 kept once, as the child of a class on n - 1 vertices whose new vertex is a
 canonical deletion, with no canonical key computed for the child and no
-deduplication.  Most children are decided by degrees alone; a child is
-searched (``_canonical_search``) only when its new vertex shares its
-invariant and refined color with a vertex that is not its twin.
+deduplication.  Most children are decided by degrees and neighbor degrees
+alone; a child is searched (``_canonical_search``) only when its new vertex
+shares its invariant and refined color with a vertex that is not its twin.
 
 Adjacency rows stored, edge set derived on read: a graph keeps one integer
 bitmask per vertex, and ``Graph.edges`` rebuilds the set of sorted pairs from

@@ -31,7 +31,7 @@ def test_choosable_examples(c4, c5):
     assert not res and res.bad_assignment is not None
     assert is_f_choosable(c4, [2] * 4)
     # the returned lists genuinely defeat every coloring, also where a
-    # pendant vertex with two colours is left out of the search
+    # pendant path of two-colour vertices is left out of the search
     pendant = Graph(7, list(c5.edges) + [(0, 5), (5, 6)])
     for g in (c5, pendant):
         res = is_f_choosable(g, [2] * g.n)
