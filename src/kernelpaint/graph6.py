@@ -76,22 +76,23 @@ def encode_graph6(g: Graph) -> str:
 
     Column j of the upper triangle is row j of the adjacency below the
     diagonal: pair (i, j) is bit ``i`` of ``adj[j]``, and sits ``i`` places
-    after the column's first bit in the vector.  The line is kept on g."""
+    after the column's first bit in the vector.  So the columns, each
+    shifted past the ones before it, spell the vector with its bits
+    reversed, and one reversal of their binary string gives the vector.
+    The line is kept on g."""
     if g._graph6 is not None:
         return g._graph6
     n = g.n
     if n > 62:
         raise SizeLimitError("short-form graph6 supports at most 62 vertices")
-    need = (n * (n - 1) // 2 + 5) // 6
-    column = 6 * need  # the vector's width, less the bits of earlier columns
-    vector = 0
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    reversed_vector = 0
+    offset = 0  # the bits of earlier columns
     for j, a in enumerate(g.adj):
-        below = a & ~(-1 << j)
-        while below:
-            low = below & -below
-            vector |= 1 << column - low.bit_length()
-            below ^= low
-        column -= j
+        reversed_vector |= (a & ~(-1 << j)) << offset
+        offset += j
+    vector = int(f"{reversed_vector:0{nbits}b}"[::-1], 2) << 6 * need - nbits
     g._graph6 = chr(n + 63) + "".join([chr((vector >> 6 * k & 63) + 63)
                                        for k in range(need - 1, -1, -1)])
     return g._graph6

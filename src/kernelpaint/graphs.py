@@ -8,8 +8,13 @@ Enumeration is McKay's canonical augmentation: each class on n vertices is
 kept once, as the child of a class on n - 1 vertices whose new vertex is a
 canonical deletion, with no canonical key computed for the child and no
 deduplication.  Most children are decided by degrees and neighbor degrees
-alone; a child is searched (``_canonical_search``) only when its new vertex
-shares its invariant and refined color with a vertex that is not its twin.
+alone, or kept because every vertex sharing the new vertex's invariant is
+its twin; a child is colored only past those tests, and searched
+(``_canonical_search``, with that coloring) only when its new vertex shares
+its invariant and refined color with a vertex that is not its twin.  Each
+child's connectivity is read from its parent's components, found once per
+parent, so a level's connected classes are kept beside it and no class is
+tested again.
 
 Adjacency rows stored, edge set derived on read: a graph keeps one integer
 bitmask per vertex, and ``Graph.edges`` rebuilds the set of sorted pairs from
@@ -238,46 +243,63 @@ def max_weight_independent_set(g_or_n, weights: Sequence[int],
                                adj: Optional[Sequence[int]] = None) -> tuple[int, int]:
     """Maximum total weight of an independent set, with its witness mask.
 
-    Takes a graph, or a vertex count and its adjacency rows.  Exhaustive
-    branch and bound; the bound on a subtree is the weight of the vertices
-    still available, carried down the search: a branch subtracts the weight
-    of the vertices it removes, a bit count when every weight is 1.  Among
+    Takes a graph, or a vertex count and its adjacency rows.  Among
     maximum-weight sets the witness is the one whose sorted vertex tuple is
     lexicographically smallest, which keeps downstream expectations
-    deterministic.  Weights must be nonnegative.
+    deterministic.  Weights must be nonnegative integers.
+
+    Exhaustive branch and bound on the lowest available vertex v, taking v
+    first: one loop runs down the branch that takes, and the branches that
+    leave v out wait on a stack.  The bound on a subtree is the weight taken
+    plus the weight still available, carried down the search; a branch that
+    leaves v out is stacked only when its bound can still reach the best.
+    Every set below a node shares the node's choices, all of them below the
+    available vertices, so leaves come in the order of their tuples except
+    that a set comes after its extensions.  When every weight is positive
+    a maximum-weight set has no maximum-weight extension, so the first best
+    leaf is the witness and a subtree that can only tie the best is cut.
+    With zero weights, ties are kept and compared.
+
+    v is taken without branching when it has positive weight and at most
+    one available neighbor u, no heavier than v.  A best set S without v
+    would hold u (else S + v weighs more), and S - u + v weighs as much
+    and has the smaller tuple.
     """
     if adj is None:
         g_or_n, adj = g_or_n.n, g_or_n.adj
+    unit = weights.count(1) == len(weights)
+    tie = 0 if 0 in weights else 1  # a leaf must beat the best by this
     best_w = -1
     best_set = 0
-
-    def weight_of(mask: int) -> int:
-        t = 0
-        while mask:
-            low = mask & -mask
-            t += weights[low.bit_length() - 1]
-            mask ^= low
-        return t
-
-    rest_weight = int.bit_count if all(w == 1 for w in weights) else weight_of
-
-    def dfs(avail: int, rest: int, cur_w: int, cur_set: int) -> None:
-        # rest is the weight of avail
-        nonlocal best_w, best_set
-        if not avail:
+    bar = 0  # best_w + tie: the weight a subtree must still reach
+    # top: the weight taken so far and still available, a subtree's bound
+    stack = [((1 << g_or_n) - 1, sum(weights), 0, 0)]
+    while stack:
+        avail, top, cur_w, cur_set = stack.pop()
+        while avail:
+            if top < bar:
+                break
+            bit = avail & -avail
+            v = bit.bit_length() - 1
+            wv = weights[v]
+            nb = avail & adj[v]
+            if ((nb & nb - 1 or not wv or nb and weights[nb.bit_length() - 1] > wv)
+                    and top - wv >= bar):
+                stack.append((avail ^ bit, top - wv, cur_w, cur_set))
+            avail ^= nb | bit
+            cur_w += wv
+            cur_set |= bit
+            if unit:
+                top -= nb.bit_count()
+            else:
+                while nb:
+                    low = nb & -nb
+                    top -= weights[low.bit_length() - 1]
+                    nb ^= low
+        else:
             if cur_w > best_w or cur_w == best_w and lex_less(cur_set, best_set):
                 best_w, best_set = cur_w, cur_set
-            return
-        if cur_w + rest < best_w:
-            return
-        bit = avail & -avail
-        v = bit.bit_length() - 1
-        gone = avail & (adj[v] | bit)
-        dfs(avail ^ gone, rest - rest_weight(gone), cur_w + weights[v], cur_set | bit)
-        dfs(avail ^ bit, rest - weights[v], cur_w, cur_set)
-
-    full = (1 << g_or_n) - 1
-    dfs(full, rest_weight(full), 0, 0)
+                bar = best_w + tie
     return best_w, best_set
 
 
@@ -533,11 +555,12 @@ def _coloring(adj: Sequence[int]) -> tuple[list[list[int]], int, list[int]]:
     return nbrs, twin_classes, _refine(nbrs, twin_classes)
 
 
-def _canonical_search(n: int, adj: Sequence[int]
+def _canonical_search(n: int, adj: Sequence[int], coloring: Optional[tuple] = None
                       ) -> tuple[tuple, list[tuple[int, ...]], list[int]]:
     """The canonical key of the graph with adjacency rows adj, a list of
     automorphisms (``p[v]`` is the image of v) that generates its group, and
-    an ordering of the vertices whose rows are the key.
+    an ordering of the vertices whose rows are the key.  coloring is
+    ``_coloring(adj)`` when the caller has it already.
 
     The key is the least tuple of row strings over the orderings that list
     the refined colors in order: row p of an ordering has bit ``n - 1 - i``
@@ -581,7 +604,7 @@ def _canonical_search(n: int, adj: Sequence[int]
     """
     if n == 0:
         return (0,), [], []
-    nbrs, twin_classes, colors = _coloring(adj)
+    nbrs, twin_classes, colors = coloring or _coloring(adj)
     if max(colors) + 1 == twin_classes:  # the twin-cell shortcut
         order = sorted(range(n), key=colors.__getitem__)
         column = [0] * n  # the bit of each vertex's position in a row
@@ -680,11 +703,12 @@ def _independent_neighborhood(adj: Sequence[int], nb: int) -> bool:
     return not any(adj[u] & nb for u in bits(nb))
 
 
-# admits -> its levels; levels[k] holds the classes on k + 1 vertices
-_LEVELS: dict[Admits, list[list[Graph]]] = {}
+# admits -> its levels; levels[k] holds the classes on k + 1 vertices, and
+# the connected ones among them
+_LEVELS: dict[Admits, list[tuple[list[Graph], list[Graph]]]] = {}
 
 
-def _children(parent: Graph, admits: Admits) -> Iterator[list[int]]:
+def _children(parent: Graph, admits: Admits) -> Iterator[tuple[list[int], bool]]:
     """Adjacency rows of the children of parent: its admissible one-vertex
     extensions whose new vertex is a canonical deletion, one neighborhood
     per orbit of the parent's automorphism group.
@@ -706,6 +730,10 @@ def _children(parent: Graph, admits: Admits) -> Iterator[list[int]]:
     neighbors.  ``_deletes_canonically`` decides the rest from the vertices
     tied with it at degree d.
 
+    Each child comes with whether it is connected, read from the parent: it
+    is when its new vertex's neighborhood meets every component of the
+    parent, whose components are found once.
+
     An automorphism p of the parent extends, fixing the new vertex, to an
     isomorphism from the extension by nb to the extension by p(nb).  So both
     children are one class, and every test here gives both the same answer:
@@ -721,6 +749,7 @@ def _children(parent: Graph, admits: Admits) -> Iterator[list[int]]:
         at_degree[dv] |= 1 << v
     top = min(deg) + 1
     automorphisms = _canonical_search(k, base)[1]
+    components = parent.component_masks()
     seen: set[int] = set()  # masks of the orbits already handled
     for nb in range(1 << k):
         d = nb.bit_count()
@@ -737,11 +766,13 @@ def _children(parent: Graph, admits: Admits) -> Iterator[list[int]]:
                 if image not in seen:
                     seen.add(image)
                     orbit.append(image)
-        adj = [a | (nb >> v & 1) << k for v, a in enumerate(base)]
+        adj = list(base)
+        for v in bits(nb):
+            adj[v] |= 1 << k
         adj.append(nb)
         tied = (at_degree[d - 1] if d else 0) | at_degree[d] & ~nb
         if not tied or _deletes_canonically(adj, tied):
-            yield adj
+            yield adj, all(nb & c for c in components)
 
 
 def _deletes_canonically(adj: list[int], tied: int) -> bool:
@@ -749,13 +780,19 @@ def _deletes_canonically(adj: list[int], tied: int) -> bool:
     canonical deletion (see ``_children``), given tied, the other vertices
     of v's degree, none of lower degree.
 
-    The cheap tests come first, the search last.  v has the minimum
-    invariant when no tied vertex has a smaller one, and m is v when no
-    other vertex has v's invariant.  Refinement splits only cells of one
-    invariant, so v's color must be the least among the vertices with its
-    invariant, and m lies in v's cell.  When that cell is a set of pairwise
-    twins, swaps of twins are automorphisms, so v is in m's orbit.  Only
-    otherwise is the child searched, for m and its automorphism group.
+    The cheap tests come first, the search last, in four steps:
+
+    - invariant: v has the minimum invariant when no tied vertex has a
+      smaller one, and m is v when no other vertex, no rival, has v's
+      invariant.
+    - twins: when every rival is a twin of v, the rivals and v are pairwise
+      twins and share one color, so m is one of them, and the swap of m and
+      v is an automorphism.
+    - color: refinement splits only cells of one invariant, so v's color
+      must be the least among the rivals', and m lies in v's cell.  When
+      that cell is a set of pairwise twins, v is in m's orbit as above.
+    - search: only otherwise is the child searched, with the coloring
+      already made, for m and its automorphism group.
     """
     deg = list(map(int.bit_count, adj))
     v = len(adj) - 1
@@ -767,28 +804,38 @@ def _deletes_canonically(adj: list[int], tied: int) -> bool:
             return False
         if theirs == mine:
             rivals.append(w)
-    if not rivals:
+    if all(adj[w] & ~(1 << v) == adj[v] & ~(1 << w) for w in rivals):
         return True
-    colors = _coloring(adj)[2]
+    coloring = _coloring(adj)
+    colors = coloring[2]
     c = colors[v]
     if any(colors[w] < c for w in rivals):
         return False
     cell = [w for w in rivals if colors[w] == c]
     if all(adj[w] & ~(1 << v) == adj[v] & ~(1 << w) for w in cell):
         return True
-    _, generators, order = _canonical_search(len(adj), adj)
+    _, generators, order = _canonical_search(len(adj), adj, coloring)
     m = next(w for w in order if colors[w] == c)
     return bool(_orbit_closure(1 << m, generators) >> v & 1)
 
 
-def _levels(n: int, admits: Admits) -> list[Graph]:
+def _levels(n: int, admits: Admits, connected_only: bool = False) -> list[Graph]:
     """Every class on n vertices with the hereditary property admits, once
-    each, in the labeling it was built in and in the order generated."""
-    levels = _LEVELS.setdefault(admits, [[Graph(1)]])
+    each, in the labeling it was built in and in the order generated; with
+    connected_only, the connected ones, in the same order."""
+    levels = _LEVELS.setdefault(admits, [([Graph(1)], [Graph(1)])])
     while len(levels) < n:
-        levels.append([Graph._from_rows(adj)
-                       for parent in levels[-1] for adj in _children(parent, admits)])
-    return levels[n - 1]
+        level: list[Graph] = []
+        connected: list[Graph] = []
+        for parent in levels[-1][0]:
+            for adj, joined in _children(parent, admits):
+                g = Graph._from_rows(adj)
+                level.append(g)
+                if joined:
+                    connected.append(g)
+        levels.append((level, connected))
+    level, connected = levels[n - 1]
+    return connected if connected_only else level
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
@@ -803,7 +850,9 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     representative keeps the labeling it was built in, its parent's labels
     with the new vertex last, and classes come in the order generated:
     parent by parent, and each parent's neighborhoods in ascending mask
-    order.  Every run gives the same graphs in the same order.
+    order.  Every run gives the same graphs in the same order.  Whether a
+    class is connected is read from its parent as it is built (see
+    ``_children``), so ``connected_only`` tests no class again.
     Correctness is anchored to the known class counts (tested); the documented
     cap is n = 8.  Beyond that, read a graph6 corpus file instead.
     """
@@ -813,9 +862,7 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
         raise SizeLimitError(
             f"enumeration capped at n = {ENUMERATION_CAP}; use a graph6 corpus file"
         )
-    for g in _levels(n, _any_neighborhood):
-        if not connected_only or g.is_connected():
-            yield g
+    yield from _levels(n, _any_neighborhood, connected_only)
 
 
 def enumerate_triangle_free(n: int, connected_only: bool = False) -> Iterator[Graph]:
@@ -833,9 +880,7 @@ def enumerate_triangle_free(n: int, connected_only: bool = False) -> Iterator[Gr
         raise SizeLimitError(
             f"triangle-free enumeration capped at n = {TRIANGLE_FREE_CAP}"
         )
-    for g in _levels(n, _independent_neighborhood):
-        if not connected_only or g.is_connected():
-            yield g
+    yield from _levels(n, _independent_neighborhood, connected_only)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -14,6 +15,7 @@ from kernelpaint import (
     block_decomposition,
     canonical_key,
     cut_size,
+    encode_graph6,
     enumerate_graphs,
     enumerate_triangle_free,
     make_named,
@@ -142,15 +144,24 @@ def test_max_weight_independent_set_matches_definition():
     # maximum weight, then the lexicographically smallest sorted tuple; the
     # zero weights make ties where one witness is a prefix of the other
     rnd = random.Random(9)
-    for n in range(1, 7):
+    zero_rnd = random.Random(10)
+    zero_kept = 0  # zero-first tables whose witness holds a zero-weight vertex (98)
+    for n in range(1, 8):
         for g in enumerate_graphs(n):
             independent = [m for m in range(1 << n) if _is_independent(g.adj, m)]
-            seeded = [rnd.randint(0, 3) for _ in range(n)]
-            for weights in ([1] * n, list(g.degrees), seeded):
+            tables = [[1] * n, list(g.degrees)]
+            if n < 7:
+                tables.append([rnd.randint(0, 3) for _ in range(n)])
+                # zero weights on the lowest vertices alone
+                zeros = zero_rnd.randint(1, n)
+                tables.append([0] * zeros + [zero_rnd.randint(1, 3) for _ in range(n - zeros)])
+            for weights in tables:
                 weight = {m: sum(weights[v] for v in lex_key(m)) for m in independent}
                 top = max(weight.values())
                 witness = min((m for m in independent if weight[m] == top), key=lex_key)
                 assert graphs.max_weight_independent_set(g, weights) == (top, witness)
+            zero_kept += n < 7 and bool(witness & ((1 << zeros) - 1))
+    assert zero_kept > 50
 
 
 def test_alpha_and_omega_match_definition():
@@ -227,6 +238,22 @@ def test_block_masks_match_networkx():
         bt = block_decomposition(g)
         assert list(bt.blocks) == sorted(want, key=sorted)
         assert bt.cutvertices == set(nx.articulation_points(h))
+
+
+# SHA-256 of the graph6 lines of every class on 1 to top vertices, one line
+# each, level by level in generation order, disconnected classes included
+@pytest.mark.parametrize("admits, top, digest", [
+    (graphs._any_neighborhood, 8,
+     "2f056a37d675f730d8876dd4b1557f5ed64d488202b2f6725d42d20e5fb982b5"),
+    (graphs._independent_neighborhood, 10,
+     "24cfa5e6a5c59b2b784719ad984d272dcf7ff4ebb765fd9576cef7dda9d43727"),
+], ids=["all", "triangle-free"])
+def test_enumeration_output_is_pinned(admits, top, digest):
+    h = hashlib.sha256()
+    for n in range(1, top + 1):
+        for g in graphs._levels(n, admits):
+            h.update(encode_graph6(g).encode() + b"\n")
+    assert h.hexdigest() == digest
 
 
 def test_enumeration_counts():

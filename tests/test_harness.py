@@ -21,6 +21,7 @@ from kernelpaint import (
     parse_graph6,
     run_suite,
     validate_certificate,
+    write_graph6_file,
 )
 from kernelpaint import harness, reduce, structure
 from kernelpaint.cli import main as cli_main
@@ -416,15 +417,21 @@ def test_a_disconnected_file_graph_gets_a_skip_record(name, tmp_path, capsys):
 
 
 def test_an_enumerated_corpus_is_not_screened_again(monkeypatch):
-    # enumerate_graphs tests each of the 52 classes on at most 5 vertices
-    # once; its 31 connected ones are connected by construction, so the
-    # suite tests none of them again
-    calls = []
-    connected = Graph.is_connected
-    monkeypatch.setattr(Graph, "is_connected", lambda g: calls.append(g) or connected(g))
+    # enumeration reads each class's connectivity from its parent, finding
+    # the components of each of the 18 classes on at most 4 vertices once
+    # as it extends it, so neither it nor the suite tests a class again
+    calls, components = [], []
+    monkeypatch.setattr("kernelpaint.graphs._LEVELS", {})  # a cold cache
+    monkeypatch.setattr(Graph, "is_connected", lambda g: calls.append(g))
+    masks = Graph.component_masks
+    monkeypatch.setattr(Graph, "component_masks",
+                        lambda g, *a: components.append(g) or masks(g, *a))
     rep = run_suite("brooks-alpha", max_n=5)
     assert len(rep.records) == 31
-    assert len(calls) == 52
+    assert not calls
+    parents = [g for n in range(1, 5) for g in enumerate_graphs(n)]
+    assert len(parents) == 18
+    assert list(map(id, components)) == list(map(id, parents))
 
 
 def test_cut_lemma_gives_a_record_to_every_file_graph(tmp_path, capsys):
@@ -677,17 +684,31 @@ def test_cli_suite_jsonl_and_exit_codes(tmp_path, capsys):
     assert len(stdout_lines) == len(lines)
 
 
-def test_brooks_clique_test_matches_clique_number():
+def test_brooks_skips_exactly_the_graphs_with_a_big_clique(default_report, tmp_path):
+    # the skip reads min degree n - 1, which means a K_{Δ+1} only in a
+    # connected graph; every graph brooks-alpha checks is connected
+    reason = "contains a clique on max_degree+1 vertices"
+
+    def check(corpus, records):
+        assert [r["graph6"] for r in records] == [encode_graph6(g) for g in corpus]
+        for g, r in zip(corpus, records):
+            delta = max(g.degrees)
+            assert (r.get("reason") == reason) == (clique_number(g) > delta >= 3)
+
+    corpus = [g for n in range(1, 9) for g in enumerate_graphs(n, connected_only=True)]
+    check(corpus, default_report("brooks-alpha").records)
     rnd = random.Random(11)
-    corpus = [g for n in range(1, 8) for g in enumerate_graphs(n)]
-    for _ in range(300):
-        n = rnd.randint(1, 12)
-        p = rnd.random()
-        corpus.append(Graph(n, [e for e in itertools.combinations(range(n), 2)
-                                if rnd.random() < p]))
-    for g in corpus:
-        expected = clique_number(g) > max(g.degrees)
-        assert harness._has_clique_above_max_degree(g) == expected
+    corpus = []
+    while len(corpus) < 150:
+        n = rnd.randint(9, 12)
+        p = rnd.choice([0.3, 0.6, 0.9, 1.0])
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rnd.random() < p])
+        if g.is_connected():
+            corpus.append(g)
+    assert sum(clique_number(g) == g.n for g in corpus) > 10
+    path = tmp_path / "connected.g6"
+    write_graph6_file(path, corpus)
+    check(corpus, run_suite("brooks-alpha", source=str(path)).records)
 
 
 def test_cli_suite_refuses_oversize(capsys):
