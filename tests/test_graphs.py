@@ -160,7 +160,8 @@ def test_max_weight_independent_set_matches_definition():
                 top = max(weight.values())
                 witness = min((m for m in independent if weight[m] == top), key=lex_key)
                 assert graphs.max_weight_independent_set(g, weights) == (top, witness)
-            zero_kept += n < 7 and bool(witness & ((1 << zeros) - 1))
+                if n < 7 and weights is tables[-1]:
+                    zero_kept += bool(witness & ((1 << zeros) - 1))
     assert zero_kept > 50
 
 
