@@ -60,7 +60,7 @@ class Graph:
     the rows.  Treat instances as immutable.
     """
 
-    __slots__ = ("n", "adj", "degrees", "_hash", "_graph6")
+    __slots__ = ("n", "adj", "degrees", "_graph6")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -88,7 +88,6 @@ class Graph:
         self.n = len(adj)
         self.adj = adj
         self.degrees = tuple(map(int.bit_count, adj))
-        self._hash = hash((self.n, adj))
         self._graph6 = None  # its graph6 line, kept once encoded or parsed
 
     # -- basic accessors -------------------------------------------------
@@ -115,7 +114,7 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.adj)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -634,6 +633,7 @@ def _canonical_search(n: int, adj: Sequence[int], coloring: Optional[tuple] = No
     sentinel = 1 << (n + 1)
     best = [sentinel] * n
     placed: list[int] = []
+    used = 0  # the mask of placed
     acc = [0] * n  # each vertex's row against the placed prefix
     first: Optional[list[int]] = None  # first leaf since best last fell
     automorphisms: dict[tuple[int, ...], int] = {}  # each with its fixed points
@@ -642,21 +642,15 @@ def _canonical_search(n: int, adj: Sequence[int], coloring: Optional[tuple] = No
         if perm not in automorphisms:
             automorphisms[perm] = sum(1 << v for v in range(n) if perm[v] == v)
 
-    def dfs(pos: int, used: int) -> None:
-        nonlocal first
-        if pos == n:
-            if first is None:
-                first = placed[:]
-            else:
-                perm = [0] * n
-                for u, v in zip(first, placed):
-                    perm[u] = v
-                found(tuple(perm))
-            return
-        scored = sorted((acc[v], v) for v in cell_of_pos[pos] if not used >> v & 1)
-        bit = 1 << (n - 1 - pos)
-        tried = 0
-        for r, v in scored:
+    # One loop runs the candidates at position len(placed).  Placing one
+    # stacks the rest, with the mask of those tried, and moves a position
+    # down; a position out of candidates takes back the vertex above it.
+    stack: list[tuple[Iterator[tuple[int, int]], int]] = []
+    cands = iter(sorted((acc[v], v) for v in cell_of_pos[0]))
+    tried = 0
+    while True:
+        pos = len(placed)
+        for r, v in cands:
             if r > best[pos]:
                 break
             twin = twins[v] & tried
@@ -676,15 +670,30 @@ def _canonical_search(n: int, adj: Sequence[int], coloring: Optional[tuple] = No
                 for j in range(pos + 1, n):
                     best[j] = sentinel
                 first = None
+            if pos + 1 == n:  # a leaf: first maps to it by an automorphism
+                if first is None:
+                    first = placed + [v]
+                else:
+                    found(tuple(w for _, w in sorted(zip(first, placed + [v]))))
+                continue
+            stack.append((cands, tried))
             placed.append(v)
+            used |= 1 << v
             for u in nbrs[v]:
-                acc[u] |= bit
-            dfs(pos + 1, used | 1 << v)
-            for u in nbrs[v]:
-                acc[u] ^= bit
-            placed.pop()
-
-    dfs(0, 0)
+                acc[u] |= 1 << n - 1 - pos
+            cands = iter(sorted((acc[w], w) for w in cell_of_pos[pos + 1]
+                                if not used >> w & 1))
+            tried = 0
+            break
+        if len(placed) > pos:
+            continue
+        if not stack:
+            break
+        cands, tried = stack.pop()
+        v = placed.pop()
+        used ^= 1 << v
+        for u in nbrs[v]:
+            acc[u] ^= 1 << n - pos
     return (n, *best), list(automorphisms), first
 
 

@@ -31,10 +31,13 @@ I <= S <= I | Absorb(I), Absorb(I) being the vertices with an arc into I.
 The table and the cover read the same sweep over the independent sets.
 
 The f-AT decider reads the graph polynomial Prod (x_u - x_v): g is f-AT
-exactly when a monomial with every exponent below f survives its expansion,
-and ``alon_tarsi_diff`` counts only the one witness.  The f-KP search starts
-with a clique bound, which refutes a table without searching when some
-clique's budgets are too small for its induced subdigraphs to have kernels.
+exactly when a monomial with every exponent below f survives its expansion.
+Its witness comes from path reversal, with the smallest surviving monomial
+as out-degrees, and ``alon_tarsi_diff`` counts that one witness's Eulerian
+subdigraphs by the same kind of expansion, arc by arc.  The f-KP search
+starts with a clique bound, which refutes a table without searching when
+some clique's budgets are too small for its induced subdigraphs to have
+kernels, and keeps its path on an explicit stack.
 """
 
 from __future__ import annotations
@@ -520,44 +523,39 @@ def alon_tarsi_diff(d: Digraph) -> ATCount:
     A subdigraph (arc subset) is Eulerian when every vertex has equal in-
     and out-degree within it, and even/odd by the parity of its arc count.
     The empty subset is even, so the even count is always at least 1.
-    Enumeration runs over arc subsets depth-first, in sorted arc order, with
-    arcs read over positions from the out-rows, pruning as soon as some
-    vertex can no longer be rebalanced by the remaining arcs.
+    The arc subsets are expanded arc by arc, in sorted arc order with arcs
+    read over positions from the out-rows, as ``is_f_AT`` expands its
+    polynomial: each balance vector (out- less in-degree at every vertex)
+    maps to the counts of even and odd subsets reaching it, and one is
+    dropped as soon as some vertex can no longer be rebalanced by the
+    remaining arcs.
     """
     arcs = [(t, h) for t, row in enumerate(d.out) for h in bits(row)]
     if len(arcs) > AT_ARC_CAP:
         raise SizeLimitError(f"Eulerian counting capped at {AT_ARC_CAP} arcs")
-    # rem[i][v]: arc incidences at position v among arcs[i:]
-    rem = [[0] * d.n for _ in range(len(arcs) + 1)]
-    for i in range(len(arcs) - 1, -1, -1):
-        t, h = arcs[i]
-        row = rem[i + 1][:]
-        row[t] += 1
-        row[h] += 1
-        rem[i] = row
-    balance = [0] * d.n
-    counts = [0, 0]  # even, odd by arc-subset size parity
-
-    def dfs(i: int, size: int) -> None:
-        if i == len(arcs):
-            counts[size & 1] += 1
-            return
-        t, h = arcs[i]
-        # prune on any vertex whose imbalance exceeds its remaining incidences
-        nxt = rem[i + 1]
-        # skip arc i
-        if abs(balance[t]) <= nxt[t] and abs(balance[h]) <= nxt[h]:
-            dfs(i + 1, size)
-        # take arc i
-        balance[t] += 1
-        balance[h] -= 1
-        if abs(balance[t]) <= nxt[t] and abs(balance[h]) <= nxt[h]:
-            dfs(i + 1, size + 1)
-        balance[t] -= 1
-        balance[h] += 1
-
-    dfs(0, 0)
-    even, odd = counts
+    # left[v]: arc incidences at position v among the arcs not yet expanded
+    left = [o.bit_count() + i.bit_count() for o, i in zip(d.out, d.into)]
+    # a balance vector is packed into one int, `width` bits a vertex, each
+    # field holding the balance plus `bias`, which exceeds every incidence count
+    width = max(left, default=0).bit_length() + 1
+    bias, fill = 1 << width - 1, (1 << width) - 1
+    zero = sum(bias << width * v for v in range(d.n))
+    counts = {zero: (1, 0)}  # balance vector -> (even, odd) subsets reaching it
+    for t, h in arcs:
+        left[t] -= 1
+        left[h] -= 1
+        st, sh = width * t, width * h
+        step = (1 << st) - (1 << sh)
+        nxt: dict[int, tuple[int, int]] = {}
+        for key, (even, odd) in counts.items():
+            # skip the arc, then take it
+            for k, e, o in ((key, even, odd), (key + step, odd, even)):
+                if (abs((k >> st & fill) - bias) <= left[t]
+                        and abs((k >> sh & fill) - bias) <= left[h]):
+                    got = nxt.get(k)
+                    nxt[k] = (e, o) if got is None else (got[0] + e, got[1] + o)
+        counts = nxt
+    even, odd = counts[zero]
     return ATCount(even - odd, even, odd)
 
 
@@ -589,9 +587,12 @@ def is_f_AT(g: Graph, f: DegreeTable) -> ATDecision:
     monomial is dropped as soon as one passes its bound, and one whose
     coefficient cancels to 0 is dropped too.
 
-    The witness is the first orientation, edges in sorted order and u -> v
-    tried before v -> u, whose out-degrees are a surviving monomial; its
-    counts come from one ``alon_tarsi_diff``.
+    The witness is an orientation whose out-degrees are the smallest
+    surviving monomial K, the least packed key below (exponent vectors
+    compared from the last vertex down): the one ``orient_with_indegrees``
+    finds for in-degrees d - K.  Those sum to m, so every such orientation
+    has out-degrees exactly K, and its counts come from one
+    ``alon_tarsi_diff``.
     """
     if g.m > AT_EDGE_CAP:
         raise SizeLimitError(f"orientation enumeration capped at {AT_EDGE_CAP} edges")
@@ -599,13 +600,12 @@ def is_f_AT(g: Graph, f: DegreeTable) -> ATDecision:
     budget = [ftab[v] - 1 for v in range(g.n)]
     if any(b < 0 for b in budget):
         return ATDecision(False, None, None)
-    edges = sorted(g.edges)
     # a monomial is its exponent vector packed into one int, `width` bits a
     # vertex; no exponent passes the degree
     width = max(g.degrees, default=0).bit_length()
     top = (1 << width) - 1
     poly = {0: 1}
-    for u, v in edges:
+    for u, v in sorted(g.edges):
         su, sv = width * u, width * v
         nxt: dict[int, int] = {}
         for key, coef in poly.items():
@@ -618,28 +618,9 @@ def is_f_AT(g: Graph, f: DegreeTable) -> ATDecision:
         poly = {key: coef for key, coef in nxt.items() if coef}
     if not poly:
         return ATDecision(False, None, None)
-
-    # the first orientation in search order whose packed out-degrees survived
-    arcs: list[tuple[int, int]] = []
-    key = 0
-
-    def dfs(i: int) -> bool:
-        nonlocal key
-        if i == len(edges):
-            return key in poly
-        for arc in (edges[i], edges[i][::-1]):
-            shift = width * arc[0]
-            if key >> shift & top < budget[arc[0]]:
-                key += 1 << shift
-                arcs.append(arc)
-                if dfs(i + 1):
-                    return True
-                key -= 1 << shift
-                arcs.pop()
-        return False
-
-    dfs(0)
-    d = Digraph(range(g.n), arcs)
+    key = min(poly)
+    demand = [dv - (key >> width * v & top) for v, dv in enumerate(g.degrees)]
+    d = orient_with_indegrees(g, demand).orientation
     counts = alon_tarsi_diff(d)
     assert abs(counts.diff) == abs(poly[key]), "Alon-Tarsi coefficient identity"
     return ATDecision(True, d, counts)
@@ -704,24 +685,17 @@ def f_KP_witnesses(g: Graph, f: DegreeTable,
     if any(b < 0 for b in budget) or _clique_refutes(g.adj, budget):
         return
     pairs = [(u, k) for k in range(g.n) for u in range(k)]
-    edges_after = [0] * (len(pairs) + 1)
-    for i in range(len(pairs) - 1, -1, -1):
-        u, v = pairs[i]
-        edges_after[i] = edges_after[i + 1] + (1 if g.has_edge(u, v) else 0)
+    edges_after = [sum(g.has_edge(*p) for p in pairs[i:]) for i in range(len(pairs) + 1)]
     spent = [0] * g.n
     # underlying and out-neighbourhoods of the arcs placed so far, as masks
     und = [0] * g.n
     out = [0] * g.n
 
     def options(u: int, v: int) -> list[tuple[tuple[int, int], ...]]:
+        arcs = [((u, v),), ((v, u),), ((u, v), (v, u))]
         if g.has_edge(u, v):
-            opts = [((u, v),), ((v, u),)]
-            if allow_supergraph:
-                opts.append(((u, v), (v, u)))
-            return opts
-        if allow_supergraph:
-            return [(), ((u, v),), ((v, u),), ((u, v), (v, u))]
-        return [()]
+            return arcs if allow_supergraph else arcs[:2]
+        return [(), *arcs] if allow_supergraph else [()]
 
     def kernels_below(u: int, k: int) -> bool:
         # every S = T + {u, k}, T a subset of {0, ..., u-1}
@@ -729,33 +703,43 @@ def f_KP_witnesses(g: Graph, f: DegreeTable,
         return all(_smallest_kernel(und, out, low | top) is not None
                    for low in range(1 << u))
 
-    def dfs(i: int) -> Iterator[Digraph]:
-        if i == len(pairs):
-            yield Digraph._from_rows(range(g.n), out)
+    # one frame per pair on the path, from the first: the options it has
+    # not tried, and the one it placed last
+    stack: list[list] = []
+    enter = True  # whether to enter the next pair, len(stack)
+    while True:
+        if enter:
+            i = len(stack)
+            if i == len(pairs):
+                yield Digraph._from_rows(range(g.n), out)
+            # each remaining edge needs an out-arc from one of its endpoints
+            elif sum(budget[v] - spent[v] for v in range(g.n)) >= edges_after[i]:
+                stack.append([iter(options(*pairs[i])), ()])
+        if not stack:
             return
-        # each remaining edge needs an out-arc from one of its endpoints
-        slack = sum(budget[v] - spent[v] for v in range(g.n))
-        if slack < edges_after[i]:
-            return
-        u, k = pairs[i]
-        for opt in options(u, k):
-            if any(spent[t] >= budget[t] for t, _ in opt):
-                continue
-            for t, h in opt:
-                spent[t] += 1
-                out[t] |= 1 << h
-            if opt:
-                und[u] |= 1 << k
-                und[k] |= 1 << u
-            if kernels_below(u, k):
-                yield from dfs(i + 1)
-            for t, h in opt:
-                spent[t] -= 1
-                out[t] &= ~(1 << h)
-            und[u] &= ~(1 << k)
-            und[k] &= ~(1 << u)
-
-    yield from dfs(0)
+        # the deepest frame takes back its option and places its next one
+        frame = stack[-1]
+        u, k = pairs[len(stack) - 1]
+        for t, h in frame[1]:
+            spent[t] -= 1
+            out[t] &= ~(1 << h)
+        und[u] &= ~(1 << k)
+        und[k] &= ~(1 << u)
+        for opt in frame[0]:
+            if all(spent[t] < budget[t] for t, _ in opt):
+                break
+        else:
+            stack.pop()
+            enter = False
+            continue
+        frame[1] = opt
+        for t, h in opt:
+            spent[t] += 1
+            out[t] |= 1 << h
+        if opt:
+            und[u] |= 1 << k
+            und[k] |= 1 << u
+        enter = kernels_below(u, k)
 
 
 def _clique_refutes(adj: Sequence[int], budget: Sequence[int]) -> bool:

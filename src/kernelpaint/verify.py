@@ -19,14 +19,15 @@ mask, the constants of its tests on the packed budgets and the components,
 and per S, Painter's maximal independent answers with their moves.  A
 painter answers S alone, as the Kernel Lemma's Painter does with a kernel
 of the certificate digraph on S, so the walk asks it once per S and keeps
-the move.
+the move.  The walk, the colouring search and the list-assignment search
+keep their paths on explicit stacks, so none leaves a reference cycle.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .bits import bits, mask_of
 from .errors import SizeLimitError
@@ -50,7 +51,6 @@ __all__ = [
 CHOOSABLE_VERTEX_CAP = 8
 CHOOSABLE_TOKEN_CAP = 20
 ONLINE_VERTEX_CAP = 7
-ONLINE_BUDGET_CAP = 7
 CHROMATIC_CAP = 12
 
 
@@ -114,37 +114,40 @@ def is_f_choosable(g: Graph, f: DegreeTable) -> ChoosabilityResult:
         return ChoosabilityResult(False, bad)
     core = bits(_f_core(g, ftab))
     lists = [0] * g.n  # colour masks
+    # one iterator per listed vertex of the core: its lists not yet tried,
+    # each with the colours used once it is taken
+    stack = [_first_use_choices(ftab[core[0]], 0)] if core else []
+    while stack:
+        i = len(stack) - 1
+        for lst, used in stack[-1]:
+            lists[core[i]] = lst
+            if not _list_colourable(g.adj, core[:i + 1], lists):
+                # no extension can repair an uncolorable induced prefix:
+                # pad the rest with pairwise-fresh lists as the witness
+                placed = mask_of(core[:i + 1])
+                for u in range(g.n):
+                    if not placed >> u & 1:
+                        lists[u] = ((1 << ftab[u]) - 1) << used
+                        used += ftab[u]
+                return ChoosabilityResult(
+                    False, {u: frozenset(bits(lists[u])) for u in range(g.n)})
+            # reaching the end of the core means every prefix (hence the
+            # whole assignment) was colorable on the way down
+            if i + 1 < len(core):
+                stack.append(_first_use_choices(ftab[core[i + 1]], used))
+                break
+        else:
+            stack.pop()
+    return ChoosabilityResult(True, None)
 
-    def assign(i: int, used: int) -> Optional[dict[int, frozenset[int]]]:
-        # reaching the end of the core means every prefix (hence the whole
-        # assignment) was colorable on the way down
-        if i == len(core):
-            return None
-        v = core[i]
-        k = ftab[v]
-        for fresh in range(k + 1):
-            old_needed = k - fresh
-            if old_needed > used:
-                continue
-            for olds in itertools.combinations(range(used), old_needed):
-                lists[v] = mask_of(olds) | ((1 << fresh) - 1) << used
-                if not _list_colourable(g.adj, core[:i + 1], lists):
-                    # no extension can repair an uncolorable induced prefix:
-                    # pad the rest with pairwise-fresh lists as the witness
-                    pool = used + fresh
-                    placed = mask_of(core[:i + 1])
-                    for u in range(g.n):
-                        if not placed >> u & 1:
-                            lists[u] = ((1 << ftab[u]) - 1) << pool
-                            pool += ftab[u]
-                    return {u: frozenset(bits(lists[u])) for u in range(g.n)}
-                bad = assign(i + 1, used + fresh)
-                if bad is not None:
-                    return bad
-        return None
 
-    bad = assign(0, 0)
-    return ChoosabilityResult(bad is None, bad)
+def _first_use_choices(k: int, used: int) -> Iterator[tuple[int, int]]:
+    """Every list of k colours, as a mask, whose new colours come after the
+    ``used`` colours seen so far, in first-use order; each with the colours
+    used once it is taken."""
+    for fresh in range(max(0, k - used), k + 1):
+        for olds in itertools.combinations(range(used), k - fresh):
+            yield mask_of(olds) | ((1 << fresh) - 1) << used, used + fresh
 
 
 def _list_colourable(adj: Sequence[int], order: Sequence[int],
@@ -157,22 +160,30 @@ def _list_colourable(adj: Sequence[int], order: Sequence[int],
     so a colour is free for v when that mask misses ``adj[v]``.  Vertices
     outside ``order`` are ignored.
     """
-    classes = [0] * max(map(lists.__getitem__, order), default=0).bit_length()
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
+    if not order:
+        return True
+    classes = [0] * max(map(lists.__getitem__, order)).bit_length()
+    stack = []  # each coloured vertex's colour and the colours it has left
+    left = lists[order[0]]
+    while True:
+        v = order[len(stack)]
         row = adj[v]
-        for c in bits(lists[v]):
+        while left:
+            c = (left & -left).bit_length() - 1
+            left &= left - 1
             if not row & classes[c]:
-                classes[c] |= 1 << v
-                if extend(i + 1):
-                    return True
-                classes[c] ^= 1 << v
-        return False
-
-    return extend(0)
+                break
+        else:
+            if not stack:
+                return False
+            c, left = stack.pop()
+            classes[c] ^= 1 << order[len(stack)]
+            continue
+        classes[c] |= 1 << v
+        stack.append((c, left))
+        if len(stack) == len(order):
+            return True
+        left = lists[order[len(stack)]]
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +236,6 @@ class _Packing:
                 out |= budgets[v] << self.width * v
         return out
 
-    def exhausted(self, mask: int, packed: int) -> bool:
-        """Has some vertex of mask no budget left?  Taking 1 from every field
-        of mask sets the top bit of the lowest empty field, and newly sets no
-        top bit below it."""
-        ones = self.spread[mask]
-        return bool((packed - ones) & ~packed & ones << self.width - 1)
-
     def move(self, smask: int, imask: int) -> tuple[int, int, int]:
         """Painter answers S with I: I leaves the game and every vertex of
         S - I spends one token.  Returns (~I, dec, keep), which take any
@@ -246,16 +250,17 @@ class PaintabilitySolver:
     """Memoized exact solver for the painting game on one host graph.
 
     A state is (remaining-vertex mask, packed budgets): the budgets sit in one
-    int with 4 bits per vertex (``ONLINE_BUDGET_CAP`` = 7 leaves each field a
-    spare top bit), and ``memo`` maps every state the solver has entered to
-    its verdict, whichever rule below decided it, so no state is decided
-    twice.  Callers may start from any induced subgraph of the host, which
-    lets a single memo table serve every candidate subgraph of the same
+    int with 4 bits per vertex, and ``memo`` maps every state the solver has
+    entered to its verdict, whichever rule below decided it, so no state is
+    decided twice.  Callers may start from any induced subgraph of the host,
+    which lets a single memo table serve every candidate subgraph of the same
     graph.  Three sound reductions keep the search tractable: vertices whose
     budget exceeds their remaining degree are removed (they can always be
     painted last), components are solved independently, and Painter only
     ever uses maximal independent subsets of S (painting more is never
-    worse).
+    worse).  The first is applied once before the start state is packed, so
+    every packed budget is at most a degree, below ``ONLINE_VERTEX_CAP``,
+    and each field keeps a spare top bit.
 
     What does not depend on the budgets is built once and kept for the
     solver's life: per remaining-vertex mask, the constants of the tests on
@@ -283,14 +288,14 @@ class PaintabilitySolver:
             raise ValueError("vertices outside the host graph")
         if mask.bit_count() > ONLINE_VERTEX_CAP:
             raise SizeLimitError(f"online solver capped at {ONLINE_VERTEX_CAP} vertices")
-        return self._solve(mask, self._pack(mask, _table(f, bits(mask))))
+        budgets = _table(f, bits(mask))
+        keep = mask
+        for v in bits(mask):
+            if budgets[v] > (self.adj[v] & mask).bit_count():
+                keep ^= 1 << v
+        return self._solve(keep, self._packing.pack(keep, budgets))
 
     # -- internals ---------------------------------------------------------
-
-    def _pack(self, mask: int, budgets) -> int:
-        if any(budgets[v] > ONLINE_BUDGET_CAP for v in bits(mask)):
-            raise SizeLimitError(f"online solver capped at budget {ONLINE_BUDGET_CAP}")
-        return self._packing.pack(mask, budgets)
 
     def _answers_to(self, smask: int) -> tuple[tuple[int, int, int], ...]:
         """Painter's answers to S, each as its move (~I, dec, keep)."""
@@ -490,14 +495,77 @@ def play_paint_game(g: Graph, f: DegreeTable,
     each round recording its S, I, and the budgets left after it.
 
     The budgets travel packed in one int, with fields one bit wider than the
-    largest starting budget (and at least 4 bits).
+    largest starting budget (and at least 4 bits).  Painter's moves are
+    fixed, so states repeat: each state, the pair (remaining-vertex mask,
+    packed budgets), is walked once.  Rounds strictly shrink the state, so a
+    state is never met again while it is walked, and the first lost state
+    ends the walk: every state met again was survived.  A walked state has
+    no empty field, so its packed budgets alone name it.
+
+    A state's moves are one per nonempty S, in descending numeric order.
+    The painter is asked for S, and its answer checked, the first time the
+    walk lists S, and the move is kept as :meth:`_Packing.move` gives it, as
+    the solver keeps its answers.  A round leaves a field empty exactly when
+    it takes a token from a vertex holding one.  The states above the one
+    walked wait on a stack, each with the S it was left by, and one loop
+    lists every S of a state between its push and its pop.
     """
     if not callable(painter):
         raise ValueError(f"painter must be a strategy callable, not {painter!r}")
     ftab = _table(f, range(g.n))
-    packing = _Packing(max(4, max([0, *ftab.values()]).bit_length() + 1))
+    if not g.n:
+        return GameOutcome("painter", (), states_explored=0)
+    if min(ftab.values()) < 1:
+        return GameOutcome("lister", (), states_explored=0)
+    packing = _Packing(max(4, max(ftab.values()).bit_length() + 1))
+    move, spread, width, fill = packing.move, packing.spread, packing.width, packing.fill
     mask = g.full_mask()
-    return _traverse_all_lines(g, packing, mask, packing.pack(mask, ftab), painter)
+    packed = packing.pack(mask, ftab)
+    walked = {0}  # the empty state: Painter has won
+    answers: dict[int, tuple[int, int, int]] = {}
+    explored = 0
+    stack: list[tuple[int, int, int, int]] = []  # (mask, packed, lone, S) above
+    while True:
+        walked.add(packed)
+        explored += 1
+        ones = spread[mask]
+        tops = ones << width - 1
+        # a 1 at the bottom of each field holding one token: the only fields
+        # of packed ^ ones that are 0, and the only ones whose top bit
+        # (packed ^ ones | tops) - ones clears
+        lone = (~(((packed ^ ones) | tops) - ones) & tops) >> width - 1
+        smask = mask
+        while True:
+            while smask:
+                got = answers.get(smask)
+                if got is None:
+                    imask = painter(g, smask)
+                    _check_painter_move(g, smask, imask)
+                    got = answers[smask] = move(smask, imask)
+                not_i, dec, keep = got
+                child = (packed - dec) & keep
+                if dec & lone:  # a vertex of S - I spent its last token
+                    # each round paints what its state loses on the way to the next
+                    line = [*stack, (mask, packed, lone, smask), (mask & not_i, child, 0, 0)]
+                    return GameOutcome("lister", tuple(
+                        GameRound(tuple(bits(s)), tuple(bits(above & ~m)),
+                                  {v: p >> width * v & fill for v in bits(m)})
+                        for (above, _, _, s), (m, p, _, _) in zip(line, line[1:])),
+                        states_explored=explored)
+                # a state already survived, or the empty one: nothing to walk
+                if child not in walked:
+                    break
+                smask = (smask - 1) & mask
+            else:  # Painter survives every S: back to the state above
+                if not stack:
+                    return GameOutcome("painter", (), states_explored=explored)
+                mask, packed, lone, smask = stack.pop()
+                smask = (smask - 1) & mask
+                continue
+            stack.append((mask, packed, lone, smask))
+            mask &= not_i
+            packed = child
+            break
 
 
 def _check_painter_move(g: Graph, smask: int, imask: int) -> None:
@@ -511,75 +579,6 @@ def _check_painter_move(g: Graph, smask: int, imask: int) -> None:
         if adj[low.bit_length() - 1] & imask:
             raise ValueError("painter's set must be independent")
         rest ^= low
-
-
-def _record(packing: _Packing, mask: int, packed: int, smask: int, imask: int) -> GameRound:
-    width, fill = packing.width, packing.fill
-    return GameRound(
-        listed=tuple(bits(smask)),
-        painted=tuple(bits(imask)),
-        budgets={v: packed >> width * v & fill for v in bits(mask)},
-    )
-
-
-def _traverse_all_lines(g: Graph, packing: _Packing, mask0: int, packed0: int,
-                        painter_fn: PainterFn) -> GameOutcome:
-    """Painter's moves are fixed, so states repeat: each state, the pair
-    (remaining-vertex mask, packed budgets), is walked once.  Rounds strictly
-    shrink the state, so a state is never met again while it is walked, and
-    the first lost state ends the walk: every state met again was survived.
-    A walked state has no empty field, so its packed budgets alone name it.
-
-    A state's moves are one per nonempty S, in descending numeric order.
-    The painter is asked for S, and its answer checked, the first time the
-    walk lists S, and the move is kept as :meth:`_Packing.move` gives it, as
-    the solver keeps its answers.  A round leaves a field empty exactly when
-    it takes a token from a vertex holding one."""
-    walked = {0}  # the empty state: Painter has won
-    answers: dict[int, tuple[int, int, int]] = {}
-    explored = 0
-    move, spread = packing.move, packing.spread
-    top = packing.width - 1
-
-    def answer(smask: int) -> tuple[int, int, int]:
-        imask = painter_fn(g, smask)
-        _check_painter_move(g, smask, imask)
-        got = answers[smask] = move(smask, imask)
-        return got
-
-    def survive(mask: int, packed: int) -> Optional[list[GameRound]]:
-        # None = painter survives every line; otherwise a losing line
-        nonlocal explored
-        walked.add(packed)
-        explored += 1
-        ones = spread[mask]
-        tops = ones << top
-        # a 1 at the bottom of each field holding one token: the only fields
-        # of packed ^ ones that are 0, and the only ones whose top bit
-        # (packed ^ ones | tops) - ones clears
-        lone = (~(((packed ^ ones) | tops) - ones) & tops) >> top
-        smask = mask
-        while smask:
-            not_i, dec, keep = answers.get(smask) or answer(smask)
-            child = (packed - dec) & keep
-            if dec & lone:  # a vertex of S - I spent its last token
-                return [_record(packing, mask & not_i, child, smask, ~not_i)]
-            # a state already survived, or the empty one: nothing to walk
-            if child not in walked:
-                line = survive(mask & not_i, child)
-                if line is not None:
-                    return [_record(packing, mask & not_i, child, smask, ~not_i)] + line
-            smask = (smask - 1) & mask
-        return None
-
-    if not mask0:
-        return GameOutcome("painter", (), states_explored=0)
-    if packing.exhausted(mask0, packed0):
-        return GameOutcome("lister", (), states_explored=0)
-    line = survive(mask0, packed0)
-    if line is None:
-        return GameOutcome("painter", (), states_explored=explored)
-    return GameOutcome("lister", tuple(line), states_explored=explored)
 
 
 # ---------------------------------------------------------------------------

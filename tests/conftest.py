@@ -1,9 +1,10 @@
 import functools
+import random
 
 import pytest
 
 import kernelpaint
-from kernelpaint import Graph, make_named
+from kernelpaint import Graph, encode_graph6, make_named
 
 # The last report of each suite run at its default ceiling and seed, by suite
 # name.  Several tests run a suite there (the digest gate, the default-ceiling
@@ -62,3 +63,30 @@ def petersen():
 @pytest.fixture
 def bowtie():
     return Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+
+
+def _seeded_graphs(count: int, n: int, seed: int) -> list[Graph]:
+    """Connected labelled graphs on n vertices, graph i with about
+    (0.3 + 0.5 i / count) n(n-1)/2 edges placed at random."""
+    rng = random.Random(seed)
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    out = []
+    for i in range(count):
+        m = round((0.3 + 0.5 * (i + rng.random()) / count) * len(pairs))
+        while True:
+            g = Graph(n, rng.sample(pairs, m))
+            if g.is_connected():
+                out.append(g)
+                break
+    return out
+
+
+@pytest.fixture
+def seeded_graph6(tmp_path, monkeypatch):
+    """A graph6 file of 20 seeded connected labelled graphs on 7 vertices,
+    by a path relative to the working directory, since a report records its
+    source."""
+    monkeypatch.chdir(tmp_path)
+    lines = [encode_graph6(g) + "\n" for g in _seeded_graphs(20, 7, seed=2015)]
+    (tmp_path / "seeded.g6").write_text("".join(lines), encoding="ascii")
+    return "seeded.g6"

@@ -467,37 +467,38 @@ def test_is_f_at_examples(c4, c5):
 
 
 def _f_at_by_definition(g, f):
-    """The first orientation of g, edges in sorted order and u -> v tried
-    before v -> u, with d+(v) <= f(v) - 1 and a nonzero Alon-Tarsi
-    difference, with its counts; None when there is none."""
+    """The out-degree vectors of the orientations of g with d+(v) <= f(v) - 1
+    and a nonzero Alon-Tarsi difference, each orientation counted by
+    alon_tarsi_diff until its vector is known to have one."""
     edges = sorted(g.edges)
     out = [0] * g.n
     arcs = []
+    vectors = set()
 
     def go(i):
         if i == len(edges):
-            d = Digraph(range(g.n), arcs)
-            counts = alon_tarsi_diff(d)
-            return (d, counts) if counts.diff else None
+            if tuple(out) not in vectors and alon_tarsi_diff(Digraph(range(g.n), arcs)).diff:
+                vectors.add(tuple(out))
+            return
         for t, h in (edges[i], edges[i][::-1]):
             if out[t] < f[t] - 1:
                 out[t] += 1
                 arcs.append((t, h))
-                found = go(i + 1)
+                go(i + 1)
                 out[t] -= 1
                 arcs.pop()
-                if found:
-                    return found
-        return None
 
-    return go(0) if all(x >= 1 for x in f) else None
+    if all(x >= 1 for x in f):
+        go(0)
+    return vectors
 
 
 def test_is_f_at_matches_definition_n6():
-    """The graph polynomial decides as the orientation search with
-    alon_tarsi_diff at every leaf does, and gives its witness and counts:
-    every graph with n <= 6 and at most 12 edges, at f = d and two seeded
-    tables with 1 <= f <= d + 1."""
+    """The graph polynomial decides as the orientations with alon_tarsi_diff
+    do, and its witness is an orientation of g within the budgets whose
+    out-degrees are the smallest surviving monomial (compared from the last
+    vertex down), with its own counts: every graph with n <= 6 and at most
+    12 edges, at f = d and two seeded tables with 1 <= f <= d + 1."""
     import random
 
     rng = random.Random(24)
@@ -509,13 +510,18 @@ def test_is_f_at_matches_definition_n6():
                                       for _ in range(2)]
         for f in tables:
             dec = is_f_AT(g, f)
-            ref = _f_at_by_definition(g, f)
+            vectors = _f_at_by_definition(g, f)
             verdicts.add(bool(dec))
-            assert bool(dec) == (ref is not None)
-            if ref is None:
+            assert bool(dec) == bool(vectors)
+            if not vectors:
                 assert dec.witness is None and dec.counts is None
-            else:
-                assert (dec.witness.arcs, dec.counts) == (ref[0].arcs, ref[1])
+                continue
+            d = dec.witness
+            assert d.underlying_edges() == g.edges and not d.doubled_pairs()
+            degrees = tuple(d.out_degree(v) for v in range(g.n))
+            assert all(x <= b - 1 for x, b in zip(degrees, f))
+            assert degrees == min(vectors, key=lambda k: k[::-1])
+            assert dec.counts == alon_tarsi_diff(d) and dec.counts.diff
     assert verdicts == {True, False}
 
 

@@ -4,7 +4,8 @@ each other.
 Both game walkers, the solver and the walk of every Lister line against one
 painter, carry a state as (remaining-vertex mask, packed budgets), one int
 field per vertex.  These tests pin the packing where it can go wrong: the
-solver's budget cap (4-bit fields), games whose budgets need wider fields,
+solver's 4-bit fields with budgets past them, games whose budgets need wider
+fields,
 empty and negative starting budgets, and the decoding of budgets for
 transcripts.  The reference below is the exhaustive game walk by its
 definition, with budgets as tuples, asking the painter every round; the
@@ -33,9 +34,7 @@ from kernelpaint import (
     make_named,
     play_paint_game,
 )
-from kernelpaint.errors import SizeLimitError
 from kernelpaint.verify import (
-    ONLINE_BUDGET_CAP,
     GameOutcome,
     GameRound,
     greedy_painter,
@@ -242,8 +241,8 @@ def test_solver_matches_the_definition_literal_minimax():
         n = rng.randint(1, 5)
         p = rng.random()
         g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
-        # budgets 1..d + 1, where games are decided, and now and then 0, the
-        # cap 7, or d + 2
+        # budgets 1..d + 1, where games are decided, and now and then 0, 7
+        # (above every degree here), or d + 2
         f = [rng.choice([0, 7, rng.randint(1, g.degrees[v] + 2)]) if rng.random() < 0.2
              else rng.randint(1, g.degrees[v] + 1) for v in range(n)]
         expect = minimax_wins(g, f)
@@ -280,17 +279,17 @@ def test_solver_answers_are_the_maximal_independent_sets():
 
 def test_solver_at_the_budget_cap():
     # K_n is online f-choosable exactly when its i-th smallest budget is at
-    # least i
+    # least i.  A budget above the degree is dropped before packing, so
+    # budgets past a 4-bit field are decided too.
     k7 = make_named("complete", [7])
-    assert ONLINE_BUDGET_CAP == 7
     solver = PaintabilitySolver(k7)
     for f in ([7] * 7, [6] * 7, [7, 1, 7, 7, 7, 7, 7], [7, 1, 7, 7, 7, 7, 1],
               [1, 7, 2, 7, 3, 7, 7], [1, 2, 3, 4, 5, 6, 7], [7, 6, 5, 4, 3, 2, 1],
-              [1, 2, 3, 4, 5, 6, 6], [7, 6, 5, 4, 3, 1, 1]):
+              [1, 2, 3, 4, 5, 6, 6], [7, 6, 5, 4, 3, 1, 1], [8] + [7] * 6,
+              [9, 1, 9, 2, 9, 3, 9], [15, 9, 1, 2, 3, 4, 5], [15] * 7,
+              [9, 9, 1, 1, 15, 15, 15], [0, 15, 15, 15, 15, 15, 15]):
         expect = all(b >= i for i, b in enumerate(sorted(f), start=1))
         assert solver.wins(k7.full_mask(), f) == expect, f
-    with pytest.raises(SizeLimitError, match="budget"):
-        solver.wins(k7.full_mask(), [8] + [7] * 6)
 
 
 def test_surviving_painters_agree_with_the_solver():
@@ -298,11 +297,7 @@ def test_surviving_painters_agree_with_the_solver():
     seen = collections.Counter()
     for _ in range(200):
         g, f, d = _random_case(rng)
-        # a budget above the degree is peeled by the solver before anything
-        # else, so capping it at the degree plus one decides the same game
-        # within the solver's budget cap
-        choosable = is_online_f_choosable(
-            g, [min(b, g.degrees[v] + 1) for v, b in enumerate(f)])
+        choosable = is_online_f_choosable(g, f)
         for painter in _painters(d):
             out = play_paint_game(g, f, painter=painter)
             if out.winner == "painter":

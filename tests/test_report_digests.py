@@ -27,6 +27,13 @@ except cut-lemma, which samples the corpus by index; its verdict counts
 held.  gallai-count's digest and the seeded kernel-game digest read no
 enumerated corpus and held.
 
+The two at-classify digests were re-baselined once when the f-AT witness
+became the orientation with the smallest surviving monomial as its
+out-degrees, found by path reversal, instead of the first orientation in an
+edge-by-edge search: the ``counts`` of 33 of the 99 f-AT records at the
+default ceiling changed, and with that field stripped both reports are
+unchanged.
+
 Corpora stay small so the whole gate runs in a few seconds: graphs on at most
 5 vertices, at most 4 for in-orient-oracle, and gallai-count, which builds its
 own random forests, at its default.  The game suites are also pinned where
@@ -42,16 +49,15 @@ report, and the 5-vertex digest, which the graph does not reach, held.
 """
 
 import hashlib
-import random
 
 import pytest
 
-from kernelpaint import SUITE_NAMES, Graph, encode_graph6, run_suite
+from kernelpaint import SUITE_NAMES, run_suite
 
 MAX_N = {"in-orient-oracle": 4, "gallai-count": None}
 
 DIGESTS = {
-    "at-classify": "24381a43ac61691fc74a9d9fa09d8e9357c704148c7fa9eae3ba3f651384d07d",
+    "at-classify": "224abc7b20cc51545009963fe292c57d5021363d0db1dcb98719ebf0d9f2709f",
     "brooks-alpha": "495f8540e034b3eec17c79d47547dc8eae0de116a69ebc888dcfdb36319488cb",
     "cut-lemma": "8fde85b34b534889a57ad7d4ffd06e37fdff925cb37c979da42f9860df6d4254",
     "edges-4critical": "1edb2fc1e8590be51065bbaedf6313c7f2f703577c82097444f6ba116fa6057b",
@@ -79,7 +85,7 @@ def test_default_seed_report_is_byte_identical(name):
 
 
 DEFAULT_CEILING_DIGESTS = {
-    "at-classify": "d838773ae9549f4f10ca5fb51a9400d2c60b40b73c92c18e24add41f093efc16",
+    "at-classify": "7deb8078d5d3a08f191e18ef83b8592a8b666f8b858948fcb00fc094699fab3d",
     "edges-4critical": "3e9a272335c57a8bee79aea8b13caf13863c95b78f1b54164360fa4ece5e1bad",
     "in-orient-oracle": "c6f1e5b835f9d990809ee3d09e7646907fdb1766d36d00f966f9fa9f088ca5ef",
     "kernel-game": "82d6b14f5ffa8348d5e5e652ee394b59ae8c027330af953f82cc5e13a0643efd",
@@ -98,27 +104,7 @@ def test_default_ceiling_report_is_byte_identical(name):
     assert _digest(run_suite(name)) == DEFAULT_CEILING_DIGESTS[name]
 
 
-def _seeded_graphs(count: int, n: int, seed: int) -> list[Graph]:
-    """Connected labelled graphs on n vertices, graph i with about
-    (0.3 + 0.5 i / count) n(n-1)/2 edges placed at random."""
-    rng = random.Random(seed)
-    pairs = [(u, v) for v in range(n) for u in range(v)]
-    out = []
-    for i in range(count):
-        m = round((0.3 + 0.5 * (i + rng.random()) / count) * len(pairs))
-        while True:
-            g = Graph(n, rng.sample(pairs, m))
-            if g.is_connected():
-                out.append(g)
-                break
-    return out
-
-
-def test_kernel_game_on_a_seeded_graph6_file(tmp_path, monkeypatch):
-    # a relative path, since the report records its source
-    monkeypatch.chdir(tmp_path)
-    lines = [encode_graph6(g) + "\n" for g in _seeded_graphs(20, 7, seed=2015)]
-    (tmp_path / "seeded.g6").write_text("".join(lines), encoding="ascii")
-    report = run_suite("kernel-game", source="seeded.g6")
+def test_kernel_game_on_a_seeded_graph6_file(seeded_graph6):
+    report = run_suite("kernel-game", source=seeded_graph6)
     assert report.counts()["fail"] == 0
     assert _digest(report) == SEEDED_KERNEL_GAME_DIGEST
